@@ -12,7 +12,6 @@ digits so reruns are byte-identical.
 
 import argparse
 import json
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -97,6 +96,12 @@ class Scenario:
         self.epsilon = self._get_float("spectra", "epsilon", 0.0)  # 0 = auto
         self.omega_max = self._get_float("spectra", "omega_max", 4.0)
         self.grid_points = self._get_int("spectra", "grid_points", 2000)
+        if not self.epsilon >= 0:
+            raise ConfigError("[spectra] epsilon must be >= 0 (0 = auto)")
+        if not self.omega_max > 0:
+            raise ConfigError("[spectra] omega_max must be > 0")
+        if self.grid_points < 2:
+            raise ConfigError("[spectra] grid_points must be >= 2")
         powers_raw = self._get("spectra", "powers", "2")
         try:
             self.powers = sorted({int(p) for p in powers_raw.split(",") if p.strip()})
@@ -323,23 +328,6 @@ def run_figure1(outdir, quiet=False):
     return EXIT_OK
 
 
-def _limit_threads():
-    raw = os.environ.get("COLLECTIVE_MODE_THREADS")
-    if not raw:
-        return
-    try:
-        n = max(1, int(raw))
-    except ValueError:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=n)
-    except ImportError:  # best effort without threadpoolctl
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(n))
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="collective-mode",
@@ -364,7 +352,6 @@ def main(argv=None):
     p_fig.add_argument("outdir")
 
     args = parser.parse_args(argv)
-    _limit_threads()
 
     try:
         if args.command == "figure1":

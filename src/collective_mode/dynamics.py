@@ -18,10 +18,10 @@ from .mapping import (
     collective_sector_modes,
 )
 from .model import SystemModel, full_potential_matrix, phonon_spectrum
-from ._kernels import BACKEND_NAME, volterra_path
+from ._kernels import volterra_path
 
 __all__ = [
-    "BACKEND_NAME", "TrajectoryTable", "OscillatorParams",
+    "TrajectoryTable", "OscillatorParams",
     "damping_kernel", "gamma_transform", "collective_frequency",
     "evolve_exact", "solve_volterra", "fourier_solution",
     "underdamped_closed_form", "linear_response",
@@ -79,17 +79,23 @@ class OscillatorParams:
     regime: str
 
 
+def _line_weights(form: CollectiveForm):
+    """Kernel weight (2 l_n)^2 / (m^2 w_n^2) of each bath line.
+
+    The effective coupling of the equations of motion is twice the
+    stored l (the cross terms of the quadratic form).  All weights are
+    nonnegative, so the kernel peaks at gamma(0) = sum of the weights.
+    """
+    return (2.0 * form.couplings_l) ** 2 / (form.mass**2 * form.bath_freqs**2)
+
+
 def damping_kernel(form: CollectiveForm, t):
     """Memory kernel: (1/m^2) sum_n ((2 l_n)^2 / w_n^2) cos(w_n t).
 
     Exact cosine sum over the bath lines; accepts scalars or arrays.
-    The effective coupling of the equations of motion is twice the
-    stored l (the cross terms of the quadratic form), so each line
-    enters with weight (2 l_n)^2.
     """
     t_arr = np.asarray(t, dtype=float)
-    coeff = (2.0 * form.couplings_l) ** 2 / (form.mass**2 * form.bath_freqs**2)
-    out = np.cos(np.multiply.outer(t_arr, form.bath_freqs)) @ coeff
+    out = np.cos(np.multiply.outer(t_arr, form.bath_freqs)) @ _line_weights(form)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
@@ -102,10 +108,9 @@ def gamma_transform(form: CollectiveForm, omega, epsilon):
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     omega_arr = np.asarray(omega, dtype=float)
-    coeff = (2.0 * form.couplings_l) ** 2 / (form.mass**2 * form.bath_freqs**2)
     s = epsilon - 1j * omega_arr[..., None]
     terms = s / (s**2 + form.bath_freqs**2)
-    out = terms @ coeff
+    out = terms @ _line_weights(form)
     return complex(out) if np.isscalar(omega) or omega_arr.ndim == 0 else out
 
 
@@ -192,18 +197,19 @@ def evolve_exact(model: SystemModel, p0, times) -> TrajectoryTable:
     return TrajectoryTable(times=t, positions=x, momenta=model.mass * v)
 
 
-def _kernel_on_grid(form, times, omega0_sq):
-    """Damping kernel sampled on the grid, with a decoupled fast path.
+def _stepper_weights(form, omega0_sq):
+    """Line weights for the stepper, with a decoupled fast path.
 
     A coupling that is zero up to round-off leaves a kernel of order
     1e-30 whose dynamical effect is far below double precision; zeroing
-    it lets the stepper skip the O(T^2) history sum.
+    it lets the stepper skip the history sum.  The weights are
+    nonnegative, so max |gamma| on a grid from 0 is their sum.
     """
-    gamma = damping_kernel(form, times)
+    weights = _line_weights(form)
     scale = max(abs(omega0_sq), form.bath_freqs.max() ** 2, 1e-300)
-    if np.abs(gamma).max() < 1e-20 * scale:
-        return np.zeros_like(gamma)
-    return gamma
+    if weights.sum() < 1e-20 * scale:
+        return np.zeros_like(weights)
+    return weights
 
 
 def _check_uniform_grid(times):
@@ -222,7 +228,8 @@ def _check_uniform_grid(times):
 def solve_volterra(form: CollectiveForm, p0, times) -> TrajectoryTable:
     """Integrate the memory-kernel equation of motion after a kick.
 
-    Second-order stepping with a trapezoidal history sum (O(T^2) cost).
+    Second-order stepping with a trapezoidal history sum, carried in one
+    accumulator per bath line: O(T N) cost for T steps and N lines.
     Refuses steps larger than 0.1 / max(bath frequency, collective
     frequency), for which the scheme is no longer trustworthy.
     """
@@ -236,8 +243,9 @@ def solve_volterra(form: CollectiveForm, p0, times) -> TrajectoryTable:
             f"time step {h:.6g} too large; need h <= {0.1 / params_scale:.6g}"
         )
     omega0_sq = 2.0 * form.k_tilde_11 / form.mass - damping_kernel(form, 0.0)
-    gamma = _kernel_on_grid(form, t, omega0_sq)
-    x, v = volterra_path(omega0_sq, gamma, h, None, 0.0, p0 / form.mass)
+    weights = _stepper_weights(form, omega0_sq)
+    x, v = volterra_path(omega0_sq, form.bath_freqs, weights, h, t.size,
+                         v0=p0 / form.mass)
     return TrajectoryTable(times=t, positions=x, momenta=form.mass * v)
 
 
@@ -288,8 +296,8 @@ def linear_response(form: CollectiveForm, force_samples, times):
         )
     m = form.mass
     omega0_sq = 2.0 * form.k_tilde_11 / m - damping_kernel(form, 0.0)
-    gamma = _kernel_on_grid(form, t, omega0_sq)
-    x, v = volterra_path(omega0_sq, gamma, h, force / m, 0.0, 0.0)
+    weights = _stepper_weights(form, omega0_sq)
+    x, v = volterra_path(omega0_sq, form.bath_freqs, weights, h, t.size, force / m)
     forced = TrajectoryTable(times=t, positions=x, momenta=m * v)
 
     modes = collective_sector_modes(form)

@@ -31,7 +31,6 @@ class UnstableModelError(RuntimeError):
 
 
 # Relative tolerances for the structural checks.
-_TOL_SHIFT = 1e-12
 _TOL_ROWSUM = 1e-12
 _TOL_PSD = 1e-10
 
@@ -95,11 +94,9 @@ def validate_model(w_matrix, k_matrix, mass, hbar=1.0):
 
     An empty list means the model is valid.  Checks are reported
     individually so callers can tell a symmetry problem from a row-sum
-    or positivity problem.  Shift invariance (a circulant W) is reported
-    as ``shift_invariance`` but is informational: the mapping only needs
-    W symmetric with vanishing row sums (the uniform vector must be a
-    zero mode), which the free-ended next-neighbor chain satisfies
-    without being circulant.
+    or positivity problem.  W need not be circulant: the mapping only
+    needs W symmetric with vanishing row sums (the uniform vector must
+    be a zero mode), which the free-ended next-neighbor chain satisfies.
     """
     violations = []
     w = np.asarray(w_matrix, dtype=float)
@@ -137,15 +134,6 @@ def validate_model(w_matrix, k_matrix, mass, hbar=1.0):
             ("row_sum", f"max |sum_i W_ij| = {rowsum:.3e} exceeds {_TOL_ROWSUM:.0e} * max|W|")
         )
 
-    shift_err = 0.0
-    for shift in range(1, n):
-        rolled = np.roll(np.roll(w, shift, axis=0), shift, axis=1)
-        shift_err = max(shift_err, np.abs(rolled - w).max())
-    if shift_err > _TOL_SHIFT * scale:
-        violations.append(
-            ("shift_invariance", f"max deviation under cyclic relabeling = {shift_err:.3e}")
-        )
-
     if not any(name in ("w_symmetry", "k_symmetry", "k_negative") for name, _ in violations):
         q = _full_potential(w, k)
         eigs = scipy.linalg.eigvalsh(q)
@@ -158,20 +146,15 @@ def validate_model(w_matrix, k_matrix, mass, hbar=1.0):
     return violations
 
 
-# Validation failures that do not invalidate the mapping.
-_NON_FATAL = {"shift_invariance"}
-
-
 def build_general_model(w_matrix, k_matrix, mass, hbar=1.0):
     """Validate user-supplied (W, K) and wrap them in a SystemModel.
 
-    Raises ModelValidationError carrying the full violation list when a
-    fatal invariant fails.
+    Raises ModelValidationError carrying the full violation list when an
+    invariant fails.
     """
     violations = validate_model(w_matrix, k_matrix, mass, hbar)
-    fatal = [v for v in violations if v[0] not in _NON_FATAL]
-    if fatal:
-        raise ModelValidationError(fatal)
+    if violations:
+        raise ModelValidationError(violations)
     w = np.asarray(w_matrix, dtype=float)
     return SystemModel(
         n_particles=w.shape[0],
@@ -188,17 +171,17 @@ def build_next_neighbor_model(n_particles, mass=1.0, omega0=1.0, alpha=0.0, hbar
     The intra-chain potential is (m omega0^2 / 2) sum_j (x_j - x_{j+1})^2
     over the N-1 bonds of a free-ended chain, whose normal modes are the
     standing waves with frequencies 2 omega0 |sin(pi (k-1) / 2N)|.  The
-    coupling matrix has the single entry K_11 = alpha / 2.
+    coupling matrix has the single entry K_11 = alpha / 2.  The output
+    is valid by construction, so only the scalar inputs are checked.
     """
     n = int(n_particles)
     if n < 2:
         raise ValueError(f"need N >= 2 (a single particle has no bath), got {n}")
-    if not mass > 0:
-        raise ValueError(f"mass must be positive, got {mass}")
-    if not omega0 > 0:
-        raise ValueError(f"omega0 must be positive, got {omega0}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    for name, value in (("mass", mass), ("omega0", omega0), ("hbar", hbar)):
+        if not (value > 0 and np.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not (alpha >= 0 and np.isfinite(alpha)):
+        raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
 
     c = mass * omega0**2 / 2.0
     lap = np.zeros((n, n))
@@ -212,14 +195,10 @@ def build_next_neighbor_model(n_particles, mass=1.0, omega0=1.0, alpha=0.0, hbar
     k = np.zeros((n, n))
     k[0, 0] = alpha / 2.0
 
-    model = SystemModel(
+    return SystemModel(
         n_particles=n, mass=float(mass), w_matrix=w, k_matrix=k,
         hbar=float(hbar), omega0=float(omega0),
     )
-    fatal = [v for v in validate_model(w, k, mass, hbar) if v[0] not in _NON_FATAL]
-    if fatal:  # pragma: no cover - factory output is valid by construction
-        raise ModelValidationError(fatal)
-    return model
 
 
 def next_neighbor_frequencies(n_particles, omega0):

@@ -119,6 +119,22 @@ def test_unparseable_value(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("grid_points", "1"), ("grid_points", "0"), ("grid_points", "-5"),
+    ("omega_max", "0"), ("omega_max", "-1"), ("epsilon", "-0.1"),
+])
+def test_bad_spectra_value(tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.ini"
+    out = write_config(cfg)
+    text = cfg.read_text().replace("powers = 2", "powers = 2\nepsilon = 0")
+    lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line
+             for line in text.splitlines()]
+    cfg.write_text("\n".join(lines))
+    assert main(["run", str(cfg), "--quiet"]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_too_large_step_is_numerical_failure(tmp_path, capsys):
     cfg = tmp_path / "coarse.ini"
     write_config(cfg, n=16, alpha=0.5, t_max=100.0, steps=100)  # h = 1.0

@@ -16,6 +16,8 @@ from collective_mode import (
     total_energy,
     underdamped_closed_form,
 )
+from collective_mode._kernels import volterra_path
+from collective_mode.dynamics import _stepper_weights
 
 
 def point_form(n, alpha):
@@ -321,18 +323,39 @@ def test_finite_size_recurrence():
     assert env[imin:].max() > 2.0 * env[imin]  # clear regrowth
 
 
-def test_backends_agree():
-    from collective_mode import _kernels_py
-    form = point_form(8, 1.0)
+def trapezoid_oracle(omega0_sq, gamma, h, f_over_m, v0):
+    """The stepper's scheme with the history sum taken directly, O(T^2).
+
+    gamma holds the kernel sampled on the grid, gamma[j] = gamma(j h).
+    """
+    n = gamma.size
+    x = np.zeros(n)
+    v = np.zeros(n)
+    v[0] = v0
+    g0 = gamma[0]
+    anf = 0.0
+    for i in range(n - 1):
+        fi = f_over_m[i]
+        x[i + 1] = x[i] + h * v[i] + 0.5 * h * h * (anf + fi)
+        mem = h * (0.5 * gamma[i + 1] * v[0] + gamma[i:0:-1] @ v[1:i + 1])
+        atil = -omega0_sq * x[i + 1] - mem
+        v[i + 1] = (v[i] + 0.5 * h * (anf + atil) + h * fi) / (1.0 + 0.25 * h * h * g0)
+        anf = atil - 0.5 * h * g0 * v[i + 1]
+    return x, v
+
+
+@pytest.mark.parametrize("path", ["kick", "forced", "decoupled"])
+def test_recursive_history_matches_direct_trapezoid(path):
+    form = point_form(8, 0.0 if path == "decoupled" else 1.0)
     h = 0.02 / form.bath_freqs.max()
-    t = np.arange(0, 2000) * h
-    gamma = damping_kernel(form, t)
-    w0_sq = collective_frequency(form).omega0_sq
-    x_py, v_py = _kernels_py.volterra_path(w0_sq, gamma, h, None, 0.0, 1.0)
-    try:
-        from collective_mode import _kernels_cy
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    x_cy, v_cy = _kernels_cy.volterra_path(w0_sq, gamma, h, None, 0.0, 1.0)
-    assert np.abs(x_py - x_cy).max() < 1e-12 * np.abs(x_py).max()
-    assert np.abs(v_py - v_cy).max() < 1e-12 * max(np.abs(v_py).max(), 1.0)
+    t = np.arange(2000) * h
+    omega0_sq = collective_frequency(form).omega0_sq
+    weights = _stepper_weights(form, omega0_sq)
+    force = 0.3 * np.sin(0.9 * t) if path == "forced" else np.zeros_like(t)
+    v0 = 0.0 if path == "forced" else 1.0
+    x, v = volterra_path(omega0_sq, form.bath_freqs, weights, h, t.size,
+                         force if path == "forced" else None, v0=v0)
+    gamma = np.cos(np.multiply.outer(t, form.bath_freqs)) @ weights
+    x_ref, v_ref = trapezoid_oracle(omega0_sq, gamma, h, force, v0)
+    assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+    assert np.abs(v - v_ref).max() <= 1e-12 * np.abs(v_ref).max()

@@ -35,10 +35,11 @@ def test_next_neighbor_scaling():
 
 
 def test_zero_coupling_is_valid():
-    model = build_next_neighbor_model(4, 1.0, 1.0, 0.0)
-    violations = validate_model(model.w_matrix, model.k_matrix, model.mass)
-    # the free-ended chain is flagged as non-circulant, nothing else
-    assert {name for name, _ in violations} <= {"shift_invariance"}
+    # the factory skips validate_model: its output must pass it untouched
+    for n, mass, alpha in [(2, 1.0, 0.0), (4, 1.0, 0.0), (5, 2.0, 0.7),
+                           (33, 1.0, 0.5), (64, 0.5, 3.0)]:
+        model = build_next_neighbor_model(n, mass, 1.3, alpha)
+        assert validate_model(model.w_matrix, model.k_matrix, model.mass) == []
 
 
 def test_degenerate_inputs_rejected():
@@ -50,6 +51,10 @@ def test_degenerate_inputs_rejected():
         build_next_neighbor_model(4, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         build_next_neighbor_model(4, 1.0, 1.0, -0.5)
+    with pytest.raises(ValueError):
+        build_next_neighbor_model(4, 1.0, 1.0, float("nan"))
+    with pytest.raises(ValueError):
+        build_next_neighbor_model(4, 1.0, 1.0, 1.0, hbar=0.0)
 
 
 def test_general_model_constant_coupling_valid():
