@@ -144,8 +144,11 @@ class Scenario:
 
     def build_model(self):
         if self.kind == "next_neighbor":
-            return build_next_neighbor_model(
-                self.n, self.mass, self.omega0, self.alpha, self.hbar)
+            try:
+                return build_next_neighbor_model(
+                    self.n, self.mass, self.omega0, self.alpha, self.hbar)
+            except ValueError as exc:  # the factory checks only the scalars
+                raise ConfigError(f"[model] {exc}") from exc
         w = _load_matrix(self.w_file)
         k = _load_matrix(self.k_file)
         return build_general_model(w, k, self.mass, self.hbar)
@@ -166,9 +169,8 @@ def load_scenario(path):
     return Scenario(parser, path)
 
 
-def _spectra_tables(form, params, scenario):
+def _spectra_tables(form, modes, params, scenario):
     """Spectrum columns on the configured grid plus the comb tables."""
-    modes = mapping.collective_sector_modes(form)
     sigma = spectra.sigma_comb(form)
     eps = scenario.epsilon
     if eps <= 0:
@@ -194,15 +196,16 @@ def _spectra_tables(form, params, scenario):
 
 
 def run_scenario(scenario, quiet=False):
+    model = scenario.build_model()
     out = Path(scenario.directory)
     out.mkdir(parents=True, exist_ok=True)
 
-    model = scenario.build_model()
     form = mapping.caldeira_leggett_form(model)
+    modes = mapping.collective_sector_modes(form)
     params = dyn.collective_frequency(form)
 
     t = np.linspace(0.0, scenario.t_max, scenario.steps + 1)
-    exact = dyn.evolve_exact(model, scenario.p0, t)
+    exact = dyn.evolve_exact(modes, scenario.p0, t)
     volt = dyn.solve_volterra(form, scenario.p0, t)
     if params.regime in ("underdamped", "critical"):
         closed = dyn.underdamped_closed_form(params, scenario.p0, t, form.mass)
@@ -238,7 +241,7 @@ def run_scenario(scenario, quiet=False):
     spectra_reason = None
     try:
         sigma, strengths, eps, spectrum_table, smoothed, fdt = _spectra_tables(
-            form, params, scenario)
+            form, modes, params, scenario)
     except ValueError as exc:
         spectra_reason = str(exc)
         sigma = spectra.sigma_comb(form)
@@ -279,9 +282,9 @@ def run_scenario(scenario, quiet=False):
 
 
 def run_verify(scenario, quiet=False):
+    model = scenario.build_model()
     out = Path(scenario.directory)
     out.mkdir(parents=True, exist_ok=True)
-    model = scenario.build_model()
     eps = scenario.epsilon if scenario.epsilon > 0 else None
     checks = run_checks(model, p0=scenario.p0, t_max=scenario.t_max,
                         steps=scenario.steps, epsilon=eps)

@@ -13,11 +13,11 @@ import numpy as np
 
 from .mapping import (
     CollectiveForm,
-    caldeira_leggett_form,
+    QuantumModes,
     collective_sector_eigensystem,
     collective_sector_modes,
 )
-from .model import SystemModel, full_potential_matrix, phonon_spectrum
+from .model import PhononSpectrum, SystemModel, full_potential_matrix
 from ._kernels import volterra_path
 
 __all__ = [
@@ -184,17 +184,15 @@ def _mode_trajectory(modes, p0, times):
     return scale * x, scale * v
 
 
-def evolve_exact(model: SystemModel, p0, times) -> TrajectoryTable:
+def evolve_exact(modes: QuantumModes, p0, times) -> TrajectoryTable:
     """Exact collective trajectory after a momentum kick P0 at t = 0.
 
-    Evaluates the normal-mode sum of the collective sector in closed
-    form; no time stepping, exact to machine precision at every sample.
+    Sums the collective-sector modes (from collective_sector_modes) in
+    closed form; no time stepping, exact to machine precision.
     """
-    form = caldeira_leggett_form(model)
-    modes = collective_sector_modes(form)
     t = np.asarray(times, dtype=float)
     x, v = _mode_trajectory(modes, p0, t)
-    return TrajectoryTable(times=t, positions=x, momenta=model.mass * v)
+    return TrajectoryTable(times=t, positions=x, momenta=modes.mass * v)
 
 
 def _stepper_weights(form, omega0_sq):
@@ -306,16 +304,17 @@ def linear_response(form: CollectiveForm, force_samples, times):
     return forced, TrajectoryTable(times=t, positions=predicted)
 
 
-def reconstruct_full_trajectory(model: SystemModel, p0, times):
+def reconstruct_full_trajectory(form: CollectiveForm, phonons: PhononSpectrum,
+                                p0, times):
     """Full-phase-space trajectory (z, zdot) behind evolve_exact.
 
-    The kick excites only the antisymmetric sector; the symmetric sector
-    stays at rest.  Returns (times, z, zdot) with z = (x, xbar) of shape
+    Takes the form and the chain phonons it was mapped from.  The kick
+    excites only the antisymmetric sector; the symmetric sector stays
+    at rest.  Returns (times, z, zdot) with z = (x, xbar) of shape
     (T, 2N).  Used to check energy conservation along the exact route.
     """
     t = np.asarray(times, dtype=float)
-    form = caldeira_leggett_form(model)
-    m = model.mass
+    m = form.mass
 
     # Normal coordinates q_n(t) = (P0 c_n / m) sin(w_n t)/w_n.
     w, v_modes = collective_sector_eigensystem(form)
@@ -324,21 +323,17 @@ def reconstruct_full_trajectory(model: SystemModel, p0, times):
     q = (t[:, None] * np.sinc(np.multiply.outer(t, w) / np.pi)) * amp
     qdot = np.cos(np.multiply.outer(t, w)) * amp
 
-    sector = q @ v_modes.T          # columns: (X, xi_1..xi_{N-1})
-    sector_dot = qdot @ v_modes.T
+    d = q @ v_modes.T          # columns: (X, xi_1..xi_{N-1})
+    d_dot = qdot @ v_modes.T
 
-    # (X, xi) -> d (antisymmetric phonon coordinates).
-    n = model.n_particles
-    d = np.empty((t.size, n))
-    d_dot = np.empty((t.size, n))
-    d[:, 0] = sector[:, 0]
-    d_dot[:, 0] = sector_dot[:, 0]
+    # (X, xi) -> d (antisymmetric phonon coordinates): X is d_1 itself,
+    # the bath coordinates rotate back through U.
     u = form.bath_transform
-    d[:, 1:] = sector[:, 1:] @ u.T
-    d_dot[:, 1:] = sector_dot[:, 1:] @ u.T
+    d[:, 1:] = d[:, 1:] @ u.T
+    d_dot[:, 1:] = d_dot[:, 1:] @ u.T
 
     # d -> chain coordinates: c = d/sqrt(2), cbar = -d/sqrt(2); x = A^T c.
-    basis = phonon_spectrum(model).basis
+    basis = phonons.basis
     x_chain = (d / np.sqrt(2.0)) @ basis
     xbar_chain = -(d / np.sqrt(2.0)) @ basis
     xd_chain = (d_dot / np.sqrt(2.0)) @ basis
@@ -353,5 +348,5 @@ def total_energy(model: SystemModel, z, zdot):
     """Total energy (kinetic + potential) along a full trajectory."""
     q = full_potential_matrix(model)
     kinetic = 0.5 * model.mass * (zdot**2).sum(axis=-1)
-    potential = np.einsum("ti,ij,tj->t", z, q, z)
+    potential = ((z @ q) * z).sum(axis=-1)
     return kinetic + potential

@@ -107,7 +107,7 @@ def interaction_in_phonon_basis(model: SystemModel,
             f"basis size {a.shape[0]} does not match model N = {model.n_particles}"
         )
     khat = model.row_coupling_sums
-    k_alpha = a @ np.diag(khat) @ a.T
+    k_alpha = (a * khat) @ a.T
     k_beta = a @ model.k_matrix @ a.T
     k_tilde = k_alpha + k_beta
     k_bar = k_alpha - k_beta
@@ -137,7 +137,6 @@ def caldeira_leggett_form(model: SystemModel) -> CollectiveForm:
     phonons = phonon_spectrum(model)
     trans = interaction_in_phonon_basis(model, phonons)
     m = model.mass
-    n = model.n_particles
 
     omega_sq = phonons.frequencies**2
     b = trans.k_tilde[1:, 1:] + np.diag(m * omega_sq[1:] / 2.0)
@@ -170,7 +169,7 @@ def caldeira_leggett_form(model: SystemModel) -> CollectiveForm:
     )
 
 
-def decoupling_indicator(model: SystemModel):
+def decoupling_indicator(model: SystemModel, phonons: PhononSpectrum):
     """Coupling vector of X to the bath, by two routes, plus a flag.
 
     Route one projects the row sums khat onto the nonuniform phonon
@@ -178,9 +177,8 @@ def decoupling_indicator(model: SystemModel):
     the first row of Ktilde.  They agree identically for symmetric K;
     both are computed and compared here as a safeguard.  The flag is
     true when the coupling vanishes, i.e. when all khat_i are equal
-    (constant row sums give no damping).
+    (constant row sums give no damping).  Takes the model's phonons.
     """
-    phonons = phonon_spectrum(model)
     khat = model.row_coupling_sums
     n = model.n_particles
 
@@ -369,14 +367,13 @@ def collective_sector_modes(form: CollectiveForm) -> QuantumModes:
     )
 
 
-def symmetric_sector_frequencies(model: SystemModel):
+def symmetric_sector_frequencies(model: SystemModel, phonons: PhononSpectrum):
     """Frequencies of the symmetric (center-of-mass) sector.
 
     That sector never couples to X; its frequency-squared matrix is
-    omega_k^2 + (2/m) Kbar in the phonon basis.  Used to check that the
-    mapped sectors together reproduce the full 2N-coordinate spectrum.
+    omega_k^2 + (2/m) Kbar in the basis of the model's phonons.  Used to
+    check that the mapped sectors reproduce the full 2N spectrum.
     """
-    phonons = phonon_spectrum(model)
     trans = interaction_in_phonon_basis(model, phonons)
     m = model.mass
     mat = np.diag(phonons.frequencies**2) + 2.0 * trans.k_bar / m

@@ -176,7 +176,7 @@ def build_next_neighbor_model(n_particles, mass=1.0, omega0=1.0, alpha=0.0, hbar
     """
     n = int(n_particles)
     if n < 2:
-        raise ValueError(f"need N >= 2 (a single particle has no bath), got {n}")
+        raise ValueError(f"n_particles must be >= 2 (one particle has no bath), got {n}")
     for name, value in (("mass", mass), ("omega0", omega0), ("hbar", hbar)):
         if not (value > 0 and np.isfinite(value)):
             raise ValueError(f"{name} must be positive and finite, got {value}")

@@ -91,7 +91,7 @@ def run_checks(model, p0=1.0, t_max=None, steps=None, epsilon=None):
                             "no closed form for a general chain matrix"))
 
     # --- mapping
-    k_vec, decoupled = mapping.decoupling_indicator(model)
+    k_vec, decoupled = mapping.decoupling_indicator(model, phonons)
     khat_scale = max(float(model.row_coupling_sums.max()), 1e-300)
     checks.append(CheckResult(
         name="mapping.decoupling_indicator",
@@ -139,10 +139,10 @@ def run_checks(model, p0=1.0, t_max=None, steps=None, epsilon=None):
         checks.append(_skip("mapping.secular_cross_check", "not a point coupling"))
         checks.append(_skip("mapping.interlacing", "not a point coupling"))
 
-    anti = mapping.collective_sector_modes(form).frequencies
-    sym = mapping.symmetric_sector_frequencies(model)
-    mapped_sq = np.sort(np.concatenate([anti, sym]) ** 2)
-    full_sq = 2.0 * scipy.linalg.eigvalsh(q) / m
+    modes = mapping.collective_sector_modes(form)
+    sym = mapping.symmetric_sector_frequencies(model, phonons)
+    mapped_sq = np.sort(np.concatenate([modes.frequencies, sym]) ** 2)
+    full_sq = 2.0 * eigs / m
     err = float(np.abs(mapped_sq - full_sq).max() / max(full_sq[-1], 1e-300))
     checks.append(CheckResult(
         name="mapping.spectrum_preservation",
@@ -161,7 +161,7 @@ def run_checks(model, p0=1.0, t_max=None, steps=None, epsilon=None):
         steps = int(round(t_max / h))
     t = np.linspace(0.0, t_max, steps + 1)
 
-    exact = dyn.evolve_exact(model, p0, t)
+    exact = dyn.evolve_exact(modes, p0, t)
     try:
         volt = dyn.solve_volterra(form, p0, t)
     except ValueError as exc:
@@ -182,7 +182,7 @@ def run_checks(model, p0=1.0, t_max=None, steps=None, epsilon=None):
         ))
 
     t_e = np.linspace(0.0, t_max, min(steps + 1, 2001))
-    _, z, zdot = dyn.reconstruct_full_trajectory(model, p0, t_e)
+    _, z, zdot = dyn.reconstruct_full_trajectory(form, phonons, p0, t_e)
     energy = dyn.total_energy(model, z, zdot)
     err = float(np.abs(energy - energy[0]).max() / max(energy[0], 1e-300))
     checks.append(CheckResult(
@@ -230,7 +230,6 @@ def run_checks(model, p0=1.0, t_max=None, steps=None, epsilon=None):
         checks.append(_skip("dynamics.kernel_flatness", "no bound resonance"))
 
     # --- spectra
-    modes = mapping.collective_sector_modes(form)
     if (modes.frequencies > 0).all():
         comb = spectra.strength_comb(modes)
         s0 = spectra.correlator_S(modes, 0.0)
@@ -251,7 +250,7 @@ def run_checks(model, p0=1.0, t_max=None, steps=None, epsilon=None):
 
         ts = np.linspace(0.0, t_max, 2001)
         s_t = spectra.correlator_S(modes, ts)
-        x = dyn.evolve_exact(model, p0, ts).positions
+        x = dyn.evolve_exact(modes, p0, ts).positions
         link = float(np.abs(s_t.imag + model.hbar / (2.0 * p0) * x).max())
         checks.append(CheckResult(
             name="spectra.classical_quantum_link",

@@ -1,4 +1,6 @@
+import importlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -133,6 +135,63 @@ def test_bad_spectra_value(tmp_path, capsys, key, value):
     assert main(["run", str(cfg), "--quiet"]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("key, value", [
+    ("n", "1"), ("alpha", "-0.5"), ("mass", "-1"), ("omega0", "0"), ("hbar", "0"),
+])
+def test_bad_model_value(tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "bad.ini"
+    out = write_config(cfg, extra_model="hbar = 1.0")
+    lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line
+             for line in cfg.read_text().splitlines()]
+    cfg.write_text("\n".join(lines))
+    assert main([command, str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [model] ") and key in err
+    assert not out.exists()
+
+
+def count_calls(monkeypatch, targets):
+    """Count calls to each (module, function) of the package.
+
+    Every package module attribute bound to the function is rebound, so
+    names imported directly into another module are counted too.
+    """
+    counts = {}
+    for modname, fname in targets:
+        fn = getattr(importlib.import_module(f"collective_mode.{modname}"), fname)
+        counts[fname] = 0
+
+        def counted(*args, _fn=fn, _name=fname, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "collective_mode" or name.startswith("collective_mode."):
+                for attr, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, counted)
+    return counts
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("run", {"phonon_spectrum": 1, "caldeira_leggett_form": 1,
+             "collective_sector_eigensystem": 1}),
+    # verify's own phonons and sector modes, plus the form's phonons and
+    # the full sector eigenvectors of the energy reconstruction
+    ("verify", {"phonon_spectrum": 2, "caldeira_leggett_form": 1,
+                "collective_sector_eigensystem": 2}),
+])
+def test_each_decomposition_is_computed_once(tmp_path, monkeypatch, command, expected):
+    counts = count_calls(monkeypatch, [
+        ("model", "phonon_spectrum"), ("mapping", "caldeira_leggett_form"),
+        ("mapping", "collective_sector_eigensystem")])
+    cfg = tmp_path / "demo.ini"
+    write_config(cfg, n=16, alpha=0.5, t_max=16.0, steps=1600)
+    assert main([command, str(cfg), "--quiet"]) == 0
+    assert counts == expected
 
 
 def test_too_large_step_is_numerical_failure(tmp_path, capsys):

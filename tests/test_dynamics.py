@@ -6,11 +6,14 @@ from collective_mode import (
     build_next_neighbor_model,
     caldeira_leggett_form,
     collective_frequency,
+    collective_sector_modes,
     damping_kernel,
     evolve_exact,
     fourier_solution,
     gamma_transform,
     linear_response,
+    phonon_spectrum,
+    potential_energy,
     reconstruct_full_trajectory,
     solve_volterra,
     total_energy,
@@ -112,7 +115,7 @@ def test_collective_frequency_underdamped_at_large_n():
 def test_evolve_exact_initial_conditions():
     model = build_next_neighbor_model(8, 1.3, 1.0, 0.7)
     t = np.linspace(0.0, 10.0, 1001)
-    traj = evolve_exact(model, 2.0, t)
+    traj = evolve_exact(collective_sector_modes(caldeira_leggett_form(model)), 2.0, t)
     assert traj.positions[0] == 0.0
     assert traj.momenta[0] == pytest.approx(2.0, rel=1e-12)
 
@@ -122,7 +125,7 @@ def test_evolve_exact_decoupled_is_harmonic():
     form = caldeira_leggett_form(model)
     omega = np.sqrt(2.0 * form.k_tilde_11 / form.mass)
     t = np.linspace(0.0, 40.0, 2001)
-    traj = evolve_exact(model, 1.0, t)
+    traj = evolve_exact(collective_sector_modes(form), 1.0, t)
     ref = np.sin(omega * t) / omega
     assert np.abs(traj.positions - ref).max() < 1e-8 * np.abs(ref).max()
 
@@ -130,11 +133,27 @@ def test_evolve_exact_decoupled_is_harmonic():
 def test_evolve_exact_energy_conserved():
     model = build_next_neighbor_model(8, 1.0, 1.0, 1.0)
     t = np.linspace(0.0, 60.0, 601)
-    _, z, zdot = reconstruct_full_trajectory(model, 1.0, t)
+    _, z, zdot = reconstruct_full_trajectory(
+        caldeira_leggett_form(model), phonon_spectrum(model), 1.0, t)
     e = total_energy(model, z, zdot)
     # kick energy P0^2/2m
     assert e[0] == pytest.approx(0.5, rel=1e-12)
     assert np.abs(e - e[0]).max() < 1e-10 * e[0]
+
+
+def test_total_energy_matches_definition():
+    # the batched quadratic form against the potential summed from its
+    # definition, row by row, on arbitrary phase-space points
+    rng = np.random.default_rng(5)
+    n = 5
+    w = build_next_neighbor_model(n, 1.3, 1.0, 0.0).w_matrix
+    k = rng.uniform(0.0, 0.5, size=(n, n))
+    model = build_general_model(w, (k + k.T) / 2.0, mass=1.3)
+    z = rng.normal(size=(7, 2 * n))
+    zdot = rng.normal(size=(7, 2 * n))
+    ref = [0.5 * model.mass * (v @ v) + potential_energy(model, x[:n], x[n:])
+           for x, v in zip(z, zdot)]
+    assert np.allclose(total_energy(model, z, zdot), ref, rtol=1e-12, atol=0.0)
 
 
 def test_volterra_matches_exact():
@@ -144,7 +163,7 @@ def test_volterra_matches_exact():
     h = 0.02 / form.bath_freqs.max()
     t = np.arange(int(round(32.0 / h)) + 1) * h
     volt = solve_volterra(form, 1.0, t)
-    exact = evolve_exact(model, 1.0, t)
+    exact = evolve_exact(collective_sector_modes(form), 1.0, t)
     scale = 1.0 / np.sqrt(params.omega0_sq)
     assert np.abs(volt.positions - exact.positions).max() < 1e-4 * scale
 
@@ -170,7 +189,7 @@ def test_volterra_second_order_convergence():
         h = h_frac / form.bath_freqs.max()
         t = np.arange(int(round(32.0 / h)) + 1) * h
         volt = solve_volterra(form, 1.0, t)
-        exact = evolve_exact(model, 1.0, t)
+        exact = evolve_exact(collective_sector_modes(form), 1.0, t)
         errs.append(np.abs(volt.positions - exact.positions).max())
     assert 3.5 < errs[0] / errs[1] < 4.5
 
@@ -254,7 +273,7 @@ def test_closed_form_matches_exact_before_recurrence():
     params = collective_frequency(form)
     t_max = min(3.0 / params.gamma_bar, 32.0)
     t = np.linspace(0.0, t_max, 4001)
-    exact = evolve_exact(model, 1.0, t)
+    exact = evolve_exact(collective_sector_modes(form), 1.0, t)
     closed = underdamped_closed_form(params, 1.0, t, form.mass)
     scale = np.abs(exact.positions).max()
     assert np.abs(closed.positions - exact.positions).max() < 0.05 * scale

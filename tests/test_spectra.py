@@ -180,7 +180,7 @@ def test_correlator_imaginary_part_is_classical_trajectory():
     modes = collective_sector_modes(caldeira_leggett_form(model))
     t = np.linspace(0.0, 80.0, 10000)
     p0 = 1.7
-    x = evolve_exact(model, p0, t).positions
+    x = evolve_exact(modes, p0, t).positions
     s = correlator_S(modes, t)
     assert np.abs(s.imag + 0.5 / p0 * x).max() < 1e-12
 
