@@ -37,16 +37,11 @@ class ConfigError(Exception):
     pass
 
 
-def _fmt(x):
-    return f"{x:.17g}"
-
-
 def write_table(path, header, columns):
-    rows = len(columns[0])
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_fmt(col[i]) for col in columns) + "\n")
+        fh.writelines(row % tuple(r) for r in np.column_stack(columns).tolist())
 
 
 def write_table_json(path, header, columns):

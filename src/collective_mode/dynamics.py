@@ -334,14 +334,9 @@ def reconstruct_full_trajectory(form: CollectiveForm, phonons: PhononSpectrum,
 
     # d -> chain coordinates: c = d/sqrt(2), cbar = -d/sqrt(2); x = A^T c.
     basis = phonons.basis
-    x_chain = (d / np.sqrt(2.0)) @ basis
-    xbar_chain = -(d / np.sqrt(2.0)) @ basis
-    xd_chain = (d_dot / np.sqrt(2.0)) @ basis
-    xbard_chain = -(d_dot / np.sqrt(2.0)) @ basis
-
-    z = np.hstack([x_chain, xbar_chain])
-    zdot = np.hstack([xd_chain, xbard_chain])
-    return t, z, zdot
+    x = (d / np.sqrt(2.0)) @ basis
+    xd = (d_dot / np.sqrt(2.0)) @ basis
+    return t, np.hstack([x, -x]), np.hstack([xd, -xd])
 
 
 def total_energy(model: SystemModel, z, zdot):

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import brentq
 
 from .model import PhononSpectrum, SystemModel, phonon_spectrum
 
 _TOL_PSD = 1e-10
+_SECULAR_MAX_ITER = 100
 
 
 class UnstableBathError(RuntimeError):
@@ -214,19 +214,20 @@ def shift_collective_potential(form: CollectiveForm, k0: float) -> CollectiveFor
     )
 
 
-def _secular_rhs(lam, pole_sq, weights, prefactor):
-    return prefactor * np.sum(weights / (lam - pole_sq)) - 1.0
-
-
 def point_coupling_secular(n_particles, omega0, alpha, mass=1.0):
     """Bath frequencies and couplings of the point-coupled chain pair,
     from the rank-one secular equation instead of a dense eigensolve.
 
-    Solves (4 alpha / N m) sum_k cos^2(pi (k-1) / 2N) / (w^2 - w_k^2) = 1
-    by bracketed root-finding in each gap between consecutive distinct
-    chain frequencies plus one bracket above the band, then evaluates
-    the coupling coefficients at each root.  Returns (bath_freqs, c)
-    with bath_freqs ascending and c aligned.
+    Solves p sum_k w_k / (lam - d_k) = 1 for lam = w^2, with
+    p = 4 alpha / (N m), poles d_k = (2 omega0 sin(pi k / 2N))^2 and
+    weights w_k = cos^2(pi k / 2N), k = 1..N-1.  The poles are strictly ascending, so one root lies in each
+    gap between them and one in (d_top, d_top + p sum w].  Each root is
+    written lam = d_o + delta with o the nearer pole of its bracket, so
+    delta keeps full relative precision next to a pole.  All N-1 offsets
+    are solved at once by Newton steps on the smooth
+    F(delta) = delta (1 - p R(delta)) - p w_o (R: the sum without pole o),
+    with bisection whenever a step leaves the bracket.  Returns
+    (bath_freqs, c) with bath_freqs ascending and c aligned.
     """
     n = int(n_particles)
     if n < 2:
@@ -236,83 +237,59 @@ def point_coupling_secular(n_particles, omega0, alpha, mass=1.0):
     if omega0 <= 0 or mass <= 0:
         raise ValueError("omega0 and mass must be positive")
 
-    k = np.arange(2, n + 1)
-    cos_sq = np.cos(np.pi * (k - 1) / (2 * n)) ** 2
-    omega_sq = (2.0 * omega0 * np.sin(np.pi * (k - 1) / (2 * n))) ** 2
-    prefactor = 4.0 * alpha / (n * mass)
+    theta = np.pi * np.arange(1, n) / (2 * n)
+    poles = (2.0 * omega0 * np.sin(theta)) ** 2
+    weights = np.cos(theta) ** 2
+    p = 4.0 * alpha / (n * mass)
 
-    # Merge numerically coincident poles (the free chain has none, but a
-    # repeated pole contributes a single shifted root plus deflated
-    # zero-coupling modes).
-    order = np.argsort(omega_sq)
-    omega_sq = omega_sq[order]
-    cos_sq = cos_sq[order]
-    poles = [omega_sq[0]]
-    weights = [cos_sq[0]]
-    multiplicity = [1]
-    band = omega_sq[-1] - omega_sq[0]
-    for w2, c2 in zip(omega_sq[1:], cos_sq[1:]):
-        if w2 - poles[-1] <= 1e-12 * max(band, w2):
-            weights[-1] += c2
-            multiplicity[-1] += 1
-        else:
-            poles.append(w2)
-            weights.append(c2)
-            multiplicity.append(1)
-    poles = np.array(poles)
-    weights = np.array(weights)
+    # The sign of the secular function at a gap midpoint tells which pole
+    # the root is nearer to; the top root is measured from the top pole.
+    half = np.diff(poles) / 2.0
+    mid_minus_poles = poles[:-1, None] + half[:, None] - poles
+    upper = p * ((1.0 / mid_minus_poles) @ weights) > 1.0
+    gap = np.arange(n - 2)
+    o = np.append(np.where(upper, gap + 1, gap), n - 2)
+    lo = np.append(np.where(upper, -half, 0.0), 0.0)
+    hi = np.append(np.where(upper, 0.0, half), p * weights.sum())
 
-    brackets = []
-    for i in range(len(poles) - 1):
-        brackets.append((poles[i], poles[i + 1]))
-    # Above the band the secular sum is bounded by sum(w)/(lam - top pole),
-    # so the root sits below this value; widen slightly for a sign change.
-    top = poles[-1] + prefactor * weights.sum()
-    top += 1e-9 * max(top, 1.0)
-    brackets.append((poles[-1], top))
+    shifts = poles[o, None] - poles          # d_o - d_k
+    shifts[np.arange(n - 1), o] = np.inf     # leaves pole o out of R
+    pw_o = p * weights[o]
+    # One-pole start; the top bound is closed (it is the root for N = 2).
+    delta = pw_o / (1.0 - p * ((1.0 / shifts) @ weights))
+    delta = np.where((lo < delta) & (delta <= hi), delta, (lo + hi) / 2.0)
 
-    roots = []
-    for lo_pole, hi in brackets:
-        width = hi - lo_pole
-        delta = 1e-13 * max(width, lo_pole, 1.0)
-        lo = lo_pole + delta
-        hi_eff = hi if hi == top else hi - delta
-        f_lo = _secular_rhs(lo, poles, weights, prefactor)
-        f_hi = _secular_rhs(hi_eff, poles, weights, prefactor)
-        shrink = 0
-        while f_lo <= 0 and shrink < 60:
-            delta /= 8.0
-            lo = lo_pole + delta
-            f_lo = _secular_rhs(lo, poles, weights, prefactor)
-            shrink += 1
-        if f_lo <= 0 or f_hi > 0:
-            raise RuntimeError(
-                f"no sign change in secular bracket ({lo_pole:.6e}, {hi:.6e}); "
-                f"f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e}"
-            )
-        roots.append(
-            brentq(_secular_rhs, lo, hi_eff,
-                   args=(poles, weights, prefactor), rtol=8.9e-16)
+    todo = np.arange(n - 1)
+    for _ in range(_SECULAR_MAX_ITER):
+        d = delta[todo]
+        inv = 1.0 / (shifts[todo] + d[:, None])
+        one_minus_pr = 1.0 - p * (inv @ weights)
+        f = d * one_minus_pr - pw_o[todo]
+        # F has the sign of the secular function times -delta, and the
+        # secular function falls across each bracket.
+        right = f * d < 0
+        a = np.where(right, d, lo[todo])
+        b = np.where(right, hi[todo], d)
+        lo[todo], hi[todo] = a, b
+        step = f / (one_minus_pr + d * p * ((inv * inv) @ weights))
+        new = d - step
+        converged = np.abs(step) <= 2.0 * np.spacing(np.abs(d))
+        inside = (a < new) & (new < b)
+        delta[todo] = np.where(inside | converged, new, (a + b) / 2.0)
+        todo = todo[~(converged | (np.nextafter(a, b) >= b))]
+        if todo.size == 0:
+            break
+    else:
+        raise RuntimeError(
+            f"secular roots not converged after {_SECULAR_MAX_ITER} "
+            f"iterations for {todo.size} of {n - 1} brackets"
         )
 
-    bath_sq = []
-    couplings = []
-    for root in roots:
-        s1 = np.sum(weights / (root - poles))
-        s2 = np.sum(weights / (root - poles) ** 2)
-        bath_sq.append(root)
-        couplings.append(np.sqrt(2.0) * alpha / n * s1 / np.sqrt(s2))
-    # Deflated modes from merged poles keep the pole frequency and do not
-    # couple to X at all.
-    for pole, mult in zip(poles, multiplicity):
-        for _ in range(mult - 1):
-            bath_sq.append(pole)
-            couplings.append(0.0)
-
-    bath_sq = np.array(bath_sq)
-    couplings = np.array(couplings)
-    order = np.argsort(bath_sq)
-    return np.sqrt(bath_sq[order]), couplings[order]
+    # At a root sum_k w_k / (lam - d_k) = 1 / p, so the coupling
+    # sqrt(2) alpha / N * s1 / sqrt(s2) reduces to m / (2 sqrt(2 s2)).
+    inv = 1.0 / (shifts + delta[:, None])
+    s2 = weights[o] / delta**2 + (inv * inv) @ weights
+    return np.sqrt(poles[o] + delta), mass / (2.0 * np.sqrt(2.0 * s2))
 
 
 def collective_sector_matrix(form: CollectiveForm):

@@ -135,12 +135,16 @@ def validate_model(w_matrix, k_matrix, mass, hbar=1.0):
         )
 
     if not any(name in ("w_symmetry", "k_symmetry", "k_negative") for name, _ in violations):
-        q = _full_potential(w, k)
-        eigs = scipy.linalg.eigvalsh(q)
-        if eigs[0] < -_TOL_PSD * max(eigs[-1], 1e-300):
+        # For symmetric K the rotation (x +- xbar)/sqrt(2) splits the full
+        # form into the sector blocks W + diag(khat) -+ K.
+        block = w + np.diag(k.sum(axis=1))
+        eigs = np.concatenate([scipy.linalg.eigvalsh(block - k),
+                               scipy.linalg.eigvalsh(block + k)])
+        lowest, highest = eigs.min(), eigs.max()
+        if lowest < -_TOL_PSD * max(highest, 1e-300):
             violations.append(
                 ("full_potential_indefinite",
-                 f"min eigenvalue {eigs[0]:.3e} of the full quadratic form is negative")
+                 f"min eigenvalue {lowest:.3e} of the full quadratic form is negative")
             )
 
     return violations

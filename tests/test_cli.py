@@ -1,6 +1,9 @@
 import importlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,6 +195,18 @@ def test_each_decomposition_is_computed_once(tmp_path, monkeypatch, command, exp
     write_config(cfg, n=16, alpha=0.5, t_max=16.0, steps=1600)
     assert main([command, str(cfg), "--quiet"]) == 0
     assert counts == expected
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # scipy.optimize (and the scipy modules it pulls in) would add about
+    # 0.3 s to the start of every command
+    import collective_mode
+    src = str(Path(collective_mode.__file__).resolve().parents[1])
+    code = "import sys, collective_mode.cli; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_too_large_step_is_numerical_failure(tmp_path, capsys):

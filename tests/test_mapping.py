@@ -145,8 +145,8 @@ def test_secular_matches_generic_pipeline():
             model = point_model(n, alpha)
             form = caldeira_leggett_form(model)
             freqs, c = point_coupling_secular(n, 1.0, alpha, 1.0)
-            assert np.abs(freqs - form.bath_freqs).max() < 1e-8
-            assert np.abs(np.abs(c) - np.abs(form.couplings_l)).max() < 1e-8
+            assert np.abs(freqs - form.bath_freqs).max() < 1e-12
+            assert np.abs(np.abs(c) - np.abs(form.couplings_l)).max() < 1e-12
 
 
 def test_secular_rejects_bad_input():

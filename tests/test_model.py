@@ -4,6 +4,7 @@ import scipy.linalg
 
 from collective_mode import (
     ModelValidationError,
+    SystemModel,
     UnstableModelError,
     build_general_model,
     build_next_neighbor_model,
@@ -89,6 +90,23 @@ def test_general_model_asymmetry_violations():
     violations = validate_model(
         build_next_neighbor_model(3, 1.0, 1.0, 0.0).w_matrix, k, mass=1.0)
     assert any(name == "k_symmetry" for name, _ in violations)
+
+
+@pytest.mark.parametrize("k_entries", [
+    (0.05, 0.05),  # negative modes in both sectors
+    (0.0, 1.0),    # only in the antisymmetric sector, W + diag(khat) + K
+    (1.0, 0.0),    # only in the symmetric sector, W + diag(khat) - K
+])
+def test_general_model_indefinite_potential_violation(k_entries):
+    # a negative spring: W is symmetric with zero row sums but indefinite
+    w = np.array([[-0.5, 0.5], [0.5, -0.5]])
+    diag, off = k_entries
+    k = np.array([[diag, off], [off, diag]])
+    q = full_potential_matrix(SystemModel(2, 1.0, w, k))
+    assert scipy.linalg.eigvalsh(q)[0] < -0.1
+    violations = validate_model(w, k, mass=1.0)
+    assert [name for name, _ in violations] == ["full_potential_indefinite"]
+    assert validate_model(-w, k, mass=1.0) == []
 
 
 def test_phonon_frequencies_match_closed_form():

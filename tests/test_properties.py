@@ -108,7 +108,7 @@ def test_random_models_quantum_link_and_sum_rule():
 
 def test_secular_extreme_couplings():
     # bracketed root-finding stays robust far outside the curated range
-    for n in (4, 32, 128):
+    for n in (4, 32, 128, 1024):
         chain_sq = (2.0 * np.sin(np.pi * np.arange(1, n) / (2 * n))) ** 2
         for alpha in (1e-6, 1e-2, 1e2, 1e6):
             freqs, c = point_coupling_secular(n, 1.0, alpha, 1.0)
