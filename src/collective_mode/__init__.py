@@ -28,10 +28,12 @@ from .mapping import (
     UnstableBathError,
     UnstableSectorError,
     caldeira_leggett_form,
+    collective_mapping,
     collective_sector_eigensystem,
     collective_sector_modes,
     decoupling_indicator,
     interaction_in_phonon_basis,
+    is_point_coupling,
     point_coupling_secular,
     shift_collective_potential,
     symmetric_sector_frequencies,

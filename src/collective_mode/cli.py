@@ -38,10 +38,11 @@ class ConfigError(Exception):
 
 
 def write_table(path, header, columns):
+    table = np.column_stack(columns)
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(row % tuple(r) for r in np.column_stack(columns).tolist())
+        fh.write((row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def write_table_json(path, header, columns):
@@ -195,8 +196,7 @@ def run_scenario(scenario, quiet=False):
     out = Path(scenario.directory)
     out.mkdir(parents=True, exist_ok=True)
 
-    form = mapping.caldeira_leggett_form(model)
-    modes = mapping.collective_sector_modes(form)
+    form, modes = mapping.collective_mapping(model)
     params = dyn.collective_frequency(form)
 
     t = np.linspace(0.0, scenario.t_max, scenario.steps + 1)

@@ -177,9 +177,10 @@ def _mode_trajectory(modes, p0, times):
     t = np.asarray(times, dtype=float)
     w = modes.frequencies
     c_sq = modes.x_coefficients**2
-    # t * sinc(w t / pi) == sin(w t)/w, finite at w == 0
-    x = (t[:, None] * np.sinc(np.multiply.outer(t, w) / np.pi)) @ c_sq
-    v = np.cos(np.multiply.outer(t, w)) @ c_sq
+    phase = np.multiply.outer(t, w)
+    free = w == 0.0
+    x = np.sin(phase) @ (c_sq / np.where(free, 1.0, w)) + t * c_sq[free].sum()
+    v = np.cos(phase) @ c_sq
     scale = p0 / modes.mass
     return scale * x, scale * v
 
@@ -304,11 +305,12 @@ def linear_response(form: CollectiveForm, force_samples, times):
     return forced, TrajectoryTable(times=t, positions=predicted)
 
 
-def reconstruct_full_trajectory(form: CollectiveForm, phonons: PhononSpectrum,
-                                p0, times):
+def reconstruct_full_trajectory(form: CollectiveForm, bath_transform,
+                                phonons: PhononSpectrum, p0, times):
     """Full-phase-space trajectory (z, zdot) behind evolve_exact.
 
-    Takes the form and the chain phonons it was mapped from.  The kick
+    Takes the form, the orthogonal U that diagonalized its bath block
+    and the chain phonons it was mapped from.  The kick
     excites only the antisymmetric sector; the symmetric sector stays
     at rest.  Returns (times, z, zdot) with z = (x, xbar) of shape
     (T, 2N).  Used to check energy conservation along the exact route.
@@ -320,17 +322,19 @@ def reconstruct_full_trajectory(form: CollectiveForm, phonons: PhononSpectrum,
     w, v_modes = collective_sector_eigensystem(form)
     c = v_modes[0, :]
     amp = p0 / m * c
-    q = (t[:, None] * np.sinc(np.multiply.outer(t, w) / np.pi)) * amp
-    qdot = np.cos(np.multiply.outer(t, w)) * amp
+    phase = np.multiply.outer(t, w)
+    free = w == 0.0
+    q = np.sin(phase) * (amp / np.where(free, 1.0, w))
+    q[:, free] = np.outer(t, amp[free])
+    qdot = np.cos(phase) * amp
 
     d = q @ v_modes.T          # columns: (X, xi_1..xi_{N-1})
     d_dot = qdot @ v_modes.T
 
     # (X, xi) -> d (antisymmetric phonon coordinates): X is d_1 itself,
     # the bath coordinates rotate back through U.
-    u = form.bath_transform
-    d[:, 1:] = d[:, 1:] @ u.T
-    d_dot[:, 1:] = d_dot[:, 1:] @ u.T
+    d[:, 1:] = d[:, 1:] @ bath_transform.T
+    d_dot[:, 1:] = d_dot[:, 1:] @ bath_transform.T
 
     # d -> chain coordinates: c = d/sqrt(2), cbar = -d/sqrt(2); x = A^T c.
     basis = phonons.basis

@@ -5,12 +5,14 @@ The collective coordinate X is the scaled difference of the two chains'
 center-of-mass coordinates.  In the phonon basis the antisymmetric
 sector splits into X plus N-1 bath coordinates; the bath block B is
 diagonalized once more, leaving X coupled linearly to N-1 harmonic
-modes.  For the single-point next-neighbor coupling the same data also
-follows from a rank-one secular equation, which serves as an
-independent cross-check of the generic path.
+modes.  For the single-point next-neighbor coupling the bath block and
+the whole collective sector are a diagonal matrix plus one rank-one
+term, so the same data follows in O(N^2) from secular equations; the
+dense route serves general models and stays the oracle of the
+structured one.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -49,22 +51,17 @@ class CollectiveForm:
     bath_freqs     : (N-1,) bath frequencies, ascending, > 0
     couplings_l    : (N-1,) couplings of X to the diagonal bath modes
     coupling_k     : (N-1,) couplings of X to the undiagonalized bath
-    bath_matrix    : (N-1, N-1) bath block B
-    bath_transform : (N-1, N-1) orthogonal U with U^T B U = (m/2) diag(bath_freqs^2)
     """
 
     k_tilde_11: float
     bath_freqs: np.ndarray
     couplings_l: np.ndarray
     coupling_k: np.ndarray
-    bath_matrix: np.ndarray
-    bath_transform: np.ndarray
     mass: float
     hbar: float
 
     def __post_init__(self):
-        for name in ("bath_freqs", "couplings_l", "coupling_k",
-                     "bath_matrix", "bath_transform"):
+        for name in ("bath_freqs", "couplings_l", "coupling_k"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -127,14 +124,14 @@ def _fix_column_signs(u):
     return out
 
 
-def caldeira_leggett_form(model: SystemModel) -> CollectiveForm:
-    """Map a validated model onto the collective + internal-bath form.
+def _dense_form(model: SystemModel, phonons: PhononSpectrum):
+    """Dense route to the collective form: (form, U).
 
     Builds B_{nm} = Ktilde_{n+1,m+1} + (m/2) omega_{n+1}^2 delta_{nm}
     from the phonon data, diagonalizes it, and projects the coupling row
-    of Ktilde onto the bath eigenmodes.
+    of Ktilde onto the bath eigenmodes.  U is orthogonal with
+    U^T B U = (m/2) diag(bath_freqs^2); the energy reconstruction needs it.
     """
-    phonons = phonon_spectrum(model)
     trans = interaction_in_phonon_basis(model, phonons)
     m = model.mass
 
@@ -157,16 +154,21 @@ def caldeira_leggett_form(model: SystemModel) -> CollectiveForm:
 
     u = _fix_column_signs(evecs)
     k_vec = trans.k_tilde[0, 1:].copy()
-    return CollectiveForm(
+    form = CollectiveForm(
         k_tilde_11=float(trans.k_tilde[0, 0]),
         bath_freqs=np.sqrt(2.0 * evals / m),
         couplings_l=u.T @ k_vec,
         coupling_k=k_vec,
-        bath_matrix=b,
-        bath_transform=u,
         mass=m,
         hbar=model.hbar,
     )
+    return form, u
+
+
+def caldeira_leggett_form(model: SystemModel) -> CollectiveForm:
+    """Map a validated model onto the collective + internal-bath form by
+    dense eigensolves."""
+    return _dense_form(model, phonon_spectrum(model))[0]
 
 
 def decoupling_indicator(model: SystemModel, phonons: PhononSpectrum):
@@ -199,79 +201,56 @@ def decoupling_indicator(model: SystemModel, phonons: PhononSpectrum):
 def shift_collective_potential(form: CollectiveForm, k0: float) -> CollectiveForm:
     """Add a direct X^2 stiffness without touching the bath.
 
-    Shifts only the collective stiffness; B, the bath frequencies and
-    the couplings are unchanged, so the spectral density is unchanged.
+    Shifts only the collective stiffness; the bath frequencies and the
+    couplings are unchanged, so the spectral density is unchanged.
     """
-    return CollectiveForm(
-        k_tilde_11=form.k_tilde_11 + float(k0),
-        bath_freqs=form.bath_freqs,
-        couplings_l=form.couplings_l,
-        coupling_k=form.coupling_k,
-        bath_matrix=form.bath_matrix,
-        bath_transform=form.bath_transform,
-        mass=form.mass,
-        hbar=form.hbar,
-    )
+    return replace(form, k_tilde_11=form.k_tilde_11 + float(k0))
 
 
-def point_coupling_secular(n_particles, omega0, alpha, mass=1.0):
-    """Bath frequencies and couplings of the point-coupled chain pair,
-    from the rank-one secular equation instead of a dense eigensolve.
+def _secular_roots(poles, pw):
+    """Roots of the rank-one secular equation sum_k pw_k / (lam - d_k) = 1.
 
-    Solves p sum_k w_k / (lam - d_k) = 1 for lam = w^2, with
-    p = 4 alpha / (N m), poles d_k = (2 omega0 sin(pi k / 2N))^2 and
-    weights w_k = cos^2(pi k / 2N), k = 1..N-1.  The poles are strictly ascending, so one root lies in each
-    gap between them and one in (d_top, d_top + p sum w].  Each root is
-    written lam = d_o + delta with o the nearer pole of its bracket, so
-    delta keeps full relative precision next to a pole.  All N-1 offsets
-    are solved at once by Newton steps on the smooth
-    F(delta) = delta (1 - p R(delta)) - p w_o (R: the sum without pole o),
-    with bisection whenever a step leaves the bracket.  Returns
-    (bath_freqs, c) with bath_freqs ascending and c aligned.
+    The poles d_k must be strictly ascending and the weights pw_k
+    positive, so one root lies in each gap between poles and one in
+    (d_top, d_top + sum pw].  Each root is written lam = d_o + delta
+    with o the nearer pole of its bracket, so delta keeps full relative
+    precision next to a pole.  All offsets are solved at once by Newton
+    steps on the smooth F(delta) = delta (1 - R(delta)) - pw_o
+    (R: the sum without pole o), with bisection whenever a step leaves
+    the bracket.  Returns (lam, s2), lam ascending and
+    s2 = sum_k pw_k / (lam - d_k)^2, both from the stored offsets.
     """
-    n = int(n_particles)
-    if n < 2:
-        raise ValueError(f"need N >= 2, got {n}")
-    if alpha <= 0:
-        raise ValueError(f"secular path needs alpha > 0, got {alpha}")
-    if omega0 <= 0 or mass <= 0:
-        raise ValueError("omega0 and mass must be positive")
-
-    theta = np.pi * np.arange(1, n) / (2 * n)
-    poles = (2.0 * omega0 * np.sin(theta)) ** 2
-    weights = np.cos(theta) ** 2
-    p = 4.0 * alpha / (n * mass)
-
+    n = poles.size
     # The sign of the secular function at a gap midpoint tells which pole
     # the root is nearer to; the top root is measured from the top pole.
     half = np.diff(poles) / 2.0
     mid_minus_poles = poles[:-1, None] + half[:, None] - poles
-    upper = p * ((1.0 / mid_minus_poles) @ weights) > 1.0
-    gap = np.arange(n - 2)
-    o = np.append(np.where(upper, gap + 1, gap), n - 2)
+    upper = (1.0 / mid_minus_poles) @ pw > 1.0
+    gap = np.arange(n - 1)
+    o = np.append(np.where(upper, gap + 1, gap), n - 1)
     lo = np.append(np.where(upper, -half, 0.0), 0.0)
-    hi = np.append(np.where(upper, 0.0, half), p * weights.sum())
+    hi = np.append(np.where(upper, 0.0, half), pw.sum())
 
     shifts = poles[o, None] - poles          # d_o - d_k
-    shifts[np.arange(n - 1), o] = np.inf     # leaves pole o out of R
-    pw_o = p * weights[o]
-    # One-pole start; the top bound is closed (it is the root for N = 2).
-    delta = pw_o / (1.0 - p * ((1.0 / shifts) @ weights))
+    shifts[np.arange(n), o] = np.inf         # leaves pole o out of R
+    pw_o = pw[o]
+    # One-pole start; the top bound is closed (it is the root for n = 1).
+    delta = pw_o / (1.0 - (1.0 / shifts) @ pw)
     delta = np.where((lo < delta) & (delta <= hi), delta, (lo + hi) / 2.0)
 
-    todo = np.arange(n - 1)
+    todo = np.arange(n)
     for _ in range(_SECULAR_MAX_ITER):
         d = delta[todo]
         inv = 1.0 / (shifts[todo] + d[:, None])
-        one_minus_pr = 1.0 - p * (inv @ weights)
-        f = d * one_minus_pr - pw_o[todo]
+        one_minus_r = 1.0 - inv @ pw
+        f = d * one_minus_r - pw_o[todo]
         # F has the sign of the secular function times -delta, and the
         # secular function falls across each bracket.
         right = f * d < 0
         a = np.where(right, d, lo[todo])
         b = np.where(right, hi[todo], d)
         lo[todo], hi[todo] = a, b
-        step = f / (one_minus_pr + d * p * ((inv * inv) @ weights))
+        step = f / (one_minus_r + d * ((inv * inv) @ pw))
         new = d - step
         converged = np.abs(step) <= 2.0 * np.spacing(np.abs(d))
         inside = (a < new) & (new < b)
@@ -282,14 +261,54 @@ def point_coupling_secular(n_particles, omega0, alpha, mass=1.0):
     else:
         raise RuntimeError(
             f"secular roots not converged after {_SECULAR_MAX_ITER} "
-            f"iterations for {todo.size} of {n - 1} brackets"
+            f"iterations for {todo.size} of {n} brackets"
         )
 
-    # At a root sum_k w_k / (lam - d_k) = 1 / p, so the coupling
-    # sqrt(2) alpha / N * s1 / sqrt(s2) reduces to m / (2 sqrt(2 s2)).
     inv = 1.0 / (shifts + delta[:, None])
-    s2 = weights[o] / delta**2 + (inv * inv) @ weights
-    return np.sqrt(poles[o] + delta), mass / (2.0 * np.sqrt(2.0 * s2))
+    s2 = pw_o / delta**2 + (inv * inv) @ pw
+    return poles[o] + delta, s2
+
+
+def _chain_poles(n, omega0):
+    """Squared chain frequencies d_k = (2 omega0 sin(pi k / 2N))^2 and the
+    squared first-site amplitudes v_k of the modes, k = 0..N-1 (sum v = 1)."""
+    theta = np.pi * np.arange(n) / (2 * n)
+    v = (2.0 / n) * np.cos(theta) ** 2
+    v[0] = 1.0 / n
+    return (2.0 * omega0 * np.sin(theta)) ** 2, v
+
+
+def point_coupling_secular(n_particles, omega0, alpha, mass=1.0):
+    """Bath frequencies and couplings of the point-coupled chain pair,
+    from the rank-one secular equation instead of a dense eigensolve.
+
+    The bath block is (m/2)(diag(d) + rho a a^T) over the nonuniform
+    chain modes, with rho = 2 alpha / m and a_k the first-site amplitude
+    of mode k; its eigenvalues (m/2) lam solve
+    rho sum_k a_k^2 / (lam - d_k) = 1.  Returns (bath_freqs, c) with
+    bath_freqs ascending and c aligned.
+    """
+    n = int(n_particles)
+    if n < 2:
+        raise ValueError(f"need N >= 2, got {n}")
+    if alpha <= 0:
+        raise ValueError(f"secular path needs alpha > 0, got {alpha}")
+    if omega0 <= 0 or mass <= 0:
+        raise ValueError("omega0 and mass must be positive")
+
+    poles, v = _chain_poles(n, omega0)
+    rho = 2.0 * alpha / mass
+    lam, s2 = _secular_roots(poles[1:], rho * v[1:])
+    # The coupling alpha a_0 sum_k a_k^2 / (lam - d_k) / sqrt(s2 / rho)
+    # reduces at a root, where the sum is 1 / rho, to m / (2 sqrt(N s2 / rho)).
+    return np.sqrt(lam), mass / (2.0 * np.sqrt(n * s2 / rho))
+
+
+def is_point_coupling(model: SystemModel) -> bool:
+    """True for a next-neighbor chain pair coupled only by K_11 > 0."""
+    k = model.k_matrix
+    single = np.count_nonzero(k) == 1 and k[0, 0] > 0
+    return bool(single and model.omega0 is not None)
 
 
 def collective_sector_matrix(form: CollectiveForm):
@@ -342,6 +361,51 @@ def collective_sector_modes(form: CollectiveForm) -> QuantumModes:
         mass=form.mass,
         hbar=form.hbar,
     )
+
+
+def _point_coupled_mapping(model: SystemModel):
+    """(form, modes) of a point-coupled chain pair in O(N^2).
+
+    In the phonon basis the antisymmetric sector's frequency-squared
+    matrix is diag(d) + rho a a^T with a_0^2 = 1/N, so Ktilde_11 =
+    alpha/N and k_k = alpha a_0 a_k in closed form, and the sector modes
+    are the roots of its secular equation over all N poles.  X is phonon
+    mode 0, so its weight in the mode at lam is
+    (a_0 / lam)^2 / sum_k a_k^2 / (lam - d_k)^2 = rho a_0^2 / (lam^2 s2).
+    """
+    n, m = model.n_particles, model.mass
+    alpha = 2.0 * float(model.k_matrix[0, 0])
+    poles, v = _chain_poles(n, model.omega0)
+    bath_freqs, couplings_l = point_coupling_secular(n, model.omega0, alpha, m)
+    form = CollectiveForm(
+        k_tilde_11=alpha / n,
+        bath_freqs=bath_freqs,
+        couplings_l=couplings_l,
+        coupling_k=alpha * np.sqrt(v[0] * v[1:]),
+        mass=m,
+        hbar=model.hbar,
+    )
+    pw = (2.0 * alpha / m) * v
+    lam, s2 = _secular_roots(poles, pw)
+    modes = QuantumModes(
+        frequencies=np.sqrt(lam),
+        x_coefficients=np.sqrt(pw[0] / (lam**2 * s2)),
+        mass=m,
+        hbar=model.hbar,
+    )
+    return form, modes
+
+
+def collective_mapping(model: SystemModel):
+    """Collective form and sector modes of a model: (form, modes).
+
+    A point-coupled next-neighbor chain pair takes the O(N^2) secular
+    route; every other model takes the dense eigensolves.
+    """
+    if is_point_coupling(model):
+        return _point_coupled_mapping(model)
+    form = caldeira_leggett_form(model)
+    return form, collective_sector_modes(form)
 
 
 def symmetric_sector_frequencies(model: SystemModel, phonons: PhononSpectrum):

@@ -35,12 +35,6 @@ def _skip(name, why):
                        passed=True, detail=f"skipped: {why}")
 
 
-def _is_point_coupling(model):
-    k = model.k_matrix
-    single = np.count_nonzero(k) == 1 and k[0, 0] > 0
-    return single and model.omega0 is not None
-
-
 def run_checks(model, p0=1.0, t_max=None, steps=None, epsilon=None):
     """Run every applicable invariant against the model.
 
@@ -64,11 +58,9 @@ def run_checks(model, p0=1.0, t_max=None, steps=None, epsilon=None):
     ))
 
     phonons = model_mod.phonon_spectrum(model)
-    resid = 0.0
-    for k_idx in range(n):
-        r = (2.0 / m) * model.w_matrix @ phonons.basis[k_idx] \
-            - phonons.frequencies[k_idx] ** 2 * phonons.basis[k_idx]
-        resid = max(resid, float(np.linalg.norm(r)))
+    basis = phonons.basis
+    r = (2.0 / m) * basis @ model.w_matrix - phonons.frequencies[:, None] ** 2 * basis
+    resid = float(np.linalg.norm(r, axis=1).max())
     scale = phonons.frequencies[-1] ** 2
     checks.append(CheckResult(
         name="model.phonon_residual",
@@ -102,7 +94,7 @@ def run_checks(model, p0=1.0, t_max=None, steps=None, epsilon=None):
     ))
 
     try:
-        form = mapping.caldeira_leggett_form(model)
+        form, bath_transform = mapping._dense_form(model, phonons)
     except mapping.UnstableBathError as exc:
         checks.append(CheckResult(
             name="mapping.bath_stability", measured=None, tolerance=None,
@@ -116,16 +108,21 @@ def run_checks(model, p0=1.0, t_max=None, steps=None, epsilon=None):
         detail="smallest bath frequency",
     ))
 
-    if _is_point_coupling(model):
-        alpha = 2.0 * model.k_matrix[0, 0]
-        freqs, c_n = mapping.point_coupling_secular(n, model.omega0, alpha, m)
-        err_f = float(np.abs(freqs - form.bath_freqs).max())
-        err_c = float(np.abs(np.abs(c_n) - np.abs(form.couplings_l)).max())
+    modes = mapping.collective_sector_modes(form)
+    if mapping.is_point_coupling(model):
+        s_form, s_modes = mapping.collective_mapping(model)
+        freqs = s_form.bath_freqs
+        err = max(
+            np.abs(freqs - form.bath_freqs).max(),
+            np.abs(np.abs(s_form.couplings_l) - np.abs(form.couplings_l)).max(),
+            np.abs(s_modes.frequencies - modes.frequencies).max(),
+            np.abs(s_modes.x_coefficients**2 - modes.x_coefficients**2).max(),
+        )
         checks.append(CheckResult(
             name="mapping.secular_cross_check",
-            measured=max(err_f, err_c), tolerance=1e-8,
-            passed=bool(max(err_f, err_c) <= 1e-8),
-            detail="analytic rank-one route vs dense eigensolve",
+            measured=float(err), tolerance=1e-8, passed=bool(err <= 1e-8),
+            detail="analytic rank-one route (bath and sector modes) vs "
+                   "dense eigensolves",
         ))
         chain = phonons.frequencies
         ok = all(chain[j + 1] < freqs[j] < chain[j + 2] for j in range(n - 2))
@@ -139,7 +136,6 @@ def run_checks(model, p0=1.0, t_max=None, steps=None, epsilon=None):
         checks.append(_skip("mapping.secular_cross_check", "not a point coupling"))
         checks.append(_skip("mapping.interlacing", "not a point coupling"))
 
-    modes = mapping.collective_sector_modes(form)
     sym = mapping.symmetric_sector_frequencies(model, phonons)
     mapped_sq = np.sort(np.concatenate([modes.frequencies, sym]) ** 2)
     full_sq = 2.0 * eigs / m
@@ -182,7 +178,8 @@ def run_checks(model, p0=1.0, t_max=None, steps=None, epsilon=None):
         ))
 
     t_e = np.linspace(0.0, t_max, min(steps + 1, 2001))
-    _, z, zdot = dyn.reconstruct_full_trajectory(form, phonons, p0, t_e)
+    _, z, zdot = dyn.reconstruct_full_trajectory(form, bath_transform, phonons,
+                                                p0, t_e)
     energy = dyn.total_energy(model, z, zdot)
     err = float(np.abs(energy - energy[0]).max() / max(energy[0], 1e-300))
     checks.append(CheckResult(

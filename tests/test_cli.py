@@ -40,6 +40,22 @@ formats = {formats}
     return outdir
 
 
+def write_general_config(path, n=16, alpha=0.5, **kwargs):
+    """The chain pair of write_config, as a general model whose W and K
+    are read from CSV files."""
+    from collective_mode import build_next_neighbor_model
+
+    model = build_next_neighbor_model(n, 1.0, 1.0, alpha)
+    w_file, k_file = path.with_suffix(".w.csv"), path.with_suffix(".k.csv")
+    np.savetxt(w_file, model.w_matrix, delimiter=",")
+    np.savetxt(k_file, model.k_matrix, delimiter=",")
+    outdir = write_config(path, n=n, alpha=alpha, **kwargs)
+    path.write_text(path.read_text().replace(
+        "kind = next_neighbor",
+        f"kind = general\nw_file = {w_file}\nk_file = {k_file}"))
+    return outdir
+
+
 def read_csv(path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -179,22 +195,55 @@ def count_calls(monkeypatch, targets):
     return counts
 
 
-@pytest.mark.parametrize("command, expected", [
-    ("run", {"phonon_spectrum": 1, "caldeira_leggett_form": 1,
-             "collective_sector_eigensystem": 1}),
-    # verify's own phonons and sector modes, plus the form's phonons and
-    # the full sector eigenvectors of the energy reconstruction
-    ("verify", {"phonon_spectrum": 2, "caldeira_leggett_form": 1,
-                "collective_sector_eigensystem": 2}),
-])
-def test_each_decomposition_is_computed_once(tmp_path, monkeypatch, command, expected):
+def decomposition_counts(tmp_path, monkeypatch, command, write=write_config):
     counts = count_calls(monkeypatch, [
         ("model", "phonon_spectrum"), ("mapping", "caldeira_leggett_form"),
         ("mapping", "collective_sector_eigensystem")])
     cfg = tmp_path / "demo.ini"
-    write_config(cfg, n=16, alpha=0.5, t_max=16.0, steps=1600)
+    write(cfg, n=16, alpha=0.5, t_max=16.0, steps=1600)
     assert main([command, str(cfg), "--quiet"]) == 0
-    assert counts == expected
+    return counts
+
+
+@pytest.mark.parametrize("command, expected", [
+    # a point-coupled chain maps by the secular route: no dense eigensolve
+    ("run", {"phonon_spectrum": 0, "caldeira_leggett_form": 0,
+             "collective_sector_eigensystem": 0}),
+    # verify's phonons, shared by its dense form (built by the private
+    # helper that also returns U), its sector modes, and the full sector
+    # eigenvectors of the energy reconstruction
+    ("verify", {"phonon_spectrum": 1, "caldeira_leggett_form": 0,
+                "collective_sector_eigensystem": 2}),
+])
+def test_each_decomposition_is_computed_once(tmp_path, monkeypatch, command, expected):
+    assert decomposition_counts(tmp_path, monkeypatch, command) == expected
+
+
+def test_general_model_run_maps_once_by_dense_route(tmp_path, monkeypatch):
+    # the same chain as a general model takes the dense route, once
+    counts = decomposition_counts(tmp_path, monkeypatch, "run",
+                                  write_general_config)
+    assert counts == {"phonon_spectrum": 1, "caldeira_leggett_form": 1,
+                      "collective_sector_eigensystem": 1}
+
+
+def test_secular_route_matches_dense_route_end_to_end(tmp_path):
+    # one chain pair, run as a point-coupled chain (secular route) and as
+    # a general model with the same W and K (dense route)
+    runs = []
+    for write, name in ((write_config, "chain"), (write_general_config, "general")):
+        cfg = tmp_path / f"{name}.ini"
+        out = write(cfg, n=32, alpha=0.5, t_max=32.0, steps=3200,
+                    outdir=tmp_path / name)
+        assert main(["run", str(cfg), "--quiet"]) == 0
+        runs.append(out)
+    for table in ("strengths.csv", "trajectory.csv"):
+        header, chain = read_csv(runs[0] / table)
+        assert read_csv(runs[1] / table)[0] == header
+        dense = read_csv(runs[1] / table)[1]
+        assert chain.shape == dense.shape
+        scale = np.abs(dense).max(axis=0)
+        assert (np.abs(chain - dense) <= 1e-9 * scale).all(), table
 
 
 def test_cli_import_leaves_out_scipy_optimize():

@@ -21,6 +21,7 @@ from collective_mode import (
 )
 from collective_mode._kernels import volterra_path
 from collective_mode.dynamics import _stepper_weights
+from collective_mode.mapping import _dense_form
 
 
 def point_form(n, alpha):
@@ -133,8 +134,9 @@ def test_evolve_exact_decoupled_is_harmonic():
 def test_evolve_exact_energy_conserved():
     model = build_next_neighbor_model(8, 1.0, 1.0, 1.0)
     t = np.linspace(0.0, 60.0, 601)
-    _, z, zdot = reconstruct_full_trajectory(
-        caldeira_leggett_form(model), phonon_spectrum(model), 1.0, t)
+    phonons = phonon_spectrum(model)
+    form, u = _dense_form(model, phonons)
+    _, z, zdot = reconstruct_full_trajectory(form, u, phonons, 1.0, t)
     e = total_energy(model, z, zdot)
     # kick energy P0^2/2m
     assert e[0] == pytest.approx(0.5, rel=1e-12)

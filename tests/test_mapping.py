@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,19 +11,31 @@ from collective_mode import (
     build_general_model,
     build_next_neighbor_model,
     caldeira_leggett_form,
+    collective_mapping,
     collective_sector_modes,
     decoupling_indicator,
     full_potential_matrix,
     interaction_in_phonon_basis,
+    is_point_coupling,
     phonon_spectrum,
     point_coupling_secular,
     shift_collective_potential,
     symmetric_sector_frequencies,
 )
+from collective_mode.mapping import _dense_form
 
 
 def point_model(n, alpha, mass=1.0, omega0=1.0):
     return build_next_neighbor_model(n, mass, omega0, alpha)
+
+
+def dense_bath(model):
+    """Dense form, its bath transform U and the bath block B it diagonalized."""
+    ph = phonon_spectrum(model)
+    form, u = _dense_form(model, ph)
+    k_tilde = interaction_in_phonon_basis(model, ph).k_tilde
+    b = k_tilde[1:, 1:] + np.diag(model.mass * ph.frequencies[1:] ** 2 / 2.0)
+    return form, u, b
 
 
 def test_point_coupling_k_tilde_rank_one():
@@ -56,9 +70,9 @@ def test_constant_coupling_single_entry():
 
 
 def test_caldeira_leggett_n2_hand_values():
-    form = caldeira_leggett_form(point_model(2, 1.0))
+    form, _, b = dense_bath(point_model(2, 1.0))
     assert form.k_tilde_11 == pytest.approx(0.5, abs=1e-13)
-    assert form.bath_matrix[0, 0] == pytest.approx(1.5, abs=1e-13)
+    assert b[0, 0] == pytest.approx(1.5, abs=1e-13)
     assert form.bath_freqs[0] == pytest.approx(np.sqrt(3.0), abs=1e-13)
     assert form.coupling_k[0] == pytest.approx(0.5, abs=1e-13)
     assert form.couplings_l[0] == pytest.approx(0.5, abs=1e-13)
@@ -67,11 +81,11 @@ def test_caldeira_leggett_n2_hand_values():
 def test_bath_invariants():
     for n, alpha in ((4, 0.5), (16, 2.0)):
         model = point_model(n, alpha)
-        form = caldeira_leggett_form(model)
+        form, u, b = dense_bath(model)
         m = model.mass
         target = (m / 2.0) * np.diag(form.bath_freqs**2)
-        u = form.bath_transform
-        assert np.abs(u.T @ form.bath_matrix @ u - target).max() < 1e-10
+        assert np.abs(u.T @ u - np.eye(n - 1)).max() < 1e-12
+        assert np.abs(u.T @ b @ u - target).max() < 1e-10
         assert np.abs(u.T @ form.coupling_k - form.couplings_l).max() < 1e-12
         assert np.linalg.norm(form.couplings_l) == pytest.approx(
             np.linalg.norm(form.coupling_k), rel=1e-12)
@@ -149,6 +163,48 @@ def test_secular_matches_generic_pipeline():
             assert np.abs(np.abs(c) - np.abs(form.couplings_l)).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 8, 32, 64, 128, 512, 1024])
+def test_structured_mapping_matches_dense(n):
+    # the O(N^2) secular route that `run` takes for point-coupled chains,
+    # against the dense eigensolves; sector frequencies squared are
+    # compared at the scale of the largest one, which is the dense
+    # route's accuracy
+    for alpha in (0.1, 0.5, 1.0, 10.0):
+        model = point_model(n, alpha)
+        assert is_point_coupling(model)
+        form, modes = collective_mapping(model)
+        dense = caldeira_leggett_form(model)
+        dense_modes = collective_sector_modes(dense)
+        assert abs(form.k_tilde_11 - dense.k_tilde_11) < 1e-12
+        assert np.abs(form.coupling_k - dense.coupling_k).max() < 1e-12
+        assert np.abs(form.bath_freqs - dense.bath_freqs).max() < 1e-12
+        assert np.abs(np.abs(form.couplings_l)
+                      - np.abs(dense.couplings_l)).max() < 1e-12
+        lam, lam_dense = modes.frequencies**2, dense_modes.frequencies**2
+        assert np.abs(lam - lam_dense).max() < 1e-12 * lam_dense[-1]
+        c_sq = modes.x_coefficients**2
+        assert np.abs(c_sq - dense_modes.x_coefficients**2).max() < 1e-9
+        assert abs(c_sq.sum() - 1.0) < 1e-14
+
+
+def test_dense_route_for_other_models():
+    # no coupling, a second coupling entry, or no closed-form chain: the
+    # mapping falls back to the dense eigensolves
+    model = point_model(6, 0.5)
+    k = model.k_matrix.copy()
+    k[1, 1] = 0.1
+    others = [point_model(6, 0.0),
+              dataclasses.replace(model, k_matrix=k),
+              build_general_model(model.w_matrix, model.k_matrix, 1.0)]
+    for other in others:
+        assert not is_point_coupling(other)
+        form, modes = collective_mapping(other)
+        dense = caldeira_leggett_form(other)
+        assert np.array_equal(form.bath_freqs, dense.bath_freqs)
+        assert np.array_equal(modes.frequencies,
+                              collective_sector_modes(dense).frequencies)
+
+
 def test_secular_rejects_bad_input():
     with pytest.raises(ValueError):
         point_coupling_secular(8, 1.0, 0.0, 1.0)
@@ -208,9 +264,10 @@ def test_stiffness_shift_leaves_bath_alone():
     form = caldeira_leggett_form(model)
     shifted = shift_collective_potential(form, 0.31)
     assert shifted.k_tilde_11 == pytest.approx(form.k_tilde_11 + 0.31, rel=1e-14)
-    assert np.abs(shifted.bath_matrix - form.bath_matrix).max() == 0.0
-    assert np.abs(shifted.bath_freqs - form.bath_freqs).max() == 0.0
-    assert np.abs(shifted.couplings_l - form.couplings_l).max() == 0.0
+    for field in dataclasses.fields(form):
+        if field.name != "k_tilde_11":
+            assert np.array_equal(getattr(shifted, field.name),
+                                  getattr(form, field.name)), field.name
 
 
 def test_stiffness_shift_moves_sector_consistently():

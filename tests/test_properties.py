@@ -13,6 +13,7 @@ from collective_mode import (
     build_next_neighbor_model,
     caldeira_leggett_form,
     collective_frequency,
+    collective_mapping,
     collective_sector_modes,
     correlator_S,
     decoupling_indicator,
@@ -107,18 +108,27 @@ def test_random_models_quantum_link_and_sum_rule():
 
 
 def test_secular_extreme_couplings():
-    # bracketed root-finding stays robust far outside the curated range
+    # bracketed root-finding stays robust far outside the curated range,
+    # for the bath (poles k = 1..N-1) and the whole sector (k = 0..N-1)
     for n in (4, 32, 128, 1024):
-        chain_sq = (2.0 * np.sin(np.pi * np.arange(1, n) / (2 * n))) ** 2
+        chain_sq = (2.0 * np.sin(np.pi * np.arange(n) / (2 * n))) ** 2
         for alpha in (1e-6, 1e-2, 1e2, 1e6):
             freqs, c = point_coupling_secular(n, 1.0, alpha, 1.0)
-            assert freqs.size == n - 1
-            assert np.isfinite(freqs).all() and np.isfinite(c).all()
-            assert (np.diff(freqs) > 0).all()
-            # gap roots interlace; the top root clears the band
-            assert (freqs[:-1] ** 2 > chain_sq[:-1]).all()
-            assert (freqs[:-1] ** 2 < chain_sq[1:]).all()
-            assert freqs[-1] ** 2 > chain_sq[-1]
+            modes = collective_mapping(
+                build_next_neighbor_model(n, 1.0, 1.0, alpha))[1]
+            c_sq = modes.x_coefficients**2
+            assert np.isfinite(modes.frequencies).all()
+            assert np.isfinite(c_sq).all()
+            assert abs(c_sq.sum() - 1.0) < 1e-14
+            for roots, poles in ((freqs, chain_sq[1:]),
+                                 (modes.frequencies, chain_sq)):
+                assert roots.size == poles.size
+                assert np.isfinite(roots).all() and np.isfinite(c).all()
+                assert (np.diff(roots) > 0).all()
+                # gap roots interlace; the top root clears the band
+                assert (roots[:-1] ** 2 > poles[:-1]).all()
+                assert (roots[:-1] ** 2 < poles[1:]).all()
+                assert roots[-1] ** 2 > poles[-1]
 
 
 def test_secular_matches_generic_at_n128():
