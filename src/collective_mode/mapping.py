@@ -17,7 +17,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .model import PhononSpectrum, SystemModel, phonon_spectrum
+from .model import (
+    PhononSpectrum,
+    SystemModel,
+    next_neighbor_frequencies,
+    phonon_spectrum,
+)
 
 _TOL_PSD = 1e-10
 _SECULAR_MAX_ITER = 100
@@ -124,14 +129,18 @@ def _fix_column_signs(u):
     return out
 
 
-def _dense_form(model: SystemModel, phonons: PhononSpectrum):
-    """Dense route to the collective form: (form, U).
+def caldeira_leggett_form(model: SystemModel, phonons: PhononSpectrum | None = None):
+    """Map a validated model onto the collective + internal-bath form by
+    dense eigensolves: (form, U).
 
     Builds B_{nm} = Ktilde_{n+1,m+1} + (m/2) omega_{n+1}^2 delta_{nm}
-    from the phonon data, diagonalizes it, and projects the coupling row
-    of Ktilde onto the bath eigenmodes.  U is orthogonal with
+    from the model's phonons (computed here unless passed in),
+    diagonalizes it, and projects the coupling row of Ktilde onto the
+    bath eigenmodes.  U is orthogonal with
     U^T B U = (m/2) diag(bath_freqs^2); the energy reconstruction needs it.
     """
+    if phonons is None:
+        phonons = phonon_spectrum(model)
     trans = interaction_in_phonon_basis(model, phonons)
     m = model.mass
 
@@ -163,12 +172,6 @@ def _dense_form(model: SystemModel, phonons: PhononSpectrum):
         hbar=model.hbar,
     )
     return form, u
-
-
-def caldeira_leggett_form(model: SystemModel) -> CollectiveForm:
-    """Map a validated model onto the collective + internal-bath form by
-    dense eigensolves."""
-    return _dense_form(model, phonon_spectrum(model))[0]
 
 
 def decoupling_indicator(model: SystemModel, phonons: PhononSpectrum):
@@ -269,13 +272,22 @@ def _secular_roots(poles, pw):
     return poles[o] + delta, s2
 
 
-def _chain_poles(n, omega0):
-    """Squared chain frequencies d_k = (2 omega0 sin(pi k / 2N))^2 and the
-    squared first-site amplitudes v_k of the modes, k = 0..N-1 (sum v = 1)."""
-    theta = np.pi * np.arange(n) / (2 * n)
-    v = (2.0 / n) * np.cos(theta) ** 2
+def _first_site_weights(n):
+    """Squared first-site amplitudes v_k of the chain modes, k = 0..N-1
+    (sum v = 1)."""
+    v = (2.0 / n) * np.cos(np.pi * np.arange(n) / (2 * n)) ** 2
     v[0] = 1.0 / n
-    return (2.0 * omega0 * np.sin(theta)) ** 2, v
+    return v
+
+
+def _bath_modes(poles, v, alpha, mass):
+    """Bath frequencies and couplings from the secular equation over the
+    nonuniform chain poles; poles and v include mode 0."""
+    rho = 2.0 * alpha / mass
+    lam, s2 = _secular_roots(poles[1:], rho * v[1:])
+    # The coupling alpha a_0 sum_k a_k^2 / (lam - d_k) / sqrt(s2 / rho)
+    # reduces at a root, where the sum is 1 / rho, to m / (2 sqrt(N s2 / rho)).
+    return np.sqrt(lam), mass / (2.0 * np.sqrt(poles.size * s2 / rho))
 
 
 def point_coupling_secular(n_particles, omega0, alpha, mass=1.0):
@@ -283,10 +295,10 @@ def point_coupling_secular(n_particles, omega0, alpha, mass=1.0):
     from the rank-one secular equation instead of a dense eigensolve.
 
     The bath block is (m/2)(diag(d) + rho a a^T) over the nonuniform
-    chain modes, with rho = 2 alpha / m and a_k the first-site amplitude
-    of mode k; its eigenvalues (m/2) lam solve
-    rho sum_k a_k^2 / (lam - d_k) = 1.  Returns (bath_freqs, c) with
-    bath_freqs ascending and c aligned.
+    chain modes, with d the squared chain frequencies, rho = 2 alpha / m
+    and a_k the first-site amplitude of mode k; its eigenvalues
+    (m/2) lam solve rho sum_k a_k^2 / (lam - d_k) = 1.  Returns
+    (bath_freqs, c) with bath_freqs ascending and c aligned.
     """
     n = int(n_particles)
     if n < 2:
@@ -295,13 +307,8 @@ def point_coupling_secular(n_particles, omega0, alpha, mass=1.0):
         raise ValueError(f"secular path needs alpha > 0, got {alpha}")
     if omega0 <= 0 or mass <= 0:
         raise ValueError("omega0 and mass must be positive")
-
-    poles, v = _chain_poles(n, omega0)
-    rho = 2.0 * alpha / mass
-    lam, s2 = _secular_roots(poles[1:], rho * v[1:])
-    # The coupling alpha a_0 sum_k a_k^2 / (lam - d_k) / sqrt(s2 / rho)
-    # reduces at a root, where the sum is 1 / rho, to m / (2 sqrt(N s2 / rho)).
-    return np.sqrt(lam), mass / (2.0 * np.sqrt(n * s2 / rho))
+    poles = next_neighbor_frequencies(n, omega0) ** 2
+    return _bath_modes(poles, _first_site_weights(n), alpha, mass)
 
 
 def is_point_coupling(model: SystemModel) -> bool:
@@ -375,8 +382,9 @@ def _point_coupled_mapping(model: SystemModel):
     """
     n, m = model.n_particles, model.mass
     alpha = 2.0 * float(model.k_matrix[0, 0])
-    poles, v = _chain_poles(n, model.omega0)
-    bath_freqs, couplings_l = point_coupling_secular(n, model.omega0, alpha, m)
+    poles = next_neighbor_frequencies(n, model.omega0) ** 2
+    v = _first_site_weights(n)
+    bath_freqs, couplings_l = _bath_modes(poles, v, alpha, m)
     form = CollectiveForm(
         k_tilde_11=alpha / n,
         bath_freqs=bath_freqs,
@@ -404,7 +412,7 @@ def collective_mapping(model: SystemModel):
     """
     if is_point_coupling(model):
         return _point_coupled_mapping(model)
-    form = caldeira_leggett_form(model)
+    form, _ = caldeira_leggett_form(model)
     return form, collective_sector_modes(form)
 
 

@@ -94,7 +94,7 @@ def run_checks(model, p0=1.0, t_max=None, steps=None, epsilon=None):
     ))
 
     try:
-        form, bath_transform = mapping._dense_form(model, phonons)
+        form, bath_transform = mapping.caldeira_leggett_form(model, phonons)
     except mapping.UnstableBathError as exc:
         checks.append(CheckResult(
             name="mapping.bath_stability", measured=None, tolerance=None,

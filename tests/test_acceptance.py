@@ -42,7 +42,7 @@ def report(number, name, detail):
 
 
 def shifted_form(model, target_omega0=1.0):
-    form = caldeira_leggett_form(model)
+    form = caldeira_leggett_form(model)[0]
     gz = damping_kernel(form, 0.0)
     k0 = (target_omega0**2 + gz) / 2.0 * form.mass - form.k_tilde_11
     return shift_collective_potential(form, k0)
@@ -56,7 +56,7 @@ def test_criterion_1_oracle_equivalence():
     for n in (8, 32, 64):
         for alpha in (0.2, 1.0):
             model = build_next_neighbor_model(n, 1.0, 1.0, alpha)
-            form = caldeira_leggett_form(model)
+            form = caldeira_leggett_form(model)[0]
             params = collective_frequency(form)
             h = 0.02 / form.bath_freqs.max()
             t_max = min(20.0 / params.gamma0, float(n))  # recurrence/2 = N
@@ -77,7 +77,7 @@ def test_criterion_2_decoupling_theorem():
     n, c = 8, 0.4
     w = build_next_neighbor_model(n, 1.0, 1.0, 0.0).w_matrix
     model = build_general_model(w, np.full((n, n), c), mass=1.0)
-    form = caldeira_leggett_form(model)
+    form = caldeira_leggett_form(model)[0]
     khat_scale = model.row_coupling_sums.max()
     k_norm = np.abs(form.coupling_k).max()
     assert k_norm < 1e-12 * khat_scale
@@ -96,7 +96,7 @@ def test_criterion_2_decoupling_theorem():
 
 def test_criterion_3_classical_quantum_link():
     model = build_next_neighbor_model(32, 1.0, 1.0, 1.0)
-    modes = collective_sector_modes(caldeira_leggett_form(model))
+    modes = collective_sector_modes(caldeira_leggett_form(model)[0])
     t = np.linspace(0.0, 64.0, 10000)
     p0 = 1.0
     x = evolve_exact(modes, p0, t).positions
@@ -113,7 +113,7 @@ def test_criterion_4_secular_cross_check():
             build_next_neighbor_model(n, 1.0, 1.0, 0.0)).frequencies
         for alpha in (0.1, 1.0, 10.0):
             model = build_next_neighbor_model(n, 1.0, 1.0, alpha)
-            form = caldeira_leggett_form(model)
+            form = caldeira_leggett_form(model)[0]
             freqs, c_n = point_coupling_secular(n, 1.0, alpha, 1.0)
             err = max(
                 np.abs(freqs - form.bath_freqs).max(),
@@ -134,7 +134,7 @@ def test_criterion_5_spectrum_preservation():
     worst = 0.0
     for n, alpha in ((8, 1.0), (32, 0.5), (64, 1.0)):
         model = build_next_neighbor_model(n, 1.0, 1.0, alpha)
-        form = caldeira_leggett_form(model)
+        form = caldeira_leggett_form(model)[0]
         anti = collective_sector_modes(form).frequencies
         sym = symmetric_sector_frequencies(model, phonon_spectrum(model))
         mapped_sq = np.sort(np.concatenate([anti, sym]) ** 2)
@@ -264,7 +264,7 @@ def test_criterion_9_recurrence():
 
 def test_criterion_10_convergence_order():
     model = build_next_neighbor_model(32, 1.0, 1.0, 1.0)
-    form = caldeira_leggett_form(model)
+    form = caldeira_leggett_form(model)[0]
     errs = []
     for h_frac in (0.02, 0.01):
         h = h_frac / form.bath_freqs.max()

@@ -12,14 +12,14 @@ from collective_mode.cli import main
 
 
 def write_config(path, n=16, alpha=0.5, t_max=16.0, steps=1600, outdir=None,
-                 extra_model="", formats="csv"):
+                 extra_model="", formats="csv", mass=1.0, omega0=1.0):
     outdir = outdir or (path.parent / "out")
     path.write_text(f"""
 [model]
 kind = next_neighbor
 n = {n}
-mass = 1.0
-omega0 = 1.0
+mass = {mass}
+omega0 = {omega0}
 alpha = {alpha}
 {extra_model}
 
@@ -40,16 +40,18 @@ formats = {formats}
     return outdir
 
 
-def write_general_config(path, n=16, alpha=0.5, **kwargs):
+def write_general_config(path, n=16, alpha=0.5, mass=1.0, omega0=1.0,
+                         **kwargs):
     """The chain pair of write_config, as a general model whose W and K
     are read from CSV files."""
     from collective_mode import build_next_neighbor_model
 
-    model = build_next_neighbor_model(n, 1.0, 1.0, alpha)
+    model = build_next_neighbor_model(n, mass, omega0, alpha)
     w_file, k_file = path.with_suffix(".w.csv"), path.with_suffix(".k.csv")
     np.savetxt(w_file, model.w_matrix, delimiter=",")
     np.savetxt(k_file, model.k_matrix, delimiter=",")
-    outdir = write_config(path, n=n, alpha=alpha, **kwargs)
+    outdir = write_config(path, n=n, alpha=alpha, mass=mass, omega0=omega0,
+                          **kwargs)
     path.write_text(path.read_text().replace(
         "kind = next_neighbor",
         f"kind = general\nw_file = {w_file}\nk_file = {k_file}"))
@@ -209,10 +211,10 @@ def decomposition_counts(tmp_path, monkeypatch, command, write=write_config):
     # a point-coupled chain maps by the secular route: no dense eigensolve
     ("run", {"phonon_spectrum": 0, "caldeira_leggett_form": 0,
              "collective_sector_eigensystem": 0}),
-    # verify's phonons, shared by its dense form (built by the private
-    # helper that also returns U), its sector modes, and the full sector
-    # eigenvectors of the energy reconstruction
-    ("verify", {"phonon_spectrum": 1, "caldeira_leggett_form": 0,
+    # verify's phonons, shared by its dense form (which also returns U),
+    # its sector modes, and the full sector eigenvectors of the energy
+    # reconstruction
+    ("verify", {"phonon_spectrum": 1, "caldeira_leggett_form": 1,
                 "collective_sector_eigensystem": 2}),
 ])
 def test_each_decomposition_is_computed_once(tmp_path, monkeypatch, command, expected):
@@ -227,14 +229,15 @@ def test_general_model_run_maps_once_by_dense_route(tmp_path, monkeypatch):
                       "collective_sector_eigensystem": 1}
 
 
-def test_secular_route_matches_dense_route_end_to_end(tmp_path):
+@pytest.mark.parametrize("mass, omega0", [(1.0, 1.0), (2.0, 3.0)])
+def test_secular_route_matches_dense_route_end_to_end(tmp_path, mass, omega0):
     # one chain pair, run as a point-coupled chain (secular route) and as
     # a general model with the same W and K (dense route)
     runs = []
     for write, name in ((write_config, "chain"), (write_general_config, "general")):
         cfg = tmp_path / f"{name}.ini"
         out = write(cfg, n=32, alpha=0.5, t_max=32.0, steps=3200,
-                    outdir=tmp_path / name)
+                    outdir=tmp_path / name, mass=mass, omega0=omega0)
         assert main(["run", str(cfg), "--quiet"]) == 0
         runs.append(out)
     for table in ("strengths.csv", "trajectory.csv"):

@@ -21,11 +21,10 @@ from collective_mode import (
 )
 from collective_mode._kernels import volterra_path
 from collective_mode.dynamics import _stepper_weights
-from collective_mode.mapping import _dense_form
 
 
 def point_form(n, alpha):
-    return caldeira_leggett_form(build_next_neighbor_model(n, 1.0, 1.0, alpha))
+    return caldeira_leggett_form(build_next_neighbor_model(n, 1.0, 1.0, alpha))[0]
 
 
 def constant_k_model(n=6, c=0.4):
@@ -34,7 +33,7 @@ def constant_k_model(n=6, c=0.4):
 
 
 def test_kernel_vanishes_when_decoupled():
-    form = caldeira_leggett_form(constant_k_model())
+    form = caldeira_leggett_form(constant_k_model())[0]
     t = np.linspace(0.0, 50.0, 200)
     # coupling vector is zero up to eigensolver round-off
     assert np.abs(damping_kernel(form, t)).max() < 1e-25
@@ -69,7 +68,7 @@ def test_gamma_transform_against_quadrature():
 
 
 def test_gamma_transform_zero_coupling():
-    form = caldeira_leggett_form(constant_k_model())
+    form = caldeira_leggett_form(constant_k_model())[0]
     assert abs(gamma_transform(form, 1.0, 0.1)) < 1e-25
 
 
@@ -100,7 +99,7 @@ def test_collective_frequency_n2_hand_value():
 
 
 def test_collective_frequency_decoupled():
-    form = caldeira_leggett_form(constant_k_model(6, 0.4))
+    form = caldeira_leggett_form(constant_k_model(6, 0.4))[0]
     params = collective_frequency(form)
     assert params.omega0_sq == pytest.approx(2.0 * form.k_tilde_11, rel=1e-13)
     assert params.gamma0 < 1e-25
@@ -116,14 +115,14 @@ def test_collective_frequency_underdamped_at_large_n():
 def test_evolve_exact_initial_conditions():
     model = build_next_neighbor_model(8, 1.3, 1.0, 0.7)
     t = np.linspace(0.0, 10.0, 1001)
-    traj = evolve_exact(collective_sector_modes(caldeira_leggett_form(model)), 2.0, t)
+    traj = evolve_exact(collective_sector_modes(caldeira_leggett_form(model)[0]), 2.0, t)
     assert traj.positions[0] == 0.0
     assert traj.momenta[0] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_evolve_exact_decoupled_is_harmonic():
     model = constant_k_model(6, 0.4)
-    form = caldeira_leggett_form(model)
+    form = caldeira_leggett_form(model)[0]
     omega = np.sqrt(2.0 * form.k_tilde_11 / form.mass)
     t = np.linspace(0.0, 40.0, 2001)
     traj = evolve_exact(collective_sector_modes(form), 1.0, t)
@@ -135,7 +134,7 @@ def test_evolve_exact_energy_conserved():
     model = build_next_neighbor_model(8, 1.0, 1.0, 1.0)
     t = np.linspace(0.0, 60.0, 601)
     phonons = phonon_spectrum(model)
-    form, u = _dense_form(model, phonons)
+    form, u = caldeira_leggett_form(model, phonons)
     _, z, zdot = reconstruct_full_trajectory(form, u, phonons, 1.0, t)
     e = total_energy(model, z, zdot)
     # kick energy P0^2/2m
@@ -160,7 +159,7 @@ def test_total_energy_matches_definition():
 
 def test_volterra_matches_exact():
     model = build_next_neighbor_model(32, 1.0, 1.0, 0.5)
-    form = caldeira_leggett_form(model)
+    form = caldeira_leggett_form(model)[0]
     params = collective_frequency(form)
     h = 0.02 / form.bath_freqs.max()
     t = np.arange(int(round(32.0 / h)) + 1) * h
@@ -173,7 +172,7 @@ def test_volterra_matches_exact():
 def test_volterra_memoryless_limit():
     # decoupled bath: the stepper reduces to plain velocity Verlet and
     # its phase drift over 50 periods stays below 1e-6 at this step
-    form = caldeira_leggett_form(constant_k_model(6, 0.4))
+    form = caldeira_leggett_form(constant_k_model(6, 0.4))[0]
     omega = np.sqrt(2.0 * form.k_tilde_11 / form.mass)
     h = 2.5e-4 / omega
     periods = 50
@@ -185,7 +184,7 @@ def test_volterra_memoryless_limit():
 
 def test_volterra_second_order_convergence():
     model = build_next_neighbor_model(32, 1.0, 1.0, 1.0)
-    form = caldeira_leggett_form(model)
+    form = caldeira_leggett_form(model)[0]
     errs = []
     for h_frac in (0.02, 0.01):
         h = h_frac / form.bath_freqs.max()
@@ -213,7 +212,7 @@ def test_volterra_grid_validation():
 
 
 def test_fourier_solution_free_oscillator_resonance():
-    form = caldeira_leggett_form(constant_k_model(6, 0.4))
+    form = caldeira_leggett_form(constant_k_model(6, 0.4))[0]
     omega0 = np.sqrt(2.0 * form.k_tilde_11 / form.mass)
     eps = 1e-3 * omega0
     near = abs(fourier_solution(form, 1.0, np.array([omega0 + 10 * eps]), eps))[0]
@@ -234,7 +233,7 @@ def test_fourier_solution_imaginary_part_odd():
 
 def test_fourier_solution_inverse_transform_matches_volterra():
     model = build_next_neighbor_model(32, 1.0, 1.0, 1.0)
-    form = caldeira_leggett_form(model)
+    form = caldeira_leggett_form(model)[0]
     h = 0.02 / form.bath_freqs.max()
     t = np.arange(int(round(32.0 / h)) + 1) * h
     volt = solve_volterra(form, 1.0, t)
@@ -271,7 +270,7 @@ def test_closed_form_matches_exact_before_recurrence():
     # constant-friction approximation of the soft collective mode; the
     # window stays at half the energy round-trip time
     model = build_next_neighbor_model(64, 1.0, 1.0, 0.2)
-    form = caldeira_leggett_form(model)
+    form = caldeira_leggett_form(model)[0]
     params = collective_frequency(form)
     t_max = min(3.0 / params.gamma_bar, 32.0)
     t = np.linspace(0.0, t_max, 4001)
@@ -330,7 +329,7 @@ def test_finite_size_recurrence():
     from collective_mode import shift_collective_potential
 
     model = build_next_neighbor_model(16, 1.0, 1.0, 1.0)
-    form0 = caldeira_leggett_form(model)
+    form0 = caldeira_leggett_form(model)[0]
     gz = damping_kernel(form0, 0.0)
     form = shift_collective_potential(form0, (1.0 + gz) / 2.0 - form0.k_tilde_11)
     params = collective_frequency(form)

@@ -22,7 +22,6 @@ from collective_mode import (
     shift_collective_potential,
     symmetric_sector_frequencies,
 )
-from collective_mode.mapping import _dense_form
 
 
 def point_model(n, alpha, mass=1.0, omega0=1.0):
@@ -32,7 +31,7 @@ def point_model(n, alpha, mass=1.0, omega0=1.0):
 def dense_bath(model):
     """Dense form, its bath transform U and the bath block B it diagonalized."""
     ph = phonon_spectrum(model)
-    form, u = _dense_form(model, ph)
+    form, u = caldeira_leggett_form(model, ph)
     k_tilde = interaction_in_phonon_basis(model, ph).k_tilde
     b = k_tilde[1:, 1:] + np.diag(model.mass * ph.frequencies[1:] ** 2 / 2.0)
     return form, u, b
@@ -96,7 +95,7 @@ def test_bath_invariants():
 def test_zero_alpha_bath_is_free_phonons():
     model = point_model(8, 0.0)
     ph = phonon_spectrum(model)
-    form = caldeira_leggett_form(model)
+    form = caldeira_leggett_form(model)[0]
     assert np.abs(form.coupling_k).max() == 0.0
     assert np.allclose(form.bath_freqs, ph.frequencies[1:], rtol=1e-12)
 
@@ -157,23 +156,24 @@ def test_secular_matches_generic_pipeline():
     for n in (2, 8, 32, 64):
         for alpha in (0.1, 1.0, 10.0):
             model = point_model(n, alpha)
-            form = caldeira_leggett_form(model)
+            form = caldeira_leggett_form(model)[0]
             freqs, c = point_coupling_secular(n, 1.0, alpha, 1.0)
             assert np.abs(freqs - form.bath_freqs).max() < 1e-12
             assert np.abs(np.abs(c) - np.abs(form.couplings_l)).max() < 1e-12
 
 
+@pytest.mark.parametrize("mass, omega0", [(1.0, 1.0), (2.0, 3.0)])
 @pytest.mark.parametrize("n", [2, 8, 32, 64, 128, 512, 1024])
-def test_structured_mapping_matches_dense(n):
+def test_structured_mapping_matches_dense(n, mass, omega0):
     # the O(N^2) secular route that `run` takes for point-coupled chains,
     # against the dense eigensolves; sector frequencies squared are
     # compared at the scale of the largest one, which is the dense
     # route's accuracy
     for alpha in (0.1, 0.5, 1.0, 10.0):
-        model = point_model(n, alpha)
+        model = point_model(n, alpha, mass, omega0)
         assert is_point_coupling(model)
         form, modes = collective_mapping(model)
-        dense = caldeira_leggett_form(model)
+        dense = caldeira_leggett_form(model)[0]
         dense_modes = collective_sector_modes(dense)
         assert abs(form.k_tilde_11 - dense.k_tilde_11) < 1e-12
         assert np.abs(form.coupling_k - dense.coupling_k).max() < 1e-12
@@ -199,7 +199,7 @@ def test_dense_route_for_other_models():
     for other in others:
         assert not is_point_coupling(other)
         form, modes = collective_mapping(other)
-        dense = caldeira_leggett_form(other)
+        dense = caldeira_leggett_form(other)[0]
         assert np.array_equal(form.bath_freqs, dense.bath_freqs)
         assert np.array_equal(modes.frequencies,
                               collective_sector_modes(dense).frequencies)
@@ -216,7 +216,7 @@ def test_sector_modes_n2_hand_values():
     # frequency-squared matrix [[1, 1], [1, 3]] (coupling row 2 l / m):
     # eigenvalues 2 +- sqrt(2); cross-checked by the full 4-coordinate
     # eigensolve in test_spectrum_preservation
-    form = caldeira_leggett_form(point_model(2, 1.0))
+    form = caldeira_leggett_form(point_model(2, 1.0))[0]
     modes = collective_sector_modes(form)
     assert np.allclose(modes.frequencies**2,
                        [2.0 - np.sqrt(2.0), 2.0 + np.sqrt(2.0)], atol=1e-12)
@@ -230,7 +230,7 @@ def test_sector_modes_decoupled_limit():
     n, c = 6, 0.4
     w = build_next_neighbor_model(n, 1.0, 1.0, 0.0).w_matrix
     model = build_general_model(w, np.full((n, n), c), mass=1.0)
-    form = caldeira_leggett_form(model)
+    form = caldeira_leggett_form(model)[0]
     modes = collective_sector_modes(form)
     omega_x = np.sqrt(2.0 * form.k_tilde_11 / form.mass)
     i = np.argmax(modes.x_coefficients**2)
@@ -240,7 +240,7 @@ def test_sector_modes_decoupled_limit():
 
 def test_sector_x_weight_normalized():
     for n, alpha in ((4, 0.3), (16, 3.0)):
-        modes = collective_sector_modes(caldeira_leggett_form(point_model(n, alpha)))
+        modes = collective_sector_modes(caldeira_leggett_form(point_model(n, alpha))[0])
         assert (modes.x_coefficients**2).sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -250,7 +250,7 @@ def test_spectrum_preservation():
     # compared in omega^2 (the eigensolve scaled by 2/m)
     for n, alpha in ((4, 1.0), (8, 0.5), (16, 2.5)):
         model = point_model(n, alpha)
-        form = caldeira_leggett_form(model)
+        form = caldeira_leggett_form(model)[0]
         anti = collective_sector_modes(form).frequencies
         sym = symmetric_sector_frequencies(model, phonon_spectrum(model))
         mapped_sq = np.sort(np.concatenate([anti, sym]) ** 2)
@@ -261,7 +261,7 @@ def test_spectrum_preservation():
 
 def test_stiffness_shift_leaves_bath_alone():
     model = point_model(8, 1.0)
-    form = caldeira_leggett_form(model)
+    form = caldeira_leggett_form(model)[0]
     shifted = shift_collective_potential(form, 0.31)
     assert shifted.k_tilde_11 == pytest.approx(form.k_tilde_11 + 0.31, rel=1e-14)
     for field in dataclasses.fields(form):
@@ -271,7 +271,7 @@ def test_stiffness_shift_leaves_bath_alone():
 
 
 def test_stiffness_shift_moves_sector_consistently():
-    form = caldeira_leggett_form(point_model(6, 1.0))
+    form = caldeira_leggett_form(point_model(6, 1.0))[0]
     k0 = 0.5
     base = collective_sector_modes(form)
     shifted = collective_sector_modes(shift_collective_potential(form, k0))
@@ -287,13 +287,13 @@ def test_unstable_bath_rejected():
     k[0, 0] = -2.0
     bad = SystemModel(2, 1.0, w, k)
     with pytest.raises(UnstableBathError):
-        caldeira_leggett_form(bad)
+        caldeira_leggett_form(bad)[0]
 
 
 def test_unstable_sector_rejected():
     # pulling the collective stiffness far negative breaks positivity of
     # the (X, bath) sector
-    form = caldeira_leggett_form(point_model(4, 1.0))
+    form = caldeira_leggett_form(point_model(4, 1.0))[0]
     with pytest.raises(UnstableSectorError):
         collective_sector_modes(shift_collective_potential(form, -10.0))
 
@@ -305,8 +305,8 @@ def test_coupling_invariant_under_constant_offset():
     model = point_model(n, 1.0)
     w = model.w_matrix
     offset_model = build_general_model(w, model.k_matrix + 0.3, mass=1.0)
-    f0 = caldeira_leggett_form(model)
-    f1 = caldeira_leggett_form(offset_model)
+    f0 = caldeira_leggett_form(model)[0]
+    f1 = caldeira_leggett_form(offset_model)[0]
     assert np.abs(np.sort(np.abs(f0.couplings_l)) -
                   np.sort(np.abs(f1.couplings_l))).max() < 1e-12
     assert np.allclose(f1.bath_freqs**2, f0.bath_freqs**2 + 2 * n * 0.3 / 1.0,

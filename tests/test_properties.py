@@ -52,7 +52,7 @@ def random_models(count, seed=20240809):
 
 def test_random_models_spectrum_preserved():
     for model, _ in random_models(12):
-        form = caldeira_leggett_form(model)
+        form = caldeira_leggett_form(model)[0]
         anti = collective_sector_modes(form).frequencies
         sym = symmetric_sector_frequencies(model, phonon_spectrum(model))
         mapped_sq = np.sort(np.concatenate([anti, sym]) ** 2)
@@ -74,7 +74,7 @@ def test_random_models_coupling_routes_agree():
 def test_random_models_volterra_tracks_exact():
     count = 0
     for model, _ in random_models(8, seed=11):
-        form = caldeira_leggett_form(model)
+        form = caldeira_leggett_form(model)[0]
         params = collective_frequency(form)
         if params.omega0_sq <= 0:
             continue
@@ -92,7 +92,7 @@ def test_random_models_volterra_tracks_exact():
 
 def test_random_models_quantum_link_and_sum_rule():
     for model, _ in random_models(10, seed=3):
-        form = caldeira_leggett_form(model)
+        form = caldeira_leggett_form(model)[0]
         modes = collective_sector_modes(form)
         if (modes.frequencies <= 0).any():
             continue
@@ -133,7 +133,7 @@ def test_secular_extreme_couplings():
 
 def test_secular_matches_generic_at_n128():
     model = build_next_neighbor_model(128, 1.0, 1.0, 2.0)
-    form = caldeira_leggett_form(model)
+    form = caldeira_leggett_form(model)[0]
     freqs, c = point_coupling_secular(128, 1.0, 2.0, 1.0)
     assert np.abs(freqs - form.bath_freqs).max() < 1e-8
     assert np.abs(np.abs(c) - np.abs(form.couplings_l)).max() < 1e-8

@@ -42,7 +42,7 @@ def constant_k_model(n=6, c=0.4):
 
 def shifted_form(model, target_omega0=1.0):
     """Move the collective resonance into the band; bath untouched."""
-    form = caldeira_leggett_form(model)
+    form = caldeira_leggett_form(model)[0]
     gz = damping_kernel(form, 0.0)
     k0 = (target_omega0**2 + gz) / 2.0 * form.mass - form.k_tilde_11
     return shift_collective_potential(form, k0)
@@ -52,19 +52,19 @@ def shifted_form(model, target_omega0=1.0):
 
 def test_sigma_comb_n2_hand_value():
     # single line at sqrt(3) with weight (2 l)^2 / (2 m w) = 1/(2 sqrt(3))
-    comb = sigma_comb(caldeira_leggett_form(point_model(2, 1.0)))
+    comb = sigma_comb(caldeira_leggett_form(point_model(2, 1.0))[0])
     assert comb.frequencies[0] == pytest.approx(np.sqrt(3.0), abs=1e-13)
     assert comb.weights[0] == pytest.approx(0.5 / np.sqrt(3.0), rel=1e-12)
 
 
 def test_sigma_comb_decoupled():
-    comb = sigma_comb(caldeira_leggett_form(constant_k_model()))
+    comb = sigma_comb(caldeira_leggett_form(constant_k_model())[0])
     assert comb.weights.max() < 1e-25
 
 
 def test_sigma_resolvent_matches_termwise_smoothing():
     model = point_model(8, 1.0)
-    form = caldeira_leggett_form(model)
+    form = caldeira_leggett_form(model)[0]
     eps = 0.05
     for w in np.linspace(0.2, 2.2, 9):
         val = sigma_resolvent(model, w, eps)
@@ -75,7 +75,7 @@ def test_sigma_resolvent_matches_termwise_smoothing():
 
 def test_sigma_resolvent_peak_height():
     model = point_model(8, 1.0)
-    form = caldeira_leggett_form(model)
+    form = caldeira_leggett_form(model)[0]
     comb = sigma_comb(form)
     eps = 1e-4
     peak = sigma_resolvent(model, form.bath_freqs[0], eps)
@@ -84,7 +84,7 @@ def test_sigma_resolvent_peak_height():
 
 def test_sigma_resolvent_below_band():
     model = point_model(8, 1.0)
-    form = caldeira_leggett_form(model)
+    form = caldeira_leggett_form(model)[0]
     w1 = form.bath_freqs[0]
     val = sigma_resolvent(model, 0.01 * w1, 0.1 * w1)
     comb = sigma_comb(form)
@@ -108,7 +108,7 @@ def test_sigma_phonon_approximation_small_fluctuations():
     delta = (delta + delta.T) / 2.0
     base = build_next_neighbor_model(n, 1.0, 1.0, 0.0)
     model = build_general_model(base.w_matrix, kappa + delta, mass=1.0)
-    exact = sigma_comb(caldeira_leggett_form(model))
+    exact = sigma_comb(caldeira_leggett_form(model)[0])
     approx = sigma_phonon_approximation(model)
     assert np.abs(exact.frequencies - approx.frequencies).max() < 1e-3
     scale = exact.weights.max()
@@ -118,7 +118,7 @@ def test_sigma_phonon_approximation_small_fluctuations():
 # ------------------------------------------------------------- strengths
 
 def test_strength_comb_decoupled_single_line():
-    form = caldeira_leggett_form(constant_k_model(6, 0.4))
+    form = caldeira_leggett_form(constant_k_model(6, 0.4))[0]
     modes = collective_sector_modes(form)
     comb = strength_comb(modes)
     omega0 = np.sqrt(2.0 * form.k_tilde_11 / form.mass)
@@ -130,7 +130,7 @@ def test_strength_comb_decoupled_single_line():
 
 
 def test_strength_comb_n2_hand_values():
-    modes = collective_sector_modes(caldeira_leggett_form(point_model(2, 1.0)))
+    modes = collective_sector_modes(caldeira_leggett_form(point_model(2, 1.0))[0])
     comb = strength_comb(modes)
     # sector matrix [[1, 1], [1, 3]]: frequencies sqrt(2 -+ sqrt(2)),
     # X weights (2 + sqrt(2))/4 and (2 - sqrt(2))/4
@@ -147,20 +147,20 @@ def test_strength_sum_rule():
     # sum of weight * frequency = hbar / 2m, from the normalization of
     # the X coefficients
     for n, alpha in ((4, 0.5), (16, 2.0)):
-        modes = collective_sector_modes(caldeira_leggett_form(point_model(n, alpha)))
+        modes = collective_sector_modes(caldeira_leggett_form(point_model(n, alpha))[0])
         comb = strength_comb(modes)
         assert (comb.weights * comb.frequencies).sum() == pytest.approx(0.5, abs=1e-12)
 
 
 def test_strength_comb_rejects_unbound_mode():
     model = point_model(8, 0.0)      # no coupling: X is free
-    modes = collective_sector_modes(caldeira_leggett_form(model))
+    modes = collective_sector_modes(caldeira_leggett_form(model)[0])
     with pytest.raises(ValueError):
         strength_comb(modes)
 
 
 def test_correlator_at_zero_equals_total_weight():
-    modes = collective_sector_modes(caldeira_leggett_form(point_model(8, 1.0)))
+    modes = collective_sector_modes(caldeira_leggett_form(point_model(8, 1.0))[0])
     comb = strength_comb(modes)
     s0 = correlator_S(modes, 0.0)
     assert s0.imag == 0.0
@@ -168,7 +168,7 @@ def test_correlator_at_zero_equals_total_weight():
 
 
 def test_correlator_bounded():
-    modes = collective_sector_modes(caldeira_leggett_form(point_model(8, 1.0)))
+    modes = collective_sector_modes(caldeira_leggett_form(point_model(8, 1.0))[0])
     t = np.linspace(0.0, 200.0, 2000)
     s = correlator_S(modes, t)
     assert (np.abs(s) <= np.abs(correlator_S(modes, 0.0)) + 1e-12).all()
@@ -177,7 +177,7 @@ def test_correlator_bounded():
 def test_correlator_imaginary_part_is_classical_trajectory():
     # Im S(t) = -(hbar / 2 P0) X(t), pointwise at machine precision
     model = point_model(32, 1.0)
-    modes = collective_sector_modes(caldeira_leggett_form(model))
+    modes = collective_sector_modes(caldeira_leggett_form(model)[0])
     t = np.linspace(0.0, 80.0, 10000)
     p0 = 1.7
     x = evolve_exact(modes, p0, t).positions
@@ -199,9 +199,9 @@ def test_smoothed_spectrum_single_line_peak():
 
 
 def test_smoothed_spectrum_integral_preserves_weight():
-    modes = collective_sector_modes(caldeira_leggett_form(point_model(16, 1.0)))
+    modes = collective_sector_modes(caldeira_leggett_form(point_model(16, 1.0))[0])
     comb = strength_comb(modes)
-    eps = 3.0 * mean_bath_spacing(caldeira_leggett_form(point_model(16, 1.0)))
+    eps = 3.0 * mean_bath_spacing(caldeira_leggett_form(point_model(16, 1.0))[0])
     w = np.linspace(-40.0, 44.0, 120001)
     table = smoothed_spectrum(comb, eps, w)
     integral = np.trapezoid(table.values, w)
@@ -384,7 +384,7 @@ def test_observable_spectrum_combines_powers():
 # ------------------------------------------------------------------ fdt
 
 def test_fdt_free_oscillator_line():
-    form = caldeira_leggett_form(constant_k_model(6, 0.4))
+    form = caldeira_leggett_form(constant_k_model(6, 0.4))[0]
     omega0 = np.sqrt(2.0 * form.k_tilde_11 / form.mass)
     eps = 1e-3 * omega0
     w = np.linspace(0.0, 8.0 * omega0, 400001)
