@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mapping import (
-    CollectiveForm,
-    QuantumModes,
-    collective_sector_eigensystem,
-    collective_sector_modes,
-)
+from .mapping import CollectiveForm, QuantumModes, collective_sector_modes
 from .model import PhononSpectrum, SystemModel, full_potential_matrix
 from ._kernels import volterra_path
 
@@ -305,12 +300,14 @@ def linear_response(form: CollectiveForm, force_samples, times):
     return forced, TrajectoryTable(times=t, positions=predicted)
 
 
-def reconstruct_full_trajectory(form: CollectiveForm, bath_transform,
+def reconstruct_full_trajectory(form: CollectiveForm, sector, bath_transform,
                                 phonons: PhononSpectrum, p0, times):
     """Full-phase-space trajectory (z, zdot) behind evolve_exact.
 
-    Takes the form, the orthogonal U that diagonalized its bath block
-    and the chain phonons it was mapped from.  The kick
+    Takes the form, its sector eigensystem (frequencies, mode_matrix)
+    from collective_sector_eigensystem, the orthogonal U that
+    diagonalized its bath block and the chain phonons it was mapped
+    from.  The kick
     excites only the antisymmetric sector; the symmetric sector stays
     at rest.  Returns (times, z, zdot) with z = (x, xbar) of shape
     (T, 2N).  Used to check energy conservation along the exact route.
@@ -319,7 +316,7 @@ def reconstruct_full_trajectory(form: CollectiveForm, bath_transform,
     m = form.mass
 
     # Normal coordinates q_n(t) = (P0 c_n / m) sin(w_n t)/w_n.
-    w, v_modes = collective_sector_eigensystem(form)
+    w, v_modes = sector
     c = v_modes[0, :]
     amp = p0 / m * c
     phase = np.multiply.outer(t, w)

@@ -15,7 +15,6 @@ structured one.
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .model import (
     PhononSpectrum,
@@ -148,7 +147,7 @@ def caldeira_leggett_form(model: SystemModel, phonons: PhononSpectrum | None = N
     b = trans.k_tilde[1:, 1:] + np.diag(m * omega_sq[1:] / 2.0)
     b = (b + b.T) / 2.0
 
-    evals, evecs = scipy.linalg.eigh(b)
+    evals, evecs = np.linalg.eigh(b)
     scale = max(abs(evals[-1]), abs(evals[0]), 1e-300)
     if evals[0] < -_TOL_PSD * scale:
         raise UnstableBathError(
@@ -178,17 +177,19 @@ def decoupling_indicator(model: SystemModel, phonons: PhononSpectrum):
     """Coupling vector of X to the bath, by two routes, plus a flag.
 
     Route one projects the row sums khat onto the nonuniform phonon
-    modes (k_i = (2/sqrt(N)) sum_j khat_j A_{j,i+1}); route two reads
-    the first row of Ktilde.  They agree identically for symmetric K;
+    modes (k_i = (2/sqrt(N)) sum_j khat_j A_{j,i+1}); route two forms
+    the first row of Ktilde = A diag(khat) A^T + A K A^T by two
+    matrix-vector products.  They agree identically for symmetric K;
     both are computed and compared here as a safeguard.  The flag is
     true when the coupling vanishes, i.e. when all khat_i are equal
     (constant row sums give no damping).  Takes the model's phonons.
     """
     khat = model.row_coupling_sums
     n = model.n_particles
+    a = phonons.basis
 
-    k_closed = (2.0 / np.sqrt(n)) * (phonons.basis[1:] @ khat)
-    k_generic = interaction_in_phonon_basis(model, phonons).k_tilde[0, 1:]
+    k_closed = (2.0 / np.sqrt(n)) * (a[1:] @ khat)
+    k_generic = (a[1:] * khat) @ a[0] + a[1:] @ (model.k_matrix @ a[0])
     residual = np.abs(k_closed - k_generic).max()
     tol = 1e-12 * max(np.abs(khat).max(), 1.0)
     if residual > tol:  # pragma: no cover - identities verified in tests
@@ -346,7 +347,7 @@ def collective_sector_eigensystem(form: CollectiveForm):
     a zero mode (free collective coordinate, no direct stiffness) is
     kept as frequency 0.
     """
-    evals, evecs = scipy.linalg.eigh(collective_sector_matrix(form))
+    evals, evecs = np.linalg.eigh(collective_sector_matrix(form))
     scale = max(abs(evals[-1]), abs(evals[0]), 1e-300)
     if evals[0] < -_TOL_PSD * scale:
         raise UnstableSectorError(
@@ -426,5 +427,5 @@ def symmetric_sector_frequencies(model: SystemModel, phonons: PhononSpectrum):
     trans = interaction_in_phonon_basis(model, phonons)
     m = model.mass
     mat = np.diag(phonons.frequencies**2) + 2.0 * trans.k_bar / m
-    evals = scipy.linalg.eigvalsh((mat + mat.T) / 2.0)
+    evals = np.linalg.eigvalsh((mat + mat.T) / 2.0)
     return np.sqrt(np.clip(evals, 0.0, None))

@@ -10,7 +10,6 @@ symmetric K.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 class ModelValidationError(ValueError):
@@ -109,10 +108,11 @@ def validate_model(w_matrix, k_matrix, mass, hbar=1.0):
     n = w.shape[0]
     if n < 2:
         violations.append(("size", f"need N >= 2 particles per chain, got {n}"))
-    if not mass > 0:
-        violations.append(("mass", f"mass must be positive, got {mass}"))
-    if not hbar > 0:
-        violations.append(("hbar", f"hbar must be positive, got {hbar}"))
+    for name, value in (("mass", mass), ("hbar", hbar)):
+        if not (value > 0 and np.isfinite(value)):
+            violations.append((name, f"{name} must be positive and finite, got {value}"))
+    if not (np.isfinite(w).all() and np.isfinite(k).all()):
+        violations.append(("non_finite", "W and K must have finite entries"))
     if violations:
         return violations
 
@@ -136,12 +136,19 @@ def validate_model(w_matrix, k_matrix, mass, hbar=1.0):
 
     if not any(name in ("w_symmetry", "k_symmetry", "k_negative") for name, _ in violations):
         # For symmetric K the rotation (x +- xbar)/sqrt(2) splits the full
-        # form into the sector blocks W + diag(khat) -+ K.
-        block = w + np.diag(k.sum(axis=1))
-        eigs = np.concatenate([scipy.linalg.eigvalsh(block - k),
-                               scipy.linalg.eigvalsh(block + k)])
-        lowest, highest = eigs.min(), eigs.max()
-        if lowest < -_TOL_PSD * max(highest, 1e-300):
+        # form into the sector blocks W + diag(khat) -+ K.  Finite entries
+        # can still overflow there, and LAPACK turns an inf or NaN into
+        # meaningless eigenvalues instead of an error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = w + np.diag(k.sum(axis=1))
+            sectors = np.stack([block - k, block + k])
+        if not (np.isfinite(sectors).all()
+                and np.isfinite(eigs := np.linalg.eigvalsh(sectors)).all()):
+            violations.append(
+                ("non_finite", "the sector blocks W + diag(khat) -+ K "
+                               "or their eigenvalues overflow")
+            )
+        elif (lowest := eigs.min()) < -_TOL_PSD * max(eigs.max(), 1e-300):
             violations.append(
                 ("full_potential_indefinite",
                  f"min eigenvalue {lowest:.3e} of the full quadratic form is negative")
@@ -263,8 +270,8 @@ def phonon_spectrum(model: SystemModel) -> PhononSpectrum:
     reduced = comp.T @ w @ comp
     reduced = (reduced + reduced.T) / 2.0
     try:
-        evals, evecs = scipy.linalg.eigh(reduced)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+        evals, evecs = np.linalg.eigh(reduced)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise UnstableModelError(f"phonon eigensolve failed: {exc}") from exc
 
     scale = max(abs(evals[-1]), abs(evals[0]), 1e-300)

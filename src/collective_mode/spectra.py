@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import OscillatorParams, damping_kernel, gamma_transform
 from .mapping import CollectiveForm, QuantumModes, interaction_in_phonon_basis
@@ -100,7 +99,7 @@ def sigma_resolvent(model: SystemModel, omega, epsilon) -> float:
     m = model.mass
 
     mat = np.diag(phonons.frequencies[1:] ** 2) + 2.0 / m * trans.k_tilde[1:, 1:]
-    evals, evecs = scipy.linalg.eigh((mat + mat.T) / 2.0)
+    evals, evecs = np.linalg.eigh((mat + mat.T) / 2.0)
     roots = np.sqrt(np.clip(evals, 0.0, None))
     k_vec = 2.0 * trans.k_tilde[0, 1:]   # equations-of-motion coupling
     proj = evecs.T @ k_vec

@@ -9,7 +9,6 @@ a general coupling matrix) report as skipped and count as passed.
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import mapping, model as model_mod, spectra
 from . import dynamics as dyn
@@ -48,7 +47,7 @@ def run_checks(model, p0=1.0, t_max=None, steps=None, epsilon=None):
 
     # --- model structure
     q = model_mod.full_potential_matrix(model)
-    eigs = scipy.linalg.eigvalsh(q)
+    eigs = np.linalg.eigvalsh(q)
     checks.append(CheckResult(
         name="model.full_potential_psd",
         measured=float(eigs[0] / max(eigs[-1], 1e-300)),
@@ -108,7 +107,10 @@ def run_checks(model, p0=1.0, t_max=None, steps=None, epsilon=None):
         detail="smallest bath frequency",
     ))
 
-    modes = mapping.collective_sector_modes(form)
+    sector = mapping.collective_sector_eigensystem(form)
+    modes = mapping.QuantumModes(frequencies=sector[0],
+                                 x_coefficients=sector[1][0, :],
+                                 mass=m, hbar=model.hbar)
     if mapping.is_point_coupling(model):
         s_form, s_modes = mapping.collective_mapping(model)
         freqs = s_form.bath_freqs
@@ -178,8 +180,8 @@ def run_checks(model, p0=1.0, t_max=None, steps=None, epsilon=None):
         ))
 
     t_e = np.linspace(0.0, t_max, min(steps + 1, 2001))
-    _, z, zdot = dyn.reconstruct_full_trajectory(form, bath_transform, phonons,
-                                                p0, t_e)
+    _, z, zdot = dyn.reconstruct_full_trajectory(form, sector, bath_transform,
+                                                phonons, p0, t_e)
     energy = dyn.total_energy(model, z, zdot)
     err = float(np.abs(energy - energy[0]).max() / max(energy[0], 1e-300))
     checks.append(CheckResult(

@@ -212,10 +212,10 @@ def decomposition_counts(tmp_path, monkeypatch, command, write=write_config):
     ("run", {"phonon_spectrum": 0, "caldeira_leggett_form": 0,
              "collective_sector_eigensystem": 0}),
     # verify's phonons, shared by its dense form (which also returns U),
-    # its sector modes, and the full sector eigenvectors of the energy
-    # reconstruction
+    # and one sector eigensystem, shared by its sector modes and the
+    # energy reconstruction
     ("verify", {"phonon_spectrum": 1, "caldeira_leggett_form": 1,
-                "collective_sector_eigensystem": 2}),
+                "collective_sector_eigensystem": 1}),
 ])
 def test_each_decomposition_is_computed_once(tmp_path, monkeypatch, command, expected):
     assert decomposition_counts(tmp_path, monkeypatch, command) == expected
@@ -249,16 +249,26 @@ def test_secular_route_matches_dense_route_end_to_end(tmp_path, mass, omega0):
         assert (np.abs(chain - dense) <= 1e-9 * scale).all(), table
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    # scipy.optimize (and the scipy modules it pulls in) would add about
-    # 0.3 s to the start of every command
+def test_runtime_loads_no_scipy(tmp_path):
+    # scipy is a test dependency only: importing scipy.linalg would add
+    # about 0.3 s to the start of every command
     import collective_mode
     src = str(Path(collective_mode.__file__).resolve().parents[1])
-    code = "import sys, collective_mode.cli; print('scipy.optimize' in sys.modules)"
+    chain, general = tmp_path / "chain.ini", tmp_path / "general.ini"
+    write_config(chain, outdir=tmp_path / "chain")
+    write_general_config(general, outdir=tmp_path / "general")
+    code = (
+        "import sys\n"
+        "from collective_mode.cli import main\n"
+        "assert main(['run', sys.argv[1], '--quiet']) == 0\n"
+        "assert main(['verify', sys.argv[2], '--quiet']) == 0\n"
+        "print(sorted(m for m in sys.modules"
+        " if m == 'scipy' or m.startswith('scipy.')))\n")
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
+        [sys.executable, "-c", code, str(chain), str(general)],
+        capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
 
 
 def test_too_large_step_is_numerical_failure(tmp_path, capsys):

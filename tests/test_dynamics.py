@@ -6,6 +6,7 @@ from collective_mode import (
     build_next_neighbor_model,
     caldeira_leggett_form,
     collective_frequency,
+    collective_sector_eigensystem,
     collective_sector_modes,
     damping_kernel,
     evolve_exact,
@@ -135,7 +136,8 @@ def test_evolve_exact_energy_conserved():
     t = np.linspace(0.0, 60.0, 601)
     phonons = phonon_spectrum(model)
     form, u = caldeira_leggett_form(model, phonons)
-    _, z, zdot = reconstruct_full_trajectory(form, u, phonons, 1.0, t)
+    _, z, zdot = reconstruct_full_trajectory(
+        form, collective_sector_eigensystem(form), u, phonons, 1.0, t)
     e = total_energy(model, z, zdot)
     # kick energy P0^2/2m
     assert e[0] == pytest.approx(0.5, rel=1e-12)

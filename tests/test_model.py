@@ -109,6 +109,40 @@ def test_general_model_indefinite_potential_violation(k_entries):
     assert validate_model(-w, k, mass=1.0) == []
 
 
+def _with_entry(matrix, i, j, value):
+    out = np.array(matrix, dtype=float)
+    out[i, j] = value
+    return out
+
+
+_CHAIN = build_next_neighbor_model(4, 1.0, 1.0, 0.0).w_matrix
+_K = np.diag([0.25, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("w, k", [
+    (_with_entry(_CHAIN, 1, 2, np.inf), _K),          # inf in W
+    (_with_entry(_CHAIN, 1, 1, np.nan), _K),          # NaN on W's diagonal
+    (_CHAIN, _with_entry(_K, 0, 0, np.inf)),          # inf in K
+    (_CHAIN, _with_entry(_K, 0, 0, 1e308)),           # finite, but W + diag(khat) + K overflows
+], ids=["inf_in_w", "nan_in_w", "inf_in_k", "k11_overflows"])
+def test_non_finite_model_violation(w, k):
+    # LAPACK does not reject non-finite input: it returns NaN or wrong
+    # eigenvalues, so the check must come before any eigensolve
+    violations = validate_model(w, k, mass=1.0)
+    assert [name for name, _ in violations] == ["non_finite"]
+    with pytest.raises(ModelValidationError):
+        build_general_model(w, k, mass=1.0)
+
+
+@pytest.mark.parametrize("name", ["mass", "hbar"])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan])
+def test_bad_scalar_violation(name, value):
+    # an infinite mass would put inf * 0 = NaN into the phonon eigensolve
+    scalars = {"mass": 1.0, "hbar": 1.0, name: value}
+    violations = validate_model(_CHAIN, _K, **scalars)
+    assert [n for n, _ in violations] == [name]
+
+
 def test_phonon_frequencies_match_closed_form():
     # dense eigensolve must reproduce 2 w0 |sin(pi (k-1)/2N)| essentially exactly
     for n in (2, 3, 4, 8, 16, 33, 64):
