@@ -21,8 +21,9 @@ BACKEND_NAME = "python"
 
 
 def volterra_path(omega0_sq, freqs, weights, h, n_points, f_over_m=None,
-                  x0=0.0, v0=0.0):
-    """Integrate xdd + omega0_sq x + int_0^t gamma(t-s) xd(s) ds = F/m.
+                  v0=0.0):
+    """Integrate xdd + omega0_sq x + int_0^t gamma(t-s) xd(s) ds = F/m
+    from x(0) = 0, xd(0) = v0.
 
     The kernel is gamma(t) = sum_k weights[k] cos(freqs[k] t); a kernel
     whose weights are all zero skips the history sum.
@@ -34,7 +35,7 @@ def volterra_path(omega0_sq, freqs, weights, h, n_points, f_over_m=None,
     n = int(n_points)
     x = np.empty(n)
     v = np.empty(n)
-    x[0] = x0
+    x[0] = 0.0
     v[0] = v0
     if n == 1:
         return x, v
@@ -54,8 +55,8 @@ def volterra_path(omega0_sq, freqs, weights, h, n_points, f_over_m=None,
     hw[0::2] = h * weights
     acc_pairs = acc.view(float)
 
-    xi, vi = float(x0), float(v0)
-    anf = -omega0_sq * xi  # acceleration without force; no memory at t=0
+    xi, vi = 0.0, float(v0)
+    anf = 0.0  # acceleration without force at x = 0; no memory at t=0
     for i in range(n - 1):
         fi = forces[i]
         xi1 = xi + h * vi + 0.5 * h * h * (anf + fi)

@@ -166,11 +166,9 @@ def load_scenario(path):
 
 
 def _spectra_tables(form, modes, params, scenario):
-    """Spectrum columns on the configured grid plus the comb tables."""
-    sigma = spectra.sigma_comb(form)
-    eps = scenario.epsilon
-    if eps <= 0:
-        eps = 5.0 * dyn.mean_bath_spacing(form)
+    """Strength comb, smoothing width, spectrum table on the configured
+    grid, and the resolvent route's relative L-inf gap to the broadened comb."""
+    eps = scenario.epsilon if scenario.epsilon > 0 else dyn.default_epsilon(form)
     w = np.linspace(0.0, scenario.omega_max, scenario.grid_points)
 
     strengths = spectra.strength_comb(modes)      # raises if unbound
@@ -188,7 +186,9 @@ def _spectra_tables(form, modes, params, scenario):
             conv = spectra.convolution_power_spectrum(smoothed, p)
         header.append(f"s_power_{p}")
         columns.append(conv.values)
-    return sigma, strengths, eps, (header, columns), smoothed, fdt
+    fdt_gap = float(np.abs(fdt.values - smoothed.values).max()
+                    / max(smoothed.values.max(), 1e-300))
+    return strengths, eps, (header, columns), fdt_gap
 
 
 def run_scenario(scenario, quiet=False):
@@ -233,19 +233,16 @@ def run_scenario(scenario, quiet=False):
         summary["cross_route_error"]["closed_form_vs_exact_linf"] = float(
             np.abs(closed_vals - exact.positions).max())
 
-    spectra_reason = None
+    sigma = spectra.sigma_comb(form)
+    tables["sigma"] = (["omega", "weight"], [sigma.frequencies, sigma.weights])
     try:
-        sigma, strengths, eps, spectrum_table, smoothed, fdt = _spectra_tables(
+        strengths, eps, spectrum_table, fdt_gap = _spectra_tables(
             form, modes, params, scenario)
     except ValueError as exc:
-        spectra_reason = str(exc)
-        sigma = spectra.sigma_comb(form)
-        tables["sigma"] = (["omega", "weight"], [sigma.frequencies, sigma.weights])
         tables["strengths"] = (["omega", "weight"], [np.empty(0), np.empty(0)])
         tables["spectrum"] = (["omega"], [np.empty(0)])
-        summary["spectra_skipped"] = spectra_reason
+        summary["spectra_skipped"] = str(exc)
     else:
-        tables["sigma"] = (["omega", "weight"], [sigma.frequencies, sigma.weights])
         tables["strengths"] = (["omega", "weight"],
                                [strengths.frequencies, strengths.weights])
         tables["spectrum"] = spectrum_table
@@ -256,9 +253,7 @@ def run_scenario(scenario, quiet=False):
                 (strengths.weights * strengths.frequencies).sum()),
             "hbar_over_2m": float(form.hbar / (2.0 * form.mass)),
         }
-        summary["cross_route_error"]["fdt_vs_smoothed_linf_rel"] = float(
-            np.abs(fdt.values - smoothed.values).max()
-            / max(smoothed.values.max(), 1e-300))
+        summary["cross_route_error"]["fdt_vs_smoothed_linf_rel"] = fdt_gap
 
     for name, (header, columns) in tables.items():
         if "csv" in scenario.formats:

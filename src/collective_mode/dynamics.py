@@ -17,7 +17,8 @@ from ._kernels import volterra_path
 
 __all__ = [
     "TrajectoryTable", "OscillatorParams",
-    "damping_kernel", "gamma_transform", "collective_frequency",
+    "damping_kernel", "gamma_transform", "omega0_squared",
+    "default_epsilon", "collective_frequency",
     "evolve_exact", "solve_volterra", "fourier_solution",
     "underdamped_closed_form", "linear_response",
     "reconstruct_full_trajectory", "total_energy",
@@ -109,6 +110,12 @@ def gamma_transform(form: CollectiveForm, omega, epsilon):
     return complex(out) if np.isscalar(omega) or omega_arr.ndim == 0 else out
 
 
+def omega0_squared(form: CollectiveForm) -> float:
+    """Renormalized collective stiffness Omega0^2 = 2 Ktilde_11 / m - gamma(0)
+    of the equation of motion."""
+    return 2.0 * form.k_tilde_11 / form.mass - damping_kernel(form, 0.0)
+
+
 def mean_bath_spacing(form: CollectiveForm) -> float:
     """Mean gap between adjacent bath lines (the line frequency itself
     when there is only one line)."""
@@ -118,21 +125,24 @@ def mean_bath_spacing(form: CollectiveForm) -> float:
     return float((w[-1] - w[0]) / (w.size - 1))
 
 
+def default_epsilon(form: CollectiveForm) -> float:
+    """Default smoothing width: five mean bath spacings."""
+    return 5.0 * mean_bath_spacing(form)
+
+
 _REGIME_TOL = 1e-12
 
 
-def collective_frequency(form: CollectiveForm, epsilon=None) -> OscillatorParams:
+def collective_frequency(form: CollectiveForm) -> OscillatorParams:
     """Collective frequency and friction of the damped-oscillator picture.
 
     omega0_sq = 2 Ktilde_11 / m - gamma(0).  The friction gamma0 is read
-    off as Re of the regularized kernel transform at resonance, with
-    epsilon defaulting to five mean bath spacings.  A nonpositive
-    omega0_sq is flagged as overdamped (the params are still returned).
+    off as Re of the regularized kernel transform at resonance, at the
+    default smoothing width.  A nonpositive omega0_sq is flagged as
+    overdamped (the params are still returned).
     """
-    m = form.mass
-    omega0_sq = 2.0 * form.k_tilde_11 / m - damping_kernel(form, 0.0)
-    if epsilon is None:
-        epsilon = 5.0 * mean_bath_spacing(form)
+    omega0_sq = omega0_squared(form)
+    epsilon = default_epsilon(form)
 
     omega_probe = np.sqrt(abs(omega0_sq))
     if epsilon > 0:
@@ -219,14 +229,10 @@ def _check_uniform_grid(times):
     return t, float(h)
 
 
-def solve_volterra(form: CollectiveForm, p0, times) -> TrajectoryTable:
-    """Integrate the memory-kernel equation of motion after a kick.
-
-    Second-order stepping with a trapezoidal history sum, carried in one
-    accumulator per bath line: O(T N) cost for T steps and N lines.
-    Refuses steps larger than 0.1 / max(bath frequency, collective
-    frequency), for which the scheme is no longer trustworthy.
-    """
+def _integrate(form, times, v0, f_over_m=None) -> TrajectoryTable:
+    """Memory-kernel stepper from X = 0 with velocity v0 and optional
+    force/mass samples on the grid, behind solve_volterra and
+    linear_response: grid check, step guard, kernel weights."""
     t, h = _check_uniform_grid(times)
     params_scale = max(
         form.bath_freqs.max(initial=0.0),
@@ -236,11 +242,22 @@ def solve_volterra(form: CollectiveForm, p0, times) -> TrajectoryTable:
         raise ValueError(
             f"time step {h:.6g} too large; need h <= {0.1 / params_scale:.6g}"
         )
-    omega0_sq = 2.0 * form.k_tilde_11 / form.mass - damping_kernel(form, 0.0)
+    omega0_sq = omega0_squared(form)
     weights = _stepper_weights(form, omega0_sq)
     x, v = volterra_path(omega0_sq, form.bath_freqs, weights, h, t.size,
-                         v0=p0 / form.mass)
+                         f_over_m, v0=v0)
     return TrajectoryTable(times=t, positions=x, momenta=form.mass * v)
+
+
+def solve_volterra(form: CollectiveForm, p0, times) -> TrajectoryTable:
+    """Integrate the memory-kernel equation of motion after a kick.
+
+    Second-order stepping with a trapezoidal history sum, carried in one
+    accumulator per bath line: O(T N) cost for T steps and N lines.
+    Refuses steps larger than 0.1 / max(bath frequency, collective
+    frequency), for which the scheme is no longer trustworthy.
+    """
+    return _integrate(form, times, p0 / form.mass)
 
 
 def fourier_solution(form: CollectiveForm, p0, omegas, epsilon):
@@ -251,8 +268,7 @@ def fourier_solution(form: CollectiveForm, p0, omegas, epsilon):
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     w = np.asarray(omegas, dtype=float)
-    omega0_sq = 2.0 * form.k_tilde_11 / form.mass - damping_kernel(form, 0.0)
-    denom = omega0_sq - w**2 - 1j * w * gamma_transform(form, w, epsilon)
+    denom = omega0_squared(form) - w**2 - 1j * w * gamma_transform(form, w, epsilon)
     return p0 / (2.0 * np.pi * form.mass * denom)
 
 
@@ -280,19 +296,17 @@ def linear_response(form: CollectiveForm, force_samples, times):
     independently predicts the displacement as the convolution of the
     response function (the unit-momentum kick trajectory) with the
     force.  Forces are treated as constant over each step (left node).
-    Returns (forced, predicted) trajectory tables.
+    The stepper refuses the same steps as in solve_volterra.  Returns
+    (forced, predicted) trajectory tables.
     """
-    t, h = _check_uniform_grid(times)
     force = np.asarray(force_samples, dtype=float)
-    if force.shape != t.shape:
+    if force.shape != np.shape(times):
         raise ValueError(
-            f"force samples shape {force.shape} does not match grid {t.shape}"
+            f"force samples shape {force.shape} does not match grid {np.shape(times)}"
         )
-    m = form.mass
-    omega0_sq = 2.0 * form.k_tilde_11 / m - damping_kernel(form, 0.0)
-    weights = _stepper_weights(form, omega0_sq)
-    x, v = volterra_path(omega0_sq, form.bath_freqs, weights, h, t.size, force / m)
-    forced = TrajectoryTable(times=t, positions=x, momenta=m * v)
+    forced = _integrate(form, times, 0.0, force / form.mass)
+    t = forced.times
+    h = t[1] - t[0]
 
     modes = collective_sector_modes(form)
     chi, _ = _mode_trajectory(modes, 1.0, t)  # response to a unit kick

@@ -19,6 +19,8 @@ import numpy as np
 from .model import (
     PhononSpectrum,
     SystemModel,
+    _fix_signs,
+    _freeze,
     next_neighbor_frequencies,
     phonon_spectrum,
 )
@@ -65,10 +67,7 @@ class CollectiveForm:
     hbar: float
 
     def __post_init__(self):
-        for name in ("bath_freqs", "couplings_l", "coupling_k"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, "bath_freqs", "couplings_l", "coupling_k")
 
 
 @dataclass(frozen=True)
@@ -85,12 +84,7 @@ class QuantumModes:
     hbar: float
 
     def __post_init__(self):
-        f = np.array(self.frequencies, dtype=float)
-        c = np.array(self.x_coefficients, dtype=float)
-        f.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "frequencies", f)
-        object.__setattr__(self, "x_coefficients", c)
+        _freeze(self, "frequencies", "x_coefficients")
 
 
 def interaction_in_phonon_basis(model: SystemModel,
@@ -116,16 +110,6 @@ def interaction_in_phonon_basis(model: SystemModel,
         k_tilde=(k_tilde + k_tilde.T) / 2.0,
         k_bar=(k_bar + k_bar.T) / 2.0,
     )
-
-
-def _fix_column_signs(u):
-    out = u.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
-        if nz.size and col[nz[0]] < 0:
-            out[:, j] = -col
-    return out
 
 
 def caldeira_leggett_form(model: SystemModel, phonons: PhononSpectrum | None = None):
@@ -160,7 +144,7 @@ def caldeira_leggett_form(model: SystemModel, phonons: PhononSpectrum | None = N
             "bath block has a zero mode; bath frequencies must be positive"
         )
 
-    u = _fix_column_signs(evecs)
+    u = _fix_signs(evecs)
     k_vec = trans.k_tilde[0, 1:].copy()
     form = CollectiveForm(
         k_tilde_11=float(trans.k_tilde[0, 0]),
@@ -353,7 +337,7 @@ def collective_sector_eigensystem(form: CollectiveForm):
         raise UnstableSectorError(
             f"collective sector has negative mode {evals[0]:.6e}"
         )
-    return np.sqrt(np.clip(evals, 0.0, None)), _fix_column_signs(evecs)
+    return np.sqrt(np.clip(evals, 0.0, None)), _fix_signs(evecs)
 
 
 def collective_sector_modes(form: CollectiveForm) -> QuantumModes:
@@ -421,11 +405,12 @@ def symmetric_sector_frequencies(model: SystemModel, phonons: PhononSpectrum):
     """Frequencies of the symmetric (center-of-mass) sector.
 
     That sector never couples to X; its frequency-squared matrix is
-    omega_k^2 + (2/m) Kbar in the basis of the model's phonons.  Used to
+    omega_k^2 + (2/m) Kbar = (2/m) A (W + diag(khat) - K) A^T in the
+    basis A of the model's phonons, formed here by two products.  Used to
     check that the mapped sectors reproduce the full 2N spectrum.
     """
-    trans = interaction_in_phonon_basis(model, phonons)
-    m = model.mass
-    mat = np.diag(phonons.frequencies**2) + 2.0 * trans.k_bar / m
+    a = phonons.basis
+    block = model.w_matrix + np.diag(model.row_coupling_sums) - model.k_matrix
+    mat = (2.0 / model.mass) * (a @ block @ a.T)
     evals = np.linalg.eigvalsh((mat + mat.T) / 2.0)
     return np.sqrt(np.clip(evals, 0.0, None))

@@ -34,6 +34,15 @@ _TOL_ROWSUM = 1e-12
 _TOL_PSD = 1e-10
 
 
+def _freeze(obj, *names):
+    """Replace the named fields of a frozen dataclass by read-only float
+    copies, so no caller's array can change them afterwards."""
+    for name in names:
+        arr = np.array(getattr(obj, name), dtype=float)
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
 @dataclass(frozen=True)
 class SystemModel:
     """Validated two-chain model.
@@ -54,12 +63,7 @@ class SystemModel:
     omega0: float | None = None
 
     def __post_init__(self):
-        w = np.array(self.w_matrix, dtype=float)
-        k = np.array(self.k_matrix, dtype=float)
-        w.setflags(write=False)
-        k.setflags(write=False)
-        object.__setattr__(self, "w_matrix", w)
-        object.__setattr__(self, "k_matrix", k)
+        _freeze(self, "w_matrix", "k_matrix")
 
     @property
     def row_coupling_sums(self):
@@ -80,12 +84,7 @@ class PhononSpectrum:
     basis: np.ndarray
 
     def __post_init__(self):
-        f = np.array(self.frequencies, dtype=float)
-        b = np.array(self.basis, dtype=float)
-        f.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "frequencies", f)
-        object.__setattr__(self, "basis", b)
+        _freeze(self, "frequencies", "basis")
 
 
 def validate_model(w_matrix, k_matrix, mass, hbar=1.0):
@@ -233,15 +232,14 @@ def standing_wave_basis(n_particles):
     return basis
 
 
-def _fix_signs(basis):
-    """Make the first nonzero component of every mode nonnegative."""
-    out = basis.copy()
-    for i in range(out.shape[0]):
-        row = out[i]
-        nz = np.nonzero(np.abs(row) > 1e-12 * np.abs(row).max())[0]
-        if nz.size and row[nz[0]] < 0:
-            out[i] = -row
-    return out
+def _fix_signs(modes):
+    """Make the first nonzero component of every column nonnegative, in
+    place; returns ``modes``.  Row-wise modes go in transposed."""
+    mag = np.abs(modes)
+    first = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+    flip = modes[first, np.arange(modes.shape[1])] < 0
+    np.negative(modes, out=modes, where=flip)
+    return modes
 
 
 def phonon_spectrum(model: SystemModel) -> PhononSpectrum:
@@ -287,7 +285,7 @@ def phonon_spectrum(model: SystemModel) -> PhononSpectrum:
     basis = np.empty((n, n))
     basis[0] = uniform
     basis[1:] = (comp @ evecs).T
-    return PhononSpectrum(frequencies=freqs, basis=_fix_signs(basis))
+    return PhononSpectrum(frequencies=freqs, basis=_fix_signs(basis.T).T)
 
 
 def _full_potential(w, k):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import OscillatorParams, damping_kernel, gamma_transform
+from .dynamics import OscillatorParams, gamma_transform, omega0_squared
 from .mapping import CollectiveForm, QuantumModes, interaction_in_phonon_basis
 from .model import SystemModel, phonon_spectrum
 
@@ -312,9 +312,8 @@ def fdt_spectrum(form: CollectiveForm, omegas, epsilon) -> SpectrumTable:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     w = np.asarray(omegas, dtype=float)
     m = form.mass
-    omega0_sq = 2.0 * form.k_tilde_11 / m - damping_kernel(form, 0.0)
     z = w + 1j * epsilon
-    denom = omega0_sq - z**2 - 1j * z * gamma_transform(form, w, epsilon)
+    denom = omega0_squared(form) - z**2 - 1j * z * gamma_transform(form, w, epsilon)
     values = form.hbar / (m * np.pi) * (1.0 / denom).imag
     values = np.where(w > 0, values, 0.0)
     return SpectrumTable(omegas=w, values=values)

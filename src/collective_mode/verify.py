@@ -6,6 +6,7 @@ the configured model (e.g. the analytic point-coupling cross-check for
 a general coupling matrix) report as skipped and count as passed.
 """
 
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -34,12 +35,19 @@ def _skip(name, why):
                        passed=True, detail=f"skipped: {why}")
 
 
-def run_checks(model, p0=1.0, t_max=None, steps=None, epsilon=None):
+def _bounded(checks, name, measured, tolerance, detail):
+    """Record a check that passes when measured <= tolerance."""
+    measured = float(measured)
+    checks.append(CheckResult(name=name, measured=measured, tolerance=tolerance,
+                              passed=measured <= tolerance, detail=detail))
+
+
+def run_checks(model, p0, t_max, steps, epsilon=None):
     """Run every applicable invariant against the model.
 
-    t_max/steps control the trajectory comparisons (defaults pick a
-    pre-recurrence window at the standard step); epsilon controls the
-    spectral smoothing (default five mean bath spacings).
+    The trajectory comparisons kick X with p0 and sample [0, t_max] at
+    steps + 1 points; epsilon is the spectral smoothing width (default
+    five mean bath spacings).
     """
     checks = []
     n = model.n_particles
@@ -61,22 +69,14 @@ def run_checks(model, p0=1.0, t_max=None, steps=None, epsilon=None):
     r = (2.0 / m) * basis @ model.w_matrix - phonons.frequencies[:, None] ** 2 * basis
     resid = float(np.linalg.norm(r, axis=1).max())
     scale = phonons.frequencies[-1] ** 2
-    checks.append(CheckResult(
-        name="model.phonon_residual",
-        measured=resid / max(scale, 1e-300),
-        tolerance=1e-10,
-        passed=bool(resid <= 1e-10 * scale),
-        detail="worst eigenpair residual, relative to the top frequency squared",
-    ))
+    _bounded(checks, "model.phonon_residual", resid / max(scale, 1e-300), 1e-10,
+             "worst eigenpair residual, relative to the top frequency squared")
 
     if model.omega0 is not None:
         ref = model_mod.next_neighbor_frequencies(n, model.omega0)
-        err = float(np.abs(phonons.frequencies - ref).max() / max(ref[-1], 1e-300))
-        checks.append(CheckResult(
-            name="model.closed_form_frequencies",
-            measured=err, tolerance=1e-12, passed=bool(err <= 1e-12),
-            detail="dense eigensolve vs closed-form chain frequencies",
-        ))
+        err = np.abs(phonons.frequencies - ref).max() / max(ref[-1], 1e-300)
+        _bounded(checks, "model.closed_form_frequencies", err, 1e-12,
+                 "dense eigensolve vs closed-form chain frequencies")
     else:
         checks.append(_skip("model.closed_form_frequencies",
                             "no closed form for a general chain matrix"))
@@ -120,12 +120,9 @@ def run_checks(model, p0=1.0, t_max=None, steps=None, epsilon=None):
             np.abs(s_modes.frequencies - modes.frequencies).max(),
             np.abs(s_modes.x_coefficients**2 - modes.x_coefficients**2).max(),
         )
-        checks.append(CheckResult(
-            name="mapping.secular_cross_check",
-            measured=float(err), tolerance=1e-8, passed=bool(err <= 1e-8),
-            detail="analytic rank-one route (bath and sector modes) vs "
-                   "dense eigensolves",
-        ))
+        _bounded(checks, "mapping.secular_cross_check", err, 1e-8,
+                 "analytic rank-one route (bath and sector modes) vs "
+                 "dense eigensolves")
         chain = phonons.frequencies
         ok = all(chain[j + 1] < freqs[j] < chain[j + 2] for j in range(n - 2))
         ok = ok and freqs[-1] > chain[-1]
@@ -141,22 +138,12 @@ def run_checks(model, p0=1.0, t_max=None, steps=None, epsilon=None):
     sym = mapping.symmetric_sector_frequencies(model, phonons)
     mapped_sq = np.sort(np.concatenate([modes.frequencies, sym]) ** 2)
     full_sq = 2.0 * eigs / m
-    err = float(np.abs(mapped_sq - full_sq).max() / max(full_sq[-1], 1e-300))
-    checks.append(CheckResult(
-        name="mapping.spectrum_preservation",
-        measured=err, tolerance=1e-8, passed=bool(err <= 1e-8),
-        detail="mapped squared sector frequencies vs the full eigensolve",
-    ))
+    err = np.abs(mapped_sq - full_sq).max() / max(full_sq[-1], 1e-300)
+    _bounded(checks, "mapping.spectrum_preservation", err, 1e-8,
+             "mapped squared sector frequencies vs the full eigensolve")
 
     # --- dynamics
     params = dyn.collective_frequency(form)
-    omega_scale = max(form.bath_freqs.max(),
-                      np.sqrt(max(params.omega0_sq, 0.0)))
-    if t_max is None:
-        t_max = min(float(n), 20.0 / max(params.gamma0, 1e-12))
-    if steps is None:
-        h = 0.02 / omega_scale
-        steps = int(round(t_max / h))
     t = np.linspace(0.0, t_max, steps + 1)
 
     exact = dyn.evolve_exact(modes, p0, t)
@@ -172,46 +159,36 @@ def run_checks(model, p0=1.0, t_max=None, steps=None, epsilon=None):
             scale = p0 / (m * np.sqrt(params.omega0_sq))
         else:
             scale = max(float(np.abs(exact.positions).max()), 1e-300)
-        err = float(np.abs(volt.positions - exact.positions).max() / scale)
-        checks.append(CheckResult(
-            name="dynamics.volterra_vs_exact",
-            measured=err, tolerance=1e-4, passed=bool(err <= 1e-4),
-            detail=f"L-inf over [0, {t_max:g}] at {steps} steps, kick scale P0/(m W0)",
-        ))
+        err = np.abs(volt.positions - exact.positions).max() / scale
+        _bounded(checks, "dynamics.volterra_vs_exact", err, 1e-4,
+                 f"L-inf over [0, {t_max:g}] at {steps} steps, kick scale P0/(m W0)")
 
     t_e = np.linspace(0.0, t_max, min(steps + 1, 2001))
     _, z, zdot = dyn.reconstruct_full_trajectory(form, sector, bath_transform,
                                                 phonons, p0, t_e)
     energy = dyn.total_energy(model, z, zdot)
-    err = float(np.abs(energy - energy[0]).max() / max(energy[0], 1e-300))
-    checks.append(CheckResult(
-        name="dynamics.energy_conservation",
-        measured=err, tolerance=1e-10, passed=bool(err <= 1e-10),
-        detail="total energy drift along the exact trajectory",
-    ))
+    err = np.abs(energy - energy[0]).max() / max(energy[0], 1e-300)
+    _bounded(checks, "dynamics.energy_conservation", err, 1e-10,
+             "total energy drift along the exact trajectory")
 
     if decoupled:
-        gmax = float(np.abs(dyn.damping_kernel(form, t)).max())
+        gmax = np.abs(dyn.damping_kernel(form, t)).max()
+        _bounded(checks, "dynamics.decoupled_kernel", gmax / khat_scale, 1e-12,
+                 "max |gamma(t)| relative to max khat: the kernel vanishes")
         omega_x = np.sqrt(max(2.0 * form.k_tilde_11 / m, 0.0))
         if omega_x > 0:
             ref = p0 / (m * omega_x) * np.sin(omega_x * t)
         else:
             ref = p0 / m * t
-        sin_err = float(np.abs(exact.positions - ref).max()
-                        / max(np.abs(ref).max(), 1e-300))
-        ok = gmax < 1e-12 * khat_scale and sin_err < 1e-8
-        checks.append(CheckResult(
-            name="dynamics.decoupled_harmonic",
-            measured=max(gmax / khat_scale, sin_err), tolerance=1e-8,
-            passed=bool(ok),
-            detail="kernel vanishes and X stays sinusoidal at sqrt(2 Kt11/m)",
-        ))
+        sin_err = np.abs(exact.positions - ref).max() / max(np.abs(ref).max(), 1e-300)
+        _bounded(checks, "dynamics.decoupled_harmonic", sin_err, 1e-8,
+                 "X stays sinusoidal at sqrt(2 Kt11/m)")
     else:
-        checks.append(_skip("dynamics.decoupled_harmonic",
-                            "model is not decoupled"))
+        for name in ("dynamics.decoupled_kernel", "dynamics.decoupled_harmonic"):
+            checks.append(_skip(name, "model is not decoupled"))
 
     if epsilon is None:
-        epsilon = 5.0 * dyn.mean_bath_spacing(form)
+        epsilon = dyn.default_epsilon(form)
     if params.omega0_sq > 0 and epsilon > 0:
         w0 = np.sqrt(params.omega0_sq)
         wgrid = np.linspace(0.5 * w0, 2.0 * w0, 31)
@@ -232,37 +209,24 @@ def run_checks(model, p0=1.0, t_max=None, steps=None, epsilon=None):
     if (modes.frequencies > 0).all():
         comb = spectra.strength_comb(modes)
         s0 = spectra.correlator_S(modes, 0.0)
-        err = abs(comb.total_weight - s0.real)
-        checks.append(CheckResult(
-            name="spectra.comb_total_equals_correlator_at_zero",
-            measured=float(err), tolerance=1e-12,
-            passed=bool(err <= 1e-12),
-            detail="strength comb mass vs S(0)",
-        ))
-        sum_rule = float(abs((comb.weights * comb.frequencies).sum()
-                             - model.hbar / (2.0 * m)))
-        checks.append(CheckResult(
-            name="spectra.strength_sum_rule",
-            measured=sum_rule, tolerance=1e-12, passed=bool(sum_rule <= 1e-12),
-            detail="sum of weight * frequency vs hbar / 2m",
-        ))
+        _bounded(checks, "spectra.comb_total_equals_correlator_at_zero",
+                 abs(comb.total_weight - s0.real), 1e-12,
+                 "strength comb mass vs S(0)")
+        sum_rule = abs((comb.weights * comb.frequencies).sum() - model.hbar / (2.0 * m))
+        _bounded(checks, "spectra.strength_sum_rule", sum_rule, 1e-12,
+                 "sum of weight * frequency vs hbar / 2m")
 
         ts = np.linspace(0.0, t_max, 2001)
         s_t = spectra.correlator_S(modes, ts)
         x = dyn.evolve_exact(modes, p0, ts).positions
-        link = float(np.abs(s_t.imag + model.hbar / (2.0 * p0) * x).max())
-        checks.append(CheckResult(
-            name="spectra.classical_quantum_link",
-            measured=link, tolerance=1e-12, passed=bool(link <= 1e-12),
-            detail="Im S(t) vs -(hbar / 2 P0) X(t), pointwise",
-        ))
-
-        import warnings as _warnings
+        link = np.abs(s_t.imag + model.hbar / (2.0 * p0) * x).max()
+        _bounded(checks, "spectra.classical_quantum_link", link, 1e-12,
+                 "Im S(t) vs -(hbar / 2 P0) X(t), pointwise")
 
         wmax = 2.0 * max(comb.frequencies.max(), np.sqrt(params.omega0_sq))
         wgrid = np.linspace(0.0, wmax, 4001)
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             sm = spectra.smoothed_spectrum(comb, epsilon, wgrid)
         fd = spectra.fdt_spectrum(form, wgrid, epsilon)
         omega0 = np.sqrt(max(params.omega0_sq, 0.0))
@@ -273,13 +237,9 @@ def run_checks(model, p0=1.0, t_max=None, steps=None, epsilon=None):
                 f"resonance {omega0:.3g}; the broadened-comb comparison "
                 "needs W0 >> eps"))
         else:
-            err = float(np.abs(fd.values - sm.values).max()
-                        / max(sm.values.max(), 1e-300))
-            checks.append(CheckResult(
-                name="spectra.route_equivalence",
-                measured=err, tolerance=0.12, passed=bool(err <= 0.12),
-                detail="resolvent route vs broadened strength comb, relative L-inf",
-            ))
+            err = np.abs(fd.values - sm.values).max() / max(sm.values.max(), 1e-300)
+            _bounded(checks, "spectra.route_equivalence", err, 0.12,
+                     "resolvent route vs broadened strength comb, relative L-inf")
         neg = min(float(sm.values.min()), float(fd.values.min()))
         checks.append(CheckResult(
             name="spectra.positivity",

@@ -200,7 +200,8 @@ def count_calls(monkeypatch, targets):
 def decomposition_counts(tmp_path, monkeypatch, command, write=write_config):
     counts = count_calls(monkeypatch, [
         ("model", "phonon_spectrum"), ("mapping", "caldeira_leggett_form"),
-        ("mapping", "collective_sector_eigensystem")])
+        ("mapping", "collective_sector_eigensystem"),
+        ("mapping", "interaction_in_phonon_basis")])
     cfg = tmp_path / "demo.ini"
     write(cfg, n=16, alpha=0.5, t_max=16.0, steps=1600)
     assert main([command, str(cfg), "--quiet"]) == 0
@@ -210,12 +211,15 @@ def decomposition_counts(tmp_path, monkeypatch, command, write=write_config):
 @pytest.mark.parametrize("command, expected", [
     # a point-coupled chain maps by the secular route: no dense eigensolve
     ("run", {"phonon_spectrum": 0, "caldeira_leggett_form": 0,
-             "collective_sector_eigensystem": 0}),
+             "collective_sector_eigensystem": 0,
+             "interaction_in_phonon_basis": 0}),
     # verify's phonons, shared by its dense form (which also returns U),
     # and one sector eigensystem, shared by its sector modes and the
-    # energy reconstruction
+    # energy reconstruction; the symmetric sector forms its own
+    # congruence, so only the dense form transforms K
     ("verify", {"phonon_spectrum": 1, "caldeira_leggett_form": 1,
-                "collective_sector_eigensystem": 1}),
+                "collective_sector_eigensystem": 1,
+                "interaction_in_phonon_basis": 1}),
 ])
 def test_each_decomposition_is_computed_once(tmp_path, monkeypatch, command, expected):
     assert decomposition_counts(tmp_path, monkeypatch, command) == expected
@@ -226,7 +230,8 @@ def test_general_model_run_maps_once_by_dense_route(tmp_path, monkeypatch):
     counts = decomposition_counts(tmp_path, monkeypatch, "run",
                                   write_general_config)
     assert counts == {"phonon_spectrum": 1, "caldeira_leggett_form": 1,
-                      "collective_sector_eigensystem": 1}
+                      "collective_sector_eigensystem": 1,
+                      "interaction_in_phonon_basis": 1}
 
 
 @pytest.mark.parametrize("mass, omega0", [(1.0, 1.0), (2.0, 3.0)])
@@ -320,7 +325,12 @@ directory = {tmp_path / 'out'}
     report = json.loads((tmp_path / "out" / "verification.json").read_text())
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["mapping.decoupling_indicator"]["detail"] == "decoupled"
-    assert by_name["dynamics.decoupled_harmonic"]["passed"]
+    # the vanishing kernel and the sinusoidal X are checked separately
+    for name, tolerance in (("dynamics.decoupled_kernel", 1e-12),
+                            ("dynamics.decoupled_harmonic", 1e-8)):
+        assert by_name[name]["passed"]
+        assert by_name[name]["tolerance"] == tolerance
+        assert by_name[name]["measured"] <= tolerance
 
 
 def test_verify_coarse_step_fails_with_error_norm(tmp_path):

@@ -317,6 +317,16 @@ def test_linear_response_resonant_enhancement():
     assert amps[0] / amps[1] > 5.0
 
 
+def test_linear_response_refuses_large_step():
+    # the forced stepper shares the kick's step guard
+    form = point_form(16, 0.5)
+    t = np.arange(0.0, 10.0, 0.5)
+    with pytest.raises(ValueError, match="too large"):
+        solve_volterra(form, 1.0, t)
+    with pytest.raises(ValueError, match="too large"):
+        linear_response(form, np.zeros_like(t), t)
+
+
 def test_linear_response_grid_mismatch():
     form = point_form(4, 1.0)
     t = np.arange(0.0, 1.0, 0.01)

@@ -15,6 +15,7 @@ from collective_mode import (
     standing_wave_basis,
     validate_model,
 )
+from collective_mode.model import _fix_signs
 
 
 def test_next_neighbor_n2_matrices():
@@ -253,3 +254,21 @@ def test_model_arrays_read_only():
     model = build_next_neighbor_model(4, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         model.w_matrix[0, 0] = 99.0
+
+
+def test_fix_signs_matches_loop_reference():
+    # reference: one column at a time, flip when the first component
+    # above 1e-12 of the column's max is negative
+    rng = np.random.default_rng(0)
+    modes = rng.standard_normal((7, 6))
+    modes[:2, 1] = 0.0          # leading zeros
+    modes[0, 2] = -1e-14        # below the relative cutoff
+    modes[:, 3] = 0.0           # an all-zero column stays as it is
+    expected = modes.copy()
+    for j in range(expected.shape[1]):
+        col = expected[:, j]
+        nz = np.nonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
+        if nz.size and col[nz[0]] < 0:
+            expected[:, j] = -col
+    assert _fix_signs(modes) is modes   # flips in place
+    assert np.array_equal(modes, expected)
