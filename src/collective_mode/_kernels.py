@@ -7,17 +7,68 @@ carried forward in one complex accumulator per line,
 
     C_n <- (C_n + v_{i+1}) e^(i w_n h),    memory = h Re sum_n weight_n C_n,
 
-seeded with the trapezoid's half-weight v_0 term: O(T N) work for T
-steps and N lines.  The endpoint term of the trapezoid makes the
-velocity update implicit; the implicit equation is linear and solved
-exactly each step.  External forces are treated as constant over each
-step (left node), so a single-bin rectangle delivers its impulse exactly.
+seeded with the trapezoid's half-weight v_0 term.  The endpoint term of
+the trapezoid makes the velocity update implicit; the implicit equation
+is linear and solved exactly each step.  External forces are treated as
+constant over each step (left node), so a single-bin rectangle delivers
+its impulse exactly.
+
+The one-step map is linear and time-invariant, so the time axis is cut
+into blocks of BLOCK = B steps, each advanced by two products:
+
+1. the history carried in from earlier blocks, e_j = h Re sum_n
+   weight_n rot_n^(j-1) C_n for j = 1..B, is a (B x N) linear map of
+   the accumulators;
+2. x and v over the block, and the acceleration at its end, are linear
+   in the start state (x, v, a), e_1..e_B and the forces f_0..f_(B-1).
+   That transfer matrix is built once by running the scalar recurrence
+   on unit inputs (inside a block the history uses the kernel samples
+   gamma(m h)), and the map of step 1 is folded into it, so one product
+   with (C, x, v, a) gives the block; the forces' share of every block
+   is one product computed up front;
+3. the accumulators advance in closed form,
+   C <- rot^B C + sum_k rot^(B-k+1) v_k, a (B x N) product.
+
+No power of the one-step matrix is formed.  The work stays O(T N) for T
+steps and N lines, in T / B numpy calls instead of T loop iterations;
+the history sum is blocked as in Lubich and Schaedle, SIAM J. Sci.
+Comput. 24 (2002).
 """
 
 import numpy as np
 
 # Name of the one stepper implementation, for callers that report provenance.
 BACKEND_NAME = "python"
+
+# Uniform steps advanced per numpy call, by the stepper and the mode sum.
+BLOCK = 64
+
+
+def _block_transfer(omega0_sq, gamma, h):
+    """Linear map of one block of len(gamma) steps.
+
+    Columns: the start state (x, v, a), the carried-in history e_1..e_B
+    and the forces f_0..f_(B-1).  Rows: x_1..x_B, v_1..v_B and the
+    acceleration without force at the block's end.  gamma[m] = gamma(m h).
+    """
+    b = gamma.size
+    unit = np.eye(2 * b + 3)
+    x, v, a = unit[0], unit[1], unit[2]
+    hist, force = unit[3:3 + b], unit[3 + b:]
+    xs = np.empty((b, unit.shape[1]))
+    vs = np.empty_like(xs)
+    g0 = gamma[0]
+    denom = 1.0 + 0.25 * h * h * g0
+    for j in range(b):
+        x = x + h * v + 0.5 * h * h * (a + force[j])
+        # trapezoidal memory at step j+1, endpoint excluded
+        mem = hist[j] + h * (gamma[j:0:-1] @ vs[:j])
+        atil = -omega0_sq * x - mem
+        v = (v + 0.5 * h * (a + atil) + h * force[j]) / denom
+        a = atil - 0.5 * h * g0 * v
+        xs[j] = x
+        vs[j] = v
+    return np.vstack([xs, vs, a])
 
 
 def volterra_path(omega0_sq, freqs, weights, h, n_points, f_over_m=None,
@@ -33,41 +84,38 @@ def volterra_path(omega0_sq, freqs, weights, h, n_points, f_over_m=None,
     Returns (x, v), both (T,).
     """
     n = int(n_points)
-    x = np.empty(n)
-    v = np.empty(n)
+    b = BLOCK
+    blocks = -(-(n - 1) // b)
+    weights = np.asarray(weights, dtype=float)
+    hw = h * np.asarray(freqs, dtype=float)
+    if not np.any(weights):
+        weights, hw = weights[:0], hw[:0]
+    rot = np.exp(1j * np.multiply.outer(np.arange(b + 1), hw))  # rot^0..rot^B
+    transfer = _block_transfer(omega0_sq, rot[:b].real @ weights, h)
+    # history e_1..e_B from the (Re C, Im C) pairs, folded into the map
+    carry = (h * weights * rot[:b]).conj().view(float)
+    block_map = np.hstack([transfer[:, 3:3 + b] @ carry, transfer[:, :3]])
+    feed = np.ascontiguousarray(rot[b:0:-1]).view(float)  # rot^B..rot^1
+    if f_over_m is not None:
+        forces = np.zeros(blocks * b)
+        forces[:n - 1] = np.asarray(f_over_m, dtype=float)[:n - 1]
+        forced = forces.reshape(blocks, b) @ transfer[:, 3 + b:].T
+
+    x = np.empty(blocks * b + 1)
+    v = np.empty(blocks * b + 1)
     x[0] = 0.0
     v[0] = v0
-    if n == 1:
-        return x, v
-    if f_over_m is None:
-        forces = [0.0] * (n - 1)
-    else:
-        forces = np.asarray(f_over_m, dtype=float).tolist()
-
-    weights = np.asarray(weights, dtype=float)
-    g0 = float(weights.sum())  # gamma(0)
-    denom = 1.0 + 0.25 * h * h * g0
-    memory = bool(np.any(weights != 0.0))
-    rot = np.exp(1j * h * np.asarray(freqs, dtype=float))
-    acc = 0.5 * v0 * rot  # trapezoid half-weight of the v_0 node
-    # h * weights on the real parts of the interleaved (re, im) pairs
-    hw = np.zeros(2 * rot.size)
-    hw[0::2] = h * weights
-    acc_pairs = acc.view(float)
-
-    xi, vi = 0.0, float(v0)
-    anf = 0.0  # acceleration without force at x = 0; no memory at t=0
-    for i in range(n - 1):
-        fi = forces[i]
-        xi1 = xi + h * vi + 0.5 * h * h * (anf + fi)
-        # trapezoidal memory at t_{i+1}, endpoint j=i+1 excluded
-        mem = float(np.dot(hw, acc_pairs)) if memory else 0.0
-        atil = -omega0_sq * xi1 - mem
-        vi1 = (vi + 0.5 * h * (anf + atil) + h * fi) / denom
-        anf = atil - 0.5 * h * g0 * vi1
-        x[i + 1] = xi = xi1
-        v[i + 1] = vi = vi1
-        if memory:
-            np.add(acc, vi1, out=acc)
-            np.multiply(acc, rot, out=acc)
-    return x, v
+    z = np.zeros(2 * hw.size + 3)  # (Re C, Im C) per line, then x, v, a
+    acc = z[:-3].view(complex)
+    acc[:] = 0.5 * v0 * rot[1]  # trapezoid half-weight of the v_0 node
+    z[-2] = v0
+    for k in range(blocks):
+        out = block_map @ z
+        if f_over_m is not None:
+            out += forced[k]
+        x[k * b + 1:(k + 1) * b + 1] = out[:b]
+        v[k * b + 1:(k + 1) * b + 1] = out[b:2 * b]
+        acc *= rot[b]
+        z[:-3] += out[b:2 * b] @ feed
+        z[-3], z[-2], z[-1] = out[b - 1], out[2 * b - 1], out[2 * b]
+    return x[:n], v[:n]

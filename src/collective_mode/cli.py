@@ -254,6 +254,8 @@ def run_scenario(scenario, quiet=False):
             "hbar_over_2m": float(form.hbar / (2.0 * form.mass)),
         }
         summary["cross_route_error"]["fdt_vs_smoothed_linf_rel"] = fdt_gap
+        summary["cross_route_error"]["fdt_vs_smoothed_in_window"] = (
+            spectra.fdt_comparison_in_window(eps, params.omega0_sq))
 
     for name, (header, columns) in tables.items():
         if "csv" in scenario.formats:

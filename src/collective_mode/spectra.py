@@ -22,7 +22,7 @@ __all__ = [
     "sigma_comb", "sigma_resolvent", "sigma_phonon_approximation",
     "strength_comb", "correlator_S", "smoothed_spectrum",
     "ohmic_spectrum", "convolution_power_spectrum", "observable_spectrum",
-    "fdt_spectrum",
+    "fdt_spectrum", "fdt_comparison_in_window",
 ]
 
 
@@ -317,3 +317,10 @@ def fdt_spectrum(form: CollectiveForm, omegas, epsilon) -> SpectrumTable:
     values = form.hbar / (m * np.pi) * (1.0 / denom).imag
     values = np.where(w > 0, values, 0.0)
     return SpectrumTable(omegas=w, values=values)
+
+
+def fdt_comparison_in_window(epsilon, omega0_sq) -> bool:
+    """Whether the resolvent route is comparable with the broadened
+    strength comb: the smoothing width must be small against the
+    resonance, eps <= W0 / 2."""
+    return bool(epsilon <= 0.5 * np.sqrt(max(omega0_sq, 0.0)))

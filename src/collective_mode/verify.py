@@ -229,8 +229,8 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
             warnings.simplefilter("ignore")
             sm = spectra.smoothed_spectrum(comb, epsilon, wgrid)
         fd = spectra.fdt_spectrum(form, wgrid, epsilon)
-        omega0 = np.sqrt(max(params.omega0_sq, 0.0))
-        if epsilon > 0.5 * omega0:
+        if not spectra.fdt_comparison_in_window(epsilon, params.omega0_sq):
+            omega0 = np.sqrt(max(params.omega0_sq, 0.0))
             checks.append(_skip(
                 "spectra.route_equivalence",
                 f"smoothing width {epsilon:.3g} is not small against the "

@@ -294,6 +294,23 @@ def test_verify_default_config_passes(tmp_path):
     assert "dynamics.volterra_vs_exact" in names
 
 
+@pytest.mark.parametrize("epsilon, in_window", [(0.0, False), (0.01, True)])
+def test_fdt_window_flag_matches_verify_skip(tmp_path, epsilon, in_window):
+    # N=32, alpha=0.5: W0 / 2 = 0.026, below the default width (0.31)
+    cfg = tmp_path / "demo.ini"
+    out = write_config(cfg, n=32, alpha=0.5, t_max=8.0, steps=800)
+    cfg.write_text(cfg.read_text().replace(
+        "[spectra]\n", f"[spectra]\nepsilon = {epsilon}\n"))
+    assert main(["run", str(cfg), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["cross_route_error"]["fdt_vs_smoothed_in_window"] is in_window
+    main(["verify", str(cfg), "--quiet"])
+    report = json.loads((out / "verification.json").read_text())
+    (check,) = [c for c in report["checks"]
+                if c["name"] == "spectra.route_equivalence"]
+    assert check["detail"].startswith("skipped") is not in_window
+
+
 def test_verify_constant_coupling_decoupling_group(tmp_path):
     # constant K: write the matrices out and drive the general-model path
     n = 6

@@ -6,6 +6,7 @@ from collective_mode import (
     build_next_neighbor_model,
     caldeira_leggett_form,
     collective_frequency,
+    collective_mapping,
     collective_sector_eigensystem,
     collective_sector_modes,
     damping_kernel,
@@ -376,11 +377,35 @@ def trapezoid_oracle(omega0_sq, gamma, h, f_over_m, v0):
     return x, v
 
 
-@pytest.mark.parametrize("path", ["kick", "forced", "decoupled"])
-def test_recursive_history_matches_direct_trapezoid(path):
+def accumulator_loop(omega0_sq, freqs, weights, h, n_points, f_over_m=None,
+                     v0=0.0):
+    """The stepper's scheme advanced one step per Python iteration, with
+    the history sum carried in one complex accumulator per line: O(T N)."""
+    n = int(n_points)
+    x = np.zeros(n)
+    v = np.zeros(n)
+    v[0] = v0
+    forces = np.zeros(n) if f_over_m is None else np.asarray(f_over_m, dtype=float)
+    g0 = float(np.sum(weights))
+    denom = 1.0 + 0.25 * h * h * g0
+    rot = np.exp(1j * h * np.asarray(freqs, dtype=float))
+    acc = 0.5 * v0 * rot  # trapezoid half-weight of the v_0 node
+    anf = 0.0
+    for i in range(n - 1):
+        fi = forces[i]
+        x[i + 1] = x[i] + h * v[i] + 0.5 * h * h * (anf + fi)
+        mem = h * float(np.dot(weights, acc.real))
+        atil = -omega0_sq * x[i + 1] - mem
+        v[i + 1] = (v[i] + 0.5 * h * (anf + atil) + h * fi) / denom
+        anf = atil - 0.5 * h * g0 * v[i + 1]
+        acc = (acc + v[i + 1]) * rot
+    return x, v
+
+
+def assert_matches_trapezoid(path, n_points):
     form = point_form(8, 0.0 if path == "decoupled" else 1.0)
     h = 0.02 / form.bath_freqs.max()
-    t = np.arange(2000) * h
+    t = np.arange(n_points) * h
     omega0_sq = collective_frequency(form).omega0_sq
     weights = _stepper_weights(form, omega0_sq)
     force = 0.3 * np.sin(0.9 * t) if path == "forced" else np.zeros_like(t)
@@ -389,5 +414,68 @@ def test_recursive_history_matches_direct_trapezoid(path):
                          force if path == "forced" else None, v0=v0)
     gamma = np.cos(np.multiply.outer(t, form.bath_freqs)) @ weights
     x_ref, v_ref = trapezoid_oracle(omega0_sq, gamma, h, force, v0)
+    assert x.shape == v.shape == (n_points,)
     assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
     assert np.abs(v - v_ref).max() <= 1e-12 * np.abs(v_ref).max()
+
+
+@pytest.mark.parametrize("path", ["kick", "forced", "decoupled"])
+def test_recursive_history_matches_direct_trapezoid(path):
+    assert_matches_trapezoid(path, 2000)
+
+
+@pytest.mark.parametrize("n_points", [1, 2, 64, 65, 131])
+@pytest.mark.parametrize("path", ["kick", "forced", "decoupled"])
+def test_recursive_history_matches_direct_trapezoid_at_block_edges(path, n_points):
+    # grids shorter than, equal to and one past a block of steps
+    assert_matches_trapezoid(path, n_points)
+
+
+@pytest.mark.parametrize("path", ["kick", "forced"])
+def test_blocked_stepper_matches_accumulator_loop_over_long_run(path):
+    # the memory-long shape: N=64 chain, 5e4 steps of h = 0.01
+    form = point_form(64, 0.5)
+    h = 0.01
+    t = np.arange(50001) * h
+    omega0_sq = collective_frequency(form).omega0_sq
+    weights = _stepper_weights(form, omega0_sq)
+    force = 0.3 * np.sin(0.9 * t) if path == "forced" else None
+    v0 = 0.0 if path == "forced" else 1.0
+    x, v = volterra_path(omega0_sq, form.bath_freqs, weights, h, t.size,
+                         force, v0=v0)
+    x_ref, v_ref = accumulator_loop(omega0_sq, form.bath_freqs, weights, h,
+                                    t.size, force, v0=v0)
+    assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+    assert np.abs(v - v_ref).max() <= 1e-12 * np.abs(v_ref).max()
+
+
+def direct_mode_sum(modes, p0, t):
+    """X(t) and Xdot(t) as one sin/cos per (time, mode) pair."""
+    w = modes.frequencies
+    c_sq = modes.x_coefficients**2
+    phase = np.multiply.outer(t, w)
+    free = w == 0.0
+    x = np.sin(phase) @ (c_sq / np.where(free, 1.0, w)) + t * c_sq[free].sum()
+    v = np.cos(phase) @ c_sq
+    return p0 / modes.mass * x, p0 / modes.mass * v
+
+
+@pytest.mark.parametrize("n, t_max, steps", [(64, 500.0, 50000),
+                                             (1024, 32.0, 3200)])
+def test_factorised_mode_sum_matches_direct_sum(n, t_max, steps):
+    _, modes = collective_mapping(build_next_neighbor_model(n, 1.0, 1.0, 0.5))
+    t = np.linspace(0.0, t_max, steps + 1)
+    traj = evolve_exact(modes, 1.5, t)
+    x_ref, v_ref = direct_mode_sum(modes, 1.5, t)
+    assert np.abs(traj.positions - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+    v = traj.momenta / modes.mass
+    assert np.abs(v - v_ref).max() <= 1e-12 * np.abs(v_ref).max()
+
+
+def test_evolve_exact_refuses_nonuniform_grid():
+    modes = collective_sector_modes(point_form(8, 1.0))
+    t = np.linspace(0.0, 10.0, 101)
+    with pytest.raises(ValueError, match="uniform"):
+        evolve_exact(modes, 1.0, t**2 / 10.0)
+    with pytest.raises(ValueError, match="start at 0"):
+        evolve_exact(modes, 1.0, t + 1.0)
