@@ -23,10 +23,7 @@ from .model import (
 )
 from .mapping import (
     CollectiveForm,
-    InteractionTransforms,
     QuantumModes,
-    UnstableBathError,
-    UnstableSectorError,
     caldeira_leggett_form,
     collective_mapping,
     collective_sector_eigensystem,

@@ -20,11 +20,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import mapping, spectra
-from .model import (
-    ModelValidationError,
-    build_general_model,
-    build_next_neighbor_model,
-)
+from .model import build_general_model, build_next_neighbor_model
 from .verify import run_checks
 
 EXIT_OK = 0
@@ -84,6 +80,8 @@ class Scenario:
             self.k_file = self._get("model", "k_file")
 
         self.p0 = self._get_float("dynamics", "p0", 1.0)
+        if self.p0 == 0:
+            raise ConfigError("[dynamics] p0 must be nonzero")
         self.t_max = self._get_float("dynamics", "t_max")
         self.steps = self._get_int("dynamics", "steps")
         if self.t_max <= 0 or self.steps < 2:
@@ -127,9 +125,12 @@ class Scenario:
     def _get_float(self, section, field, default=None):
         raw = self._get(section, field, None if default is None else str(default))
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {field} must be a number, got {raw!r}") from exc
+        if not np.isfinite(value):
+            raise ConfigError(f"[{section}] {field} must be finite, got {raw!r}")
+        return value
 
     def _get_int(self, section, field, default=None):
         raw = self._get(section, field, None if default is None else str(default))
@@ -360,8 +361,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ModelValidationError, mapping.UnstableBathError,
-            mapping.UnstableSectorError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

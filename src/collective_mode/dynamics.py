@@ -279,8 +279,6 @@ def fourier_solution(form: CollectiveForm, p0, omegas, epsilon):
 
     Returns the complex amplitude on the given frequency grid.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
     w = np.asarray(omegas, dtype=float)
     denom = omega0_squared(form) - w**2 - 1j * w * gamma_transform(form, w, epsilon)
     return p0 / (2.0 * np.pi * form.mass * denom)
@@ -335,10 +333,10 @@ def reconstruct_full_trajectory(form: CollectiveForm, sector, bath_transform,
     Takes the form, its sector eigensystem (frequencies, mode_matrix)
     from collective_sector_eigensystem, the orthogonal U that
     diagonalized its bath block and the chain phonons it was mapped
-    from.  The kick
-    excites only the antisymmetric sector; the symmetric sector stays
-    at rest.  Returns (times, z, zdot) with z = (x, xbar) of shape
-    (T, 2N).  Used to check energy conservation along the exact route.
+    from.  The kick excites only the antisymmetric sector; the
+    symmetric sector stays at rest.  Returns (times, z, zdot) with
+    z = (x, xbar) of shape (T, 2N).  Used to check energy conservation
+    along the exact route.
     """
     t = np.asarray(times, dtype=float)
     m = form.mass
@@ -353,18 +351,14 @@ def reconstruct_full_trajectory(form: CollectiveForm, sector, bath_transform,
     q[:, free] = np.outer(t, amp[free])
     qdot = np.cos(phase) * amp
 
-    d = q @ v_modes.T          # columns: (X, xi_1..xi_{N-1})
-    d_dot = qdot @ v_modes.T
-
-    # (X, xi) -> d (antisymmetric phonon coordinates): X is d_1 itself,
-    # the bath coordinates rotate back through U.
-    d[:, 1:] = d[:, 1:] @ bath_transform.T
-    d_dot[:, 1:] = d_dot[:, 1:] @ bath_transform.T
-
-    # d -> chain coordinates: c = d/sqrt(2), cbar = -d/sqrt(2); x = A^T c.
-    basis = phonons.basis
-    x = (d / np.sqrt(2.0)) @ basis
-    xd = (d_dot / np.sqrt(2.0)) @ basis
+    # One N x N map from the normal coordinates to the chain: q -> (X, xi)
+    # through the sector modes; X is the first antisymmetric phonon
+    # coordinate d_1 itself and the bath coordinates rotate back to d
+    # through U; then c = d/sqrt(2), cbar = -c and x = A^T c.
+    to_phonons = np.vstack([v_modes[:1], bath_transform @ v_modes[1:]])
+    to_chain = to_phonons.T @ (phonons.basis / np.sqrt(2.0))
+    x = q @ to_chain
+    xd = qdot @ to_chain
     return t, np.hstack([x, -x]), np.hstack([xd, -xd])
 
 

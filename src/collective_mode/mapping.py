@@ -19,34 +19,14 @@ import numpy as np
 from .model import (
     PhononSpectrum,
     SystemModel,
-    _fix_signs,
+    UnstableModelError,
     _freeze,
+    _psd_eigh,
     next_neighbor_frequencies,
     phonon_spectrum,
 )
 
-_TOL_PSD = 1e-10
 _SECULAR_MAX_ITER = 100
-
-
-class UnstableBathError(RuntimeError):
-    """Bath block has a negative mode: the model violates positivity."""
-
-
-class UnstableSectorError(RuntimeError):
-    """Collective sector has a negative mode."""
-
-
-@dataclass(frozen=True)
-class InteractionTransforms:
-    """Coupling matrices in the phonon basis.
-
-    k_tilde : antisymmetric-sector coupling (diagonal part + cross part)
-    k_bar   : symmetric-sector coupling (diagonal part - cross part)
-    """
-
-    k_tilde: np.ndarray
-    k_bar: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -87,14 +67,11 @@ class QuantumModes:
         _freeze(self, "frequencies", "x_coefficients")
 
 
-def interaction_in_phonon_basis(model: SystemModel,
-                                phonons: PhononSpectrum) -> InteractionTransforms:
-    """Transform the coupling into the phonon basis.
+def interaction_in_phonon_basis(model: SystemModel, phonons: PhononSpectrum):
+    """Coupling of the antisymmetric (relative) sector in the phonon
+    basis: Ktilde = A diag(khat) A^T + A K A^T.
 
-    With A the mode basis (rows are modes) and khat_i the row sums of K,
-    the two congruences are A diag(khat) A^T and A K A^T; their sum acts
-    on the antisymmetric (relative) sector, their difference on the
-    symmetric one.
+    A is the mode basis (rows are modes) and khat_i the row sums of K.
     """
     a = phonons.basis
     if a.shape[0] != model.n_particles:
@@ -105,11 +82,7 @@ def interaction_in_phonon_basis(model: SystemModel,
     k_alpha = (a * khat) @ a.T
     k_beta = a @ model.k_matrix @ a.T
     k_tilde = k_alpha + k_beta
-    k_bar = k_alpha - k_beta
-    return InteractionTransforms(
-        k_tilde=(k_tilde + k_tilde.T) / 2.0,
-        k_bar=(k_bar + k_bar.T) / 2.0,
-    )
+    return (k_tilde + k_tilde.T) / 2.0
 
 
 def caldeira_leggett_form(model: SystemModel, phonons: PhononSpectrum | None = None):
@@ -124,30 +97,19 @@ def caldeira_leggett_form(model: SystemModel, phonons: PhononSpectrum | None = N
     """
     if phonons is None:
         phonons = phonon_spectrum(model)
-    trans = interaction_in_phonon_basis(model, phonons)
+    k_tilde = interaction_in_phonon_basis(model, phonons)
     m = model.mass
 
-    omega_sq = phonons.frequencies**2
-    b = trans.k_tilde[1:, 1:] + np.diag(m * omega_sq[1:] / 2.0)
-    b = (b + b.T) / 2.0
-
-    evals, evecs = np.linalg.eigh(b)
-    scale = max(abs(evals[-1]), abs(evals[0]), 1e-300)
-    if evals[0] < -_TOL_PSD * scale:
-        raise UnstableBathError(
-            f"bath block has negative eigenvalue {evals[0]:.6e}; "
-            "the full potential is not positive semidefinite"
-        )
-    evals = np.clip(evals, 0.0, None)
+    b = k_tilde[1:, 1:] + np.diag(m * phonons.frequencies[1:] ** 2 / 2.0)
+    evals, u = _psd_eigh(b, "bath block")
     if (evals == 0.0).any():
-        raise UnstableBathError(
+        raise UnstableModelError(
             "bath block has a zero mode; bath frequencies must be positive"
         )
 
-    u = _fix_signs(evecs)
-    k_vec = trans.k_tilde[0, 1:].copy()
+    k_vec = k_tilde[0, 1:].copy()
     form = CollectiveForm(
-        k_tilde_11=float(trans.k_tilde[0, 0]),
+        k_tilde_11=float(k_tilde[0, 0]),
         bath_freqs=np.sqrt(2.0 * evals / m),
         couplings_l=u.T @ k_vec,
         coupling_k=k_vec,
@@ -331,13 +293,8 @@ def collective_sector_eigensystem(form: CollectiveForm):
     a zero mode (free collective coordinate, no direct stiffness) is
     kept as frequency 0.
     """
-    evals, evecs = np.linalg.eigh(collective_sector_matrix(form))
-    scale = max(abs(evals[-1]), abs(evals[0]), 1e-300)
-    if evals[0] < -_TOL_PSD * scale:
-        raise UnstableSectorError(
-            f"collective sector has negative mode {evals[0]:.6e}"
-        )
-    return np.sqrt(np.clip(evals, 0.0, None)), _fix_signs(evecs)
+    evals, modes = _psd_eigh(collective_sector_matrix(form), "collective sector")
+    return np.sqrt(evals), modes
 
 
 def collective_sector_modes(form: CollectiveForm) -> QuantumModes:
@@ -401,16 +358,14 @@ def collective_mapping(model: SystemModel):
     return form, collective_sector_modes(form)
 
 
-def symmetric_sector_frequencies(model: SystemModel, phonons: PhononSpectrum):
+def symmetric_sector_frequencies(model: SystemModel):
     """Frequencies of the symmetric (center-of-mass) sector.
 
     That sector never couples to X; its frequency-squared matrix is
-    omega_k^2 + (2/m) Kbar = (2/m) A (W + diag(khat) - K) A^T in the
-    basis A of the model's phonons, formed here by two products.  Used to
-    check that the mapped sectors reproduce the full 2N spectrum.
+    (2/m) (W + diag(khat) - K), whose eigenvalues no change of basis
+    alters.  Used to check that the mapped sectors reproduce the full
+    2N spectrum.
     """
-    a = phonons.basis
     block = model.w_matrix + np.diag(model.row_coupling_sums) - model.k_matrix
-    mat = (2.0 / model.mass) * (a @ block @ a.T)
-    evals = np.linalg.eigvalsh((mat + mat.T) / 2.0)
+    evals = np.linalg.eigvalsh((2.0 / model.mass) * block)
     return np.sqrt(np.clip(evals, 0.0, None))

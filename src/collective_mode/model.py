@@ -242,6 +242,27 @@ def _fix_signs(modes):
     return modes
 
 
+def _psd_eigh(mat, what):
+    """Eigenpairs of a block that must be positive semidefinite.
+
+    Symmetrizes ``mat`` and solves it; returns (eigenvalues ascending
+    and clipped at 0, modes as sign-fixed columns).  A failed solve or a
+    mode below -_TOL_PSD times the spectral scale raises
+    UnstableModelError naming the block ``what``.
+    """
+    try:
+        evals, evecs = np.linalg.eigh((mat + mat.T) / 2.0)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise UnstableModelError(f"{what} eigensolve failed: {exc}") from exc
+    scale = max(abs(evals[-1]), abs(evals[0]), 1e-300)
+    if evals[0] < -_TOL_PSD * scale:
+        raise UnstableModelError(
+            f"{what} has a negative mode ({evals[0]:.6e}); "
+            "the potential is not positive semidefinite"
+        )
+    return np.clip(evals, 0.0, None), _fix_signs(evecs)
+
+
 def phonon_spectrum(model: SystemModel) -> PhononSpectrum:
     """Diagonalize the chain: frequencies and the orthogonal mode basis.
 
@@ -265,19 +286,7 @@ def phonon_spectrum(model: SystemModel) -> PhononSpectrum:
         q[:, 0] = -q[:, 0]
     comp = q[:, 1:]
 
-    reduced = comp.T @ w @ comp
-    reduced = (reduced + reduced.T) / 2.0
-    try:
-        evals, evecs = np.linalg.eigh(reduced)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise UnstableModelError(f"phonon eigensolve failed: {exc}") from exc
-
-    scale = max(abs(evals[-1]), abs(evals[0]), 1e-300)
-    if evals[0] < -_TOL_PSD * scale:
-        raise UnstableModelError(
-            f"W has a negative mode ({evals[0]:.3e}); chain potential is indefinite"
-        )
-    evals = np.clip(evals, 0.0, None)
+    evals, evecs = _psd_eigh(comp.T @ w @ comp, "chain potential W")
 
     freqs = np.empty(n)
     freqs[0] = 0.0

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import OscillatorParams, gamma_transform, omega0_squared
 from .mapping import CollectiveForm, QuantumModes, interaction_in_phonon_basis
-from .model import SystemModel, phonon_spectrum
+from .model import SystemModel, _psd_eigh, phonon_spectrum
 
 __all__ = [
     "DeltaComb", "SpectrumTable",
@@ -88,20 +88,21 @@ def sigma_resolvent(model: SystemModel, omega, epsilon) -> float:
     Evaluates -(1 / 2 pi m w) Im (k, [w - sqrt(Wr^2 + (2/m) Kr) + i eps]^-1 k)
     through the eigendecomposition of the matrix square root.  For small
     epsilon this is the Lorentzian-broadened line spectrum (with the
-    1/w prefactor taken at the evaluation point).
+    1/w prefactor taken at the evaluation point).  Raises
+    UnstableModelError when the bath block has a negative mode.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if omega == 0:
         raise ValueError("omega = 0 is singular (1/omega prefactor)")
     phonons = phonon_spectrum(model)
-    trans = interaction_in_phonon_basis(model, phonons)
+    k_tilde = interaction_in_phonon_basis(model, phonons)
     m = model.mass
 
-    mat = np.diag(phonons.frequencies[1:] ** 2) + 2.0 / m * trans.k_tilde[1:, 1:]
-    evals, evecs = np.linalg.eigh((mat + mat.T) / 2.0)
-    roots = np.sqrt(np.clip(evals, 0.0, None))
-    k_vec = 2.0 * trans.k_tilde[0, 1:]   # equations-of-motion coupling
+    mat = np.diag(phonons.frequencies[1:] ** 2) + 2.0 / m * k_tilde[1:, 1:]
+    evals, evecs = _psd_eigh(mat, "bath block")
+    roots = np.sqrt(evals)
+    k_vec = 2.0 * k_tilde[0, 1:]   # equations-of-motion coupling
     proj = evecs.T @ k_vec
     resolvent = np.sum(proj**2 / (omega - roots + 1j * epsilon))
     return float(-resolvent.imag / (2.0 * np.pi * m * omega))
@@ -119,11 +120,11 @@ def sigma_phonon_approximation(model: SystemModel, kappa=None) -> DeltaComb:
     if kappa is None:
         kappa = float(model.k_matrix.mean())
     phonons = phonon_spectrum(model)
-    trans = interaction_in_phonon_basis(model, phonons)
+    k_tilde = interaction_in_phonon_basis(model, phonons)
     n = model.n_particles
     m = model.mass
     shifted = np.sqrt(phonons.frequencies[1:] ** 2 + 2.0 * n * kappa / m)
-    k_vec = 2.0 * trans.k_tilde[0, 1:]   # equations-of-motion coupling
+    k_vec = 2.0 * k_tilde[0, 1:]   # equations-of-motion coupling
     return DeltaComb(frequencies=shifted, weights=k_vec**2 / (2.0 * m * shifted))
 
 
@@ -308,8 +309,6 @@ def fdt_spectrum(form: CollectiveForm, omegas, epsilon) -> SpectrumTable:
     e^{+i w t} transform of the causal kernel (this is what makes the
     result a positive Lorentzian broadening).
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
     w = np.asarray(omegas, dtype=float)
     m = form.mass
     z = w + 1j * epsilon

@@ -94,7 +94,7 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
 
     try:
         form, bath_transform = mapping.caldeira_leggett_form(model, phonons)
-    except mapping.UnstableBathError as exc:
+    except model_mod.UnstableModelError as exc:
         checks.append(CheckResult(
             name="mapping.bath_stability", measured=None, tolerance=None,
             passed=False, detail=str(exc)))
@@ -135,7 +135,7 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
         checks.append(_skip("mapping.secular_cross_check", "not a point coupling"))
         checks.append(_skip("mapping.interlacing", "not a point coupling"))
 
-    sym = mapping.symmetric_sector_frequencies(model, phonons)
+    sym = mapping.symmetric_sector_frequencies(model)
     mapped_sq = np.sort(np.concatenate([modes.frequencies, sym]) ** 2)
     full_sq = 2.0 * eigs / m
     err = np.abs(mapped_sq - full_sq).max() / max(full_sq[-1], 1e-300)

@@ -145,6 +145,9 @@ def test_unparseable_value(tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("grid_points", "1"), ("grid_points", "0"), ("grid_points", "-5"),
     ("omega_max", "0"), ("omega_max", "-1"), ("epsilon", "-0.1"),
+    # non-finite numbers and a zero kick, [dynamics] keys included
+    ("t_max", "nan"), ("t_max", "inf"), ("p0", "nan"), ("p0", "0"),
+    ("omega_max", "inf"), ("epsilon", "inf"),
 ])
 def test_bad_spectra_value(tmp_path, capsys, key, value):
     cfg = tmp_path / "bad.ini"

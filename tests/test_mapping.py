@@ -6,8 +6,7 @@ import scipy.linalg
 
 from collective_mode import (
     SystemModel,
-    UnstableBathError,
-    UnstableSectorError,
+    UnstableModelError,
     build_general_model,
     build_next_neighbor_model,
     caldeira_leggett_form,
@@ -33,7 +32,7 @@ def dense_bath(model):
     """Dense form, its bath transform U and the bath block B it diagonalized."""
     ph = phonon_spectrum(model)
     form, u = caldeira_leggett_form(model, ph)
-    k_tilde = interaction_in_phonon_basis(model, ph).k_tilde
+    k_tilde = interaction_in_phonon_basis(model, ph)
     b = k_tilde[1:, 1:] + np.diag(model.mass * ph.frequencies[1:] ** 2 / 2.0)
     return form, u, b
 
@@ -42,27 +41,29 @@ def test_point_coupling_k_tilde_rank_one():
     # K~_nm = alpha a_n a_m with a the site-1 profile of the modes
     model = point_model(4, 1.0)
     ph = phonon_spectrum(model)
-    trans = interaction_in_phonon_basis(model, ph)
+    k_tilde = interaction_in_phonon_basis(model, ph)
     a = ph.basis[:, 0]
-    assert np.abs(trans.k_tilde - np.outer(a, a)).max() < 1e-12
-    assert trans.k_tilde[0, 0] == pytest.approx(0.25, abs=1e-13)
+    assert np.abs(k_tilde - np.outer(a, a)).max() < 1e-12
+    assert k_tilde[0, 0] == pytest.approx(0.25, abs=1e-13)
     # alpha/2 in each of the two congruences makes the symmetric part vanish
-    assert np.abs(trans.k_bar).max() < 1e-12
+    k_bar = ph.basis @ (np.diag(model.row_coupling_sums) - model.k_matrix) @ ph.basis.T
+    assert np.abs(k_bar).max() < 1e-12
 
 
 def test_zero_coupling_transforms_vanish():
     model = point_model(5, 0.0)
-    trans = interaction_in_phonon_basis(model, phonon_spectrum(model))
-    assert np.abs(trans.k_tilde).max() == 0.0
-    assert np.abs(trans.k_bar).max() == 0.0
+    ph = phonon_spectrum(model)
+    assert np.abs(interaction_in_phonon_basis(model, ph)).max() == 0.0
+    k_bar = ph.basis @ (np.diag(model.row_coupling_sums) - model.k_matrix) @ ph.basis.T
+    assert np.abs(k_bar).max() == 0.0
 
 
 def test_constant_coupling_single_entry():
     n, c = 6, 0.37
     w = build_next_neighbor_model(n, 1.0, 1.0, 0.0).w_matrix
     model = build_general_model(w, np.full((n, n), c), mass=1.0)
-    trans = interaction_in_phonon_basis(model, phonon_spectrum(model))
-    k_beta = (trans.k_tilde - trans.k_bar) / 2.0
+    a = phonon_spectrum(model).basis
+    k_beta = a @ model.k_matrix @ a.T
     assert k_beta[0, 0] == pytest.approx(c * n, rel=1e-12)
     off = k_beta.copy()
     off[0, 0] = 0.0
@@ -253,7 +254,7 @@ def test_spectrum_preservation():
         model = point_model(n, alpha)
         form = caldeira_leggett_form(model)[0]
         anti = collective_sector_modes(form).frequencies
-        sym = symmetric_sector_frequencies(model, phonon_spectrum(model))
+        sym = symmetric_sector_frequencies(model)
         mapped_sq = np.sort(np.concatenate([anti, sym]) ** 2)
         full_sq = 2.0 * scipy.linalg.eigvalsh(full_potential_matrix(model)) / model.mass
         scale = full_sq[-1]
@@ -325,7 +326,7 @@ def test_unstable_bath_rejected():
     k = np.zeros((2, 2))
     k[0, 0] = -2.0
     bad = SystemModel(2, 1.0, w, k)
-    with pytest.raises(UnstableBathError):
+    with pytest.raises(UnstableModelError, match="bath block"):
         caldeira_leggett_form(bad)[0]
 
 
@@ -333,7 +334,7 @@ def test_unstable_sector_rejected():
     # pulling the collective stiffness far negative breaks positivity of
     # the (X, bath) sector
     form = caldeira_leggett_form(point_model(4, 1.0))[0]
-    with pytest.raises(UnstableSectorError):
+    with pytest.raises(UnstableModelError, match="collective sector"):
         collective_sector_modes(shift_collective_potential(form, -10.0))
 
 

@@ -7,6 +7,8 @@ import scipy.linalg
 from collective_mode import (
     DeltaComb,
     SpectrumTable,
+    SystemModel,
+    UnstableModelError,
     build_general_model,
     build_next_neighbor_model,
     caldeira_leggett_form,
@@ -96,6 +98,16 @@ def test_sigma_resolvent_below_band():
 def test_sigma_resolvent_rejects_zero_frequency():
     with pytest.raises(ValueError):
         sigma_resolvent(point_model(4, 1.0), 0.0, 0.1)
+
+
+def test_sigma_resolvent_rejects_unstable_bath():
+    # the negative coupling of test_mapping's unstable bath (bypasses
+    # validation) gives the bath block a negative mode
+    w = build_next_neighbor_model(2, 1.0, 1.0, 0.0).w_matrix
+    k = np.zeros((2, 2))
+    k[0, 0] = -2.0
+    with pytest.raises(UnstableModelError, match="bath block"):
+        sigma_resolvent(SystemModel(2, 1.0, w, k), 1.0, 0.1)
 
 
 def test_sigma_phonon_approximation_small_fluctuations():
