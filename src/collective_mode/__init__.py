@@ -18,6 +18,7 @@ from .model import (
     next_neighbor_frequencies,
     phonon_spectrum,
     potential_energy,
+    sector_eigenvalues,
     standing_wave_basis,
     validate_model,
 )
@@ -33,7 +34,6 @@ from .mapping import (
     is_point_coupling,
     point_coupling_secular,
     shift_collective_potential,
-    symmetric_sector_frequencies,
 )
 from .dynamics import (
     OscillatorParams,

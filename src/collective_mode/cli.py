@@ -20,7 +20,8 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import mapping, spectra
-from .model import build_general_model, build_next_neighbor_model
+from .model import (ModelValidationError, build_general_model,
+                    build_next_neighbor_model)
 from .verify import run_checks
 
 EXIT_OK = 0
@@ -148,7 +149,10 @@ class Scenario:
                 raise ConfigError(f"[model] {exc}") from exc
         w = _load_matrix(self.w_file)
         k = _load_matrix(self.k_file)
-        return build_general_model(w, k, self.mass, self.hbar)
+        try:
+            return build_general_model(w, k, self.mass, self.hbar)
+        except ModelValidationError as exc:
+            raise ConfigError(f"[model] {exc}") from exc
 
 
 def load_scenario(path):

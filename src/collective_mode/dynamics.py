@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mapping import CollectiveForm, QuantumModes, collective_sector_modes
-from .model import PhononSpectrum, SystemModel, full_potential_matrix
+from .model import PhononSpectrum, SystemModel, _sector_blocks
 from ._kernels import BLOCK, volterra_path
 
 __all__ = [
@@ -363,8 +363,16 @@ def reconstruct_full_trajectory(form: CollectiveForm, sector, bath_transform,
 
 
 def total_energy(model: SystemModel, z, zdot):
-    """Total energy (kinetic + potential) along a full trajectory."""
-    q = full_potential_matrix(model)
+    """Total energy (kinetic + potential) along a full trajectory.
+
+    The potential is evaluated on the sector coordinates
+    (x +- xbar)/sqrt(2) through the two N x N sector blocks.
+    """
+    n = model.n_particles
+    x, xbar = z[..., :n], z[..., n:]
+    sym, anti = _sector_blocks(model.w_matrix, model.k_matrix)
+    s = (x + xbar) / np.sqrt(2.0)
+    a = (x - xbar) / np.sqrt(2.0)
     kinetic = 0.5 * model.mass * (zdot**2).sum(axis=-1)
-    potential = ((z @ q) * z).sum(axis=-1)
+    potential = ((s @ sym) * s).sum(axis=-1) + ((a @ anti) * a).sum(axis=-1)
     return kinetic + potential

@@ -120,29 +120,18 @@ def caldeira_leggett_form(model: SystemModel, phonons: PhononSpectrum | None = N
 
 
 def decoupling_indicator(model: SystemModel, phonons: PhononSpectrum):
-    """Coupling vector of X to the bath, by two routes, plus a flag.
+    """Coupling vector of X to the bath, plus a flag.
 
-    Route one projects the row sums khat onto the nonuniform phonon
-    modes (k_i = (2/sqrt(N)) sum_j khat_j A_{j,i+1}); route two forms
-    the first row of Ktilde = A diag(khat) A^T + A K A^T by two
-    matrix-vector products.  They agree identically for symmetric K;
-    both are computed and compared here as a safeguard.  The flag is
-    true when the coupling vanishes, i.e. when all khat_i are equal
-    (constant row sums give no damping).  Takes the model's phonons.
+    Forms the first row of Ktilde = A diag(khat) A^T + A K A^T by two
+    matrix-vector products; for symmetric K it equals the projection of
+    the row sums khat onto the nonuniform phonon modes,
+    k_i = (2/sqrt(N)) sum_j khat_j A_{j,i+1}.  The flag is true when the
+    coupling vanishes, i.e. when all khat_i are equal (constant row sums
+    give no damping).  Takes the model's phonons.
     """
     khat = model.row_coupling_sums
-    n = model.n_particles
     a = phonons.basis
-
-    k_closed = (2.0 / np.sqrt(n)) * (a[1:] @ khat)
     k_generic = (a[1:] * khat) @ a[0] + a[1:] @ (model.k_matrix @ a[0])
-    residual = np.abs(k_closed - k_generic).max()
-    tol = 1e-12 * max(np.abs(khat).max(), 1.0)
-    if residual > tol:  # pragma: no cover - identities verified in tests
-        raise AssertionError(
-            f"coupling-vector routes disagree by {residual:.3e}"
-        )
-
     khat_scale = np.abs(khat).max()
     decoupled = np.abs(k_generic).max() < 1e-12 * max(khat_scale, 1e-300)
     return k_generic, bool(decoupled)
@@ -357,15 +346,3 @@ def collective_mapping(model: SystemModel):
     form, _ = caldeira_leggett_form(model)
     return form, collective_sector_modes(form)
 
-
-def symmetric_sector_frequencies(model: SystemModel):
-    """Frequencies of the symmetric (center-of-mass) sector.
-
-    That sector never couples to X; its frequency-squared matrix is
-    (2/m) (W + diag(khat) - K), whose eigenvalues no change of basis
-    alters.  Used to check that the mapped sectors reproduce the full
-    2N spectrum.
-    """
-    block = model.w_matrix + np.diag(model.row_coupling_sums) - model.k_matrix
-    evals = np.linalg.eigvalsh((2.0 / model.mass) * block)
-    return np.sqrt(np.clip(evals, 0.0, None))

@@ -87,6 +87,29 @@ class PhononSpectrum:
         _freeze(self, "frequencies", "basis")
 
 
+def _sector_blocks(w, k):
+    """The two sector blocks of the full quadratic form, stacked (2, N, N).
+
+    For symmetric K the rotation s, a = (x +- xbar)/sqrt(2) splits
+    z^T Q z into s^T (W + diag(khat) - K) s + a^T (W + diag(khat) + K) a:
+    index 0 is the symmetric (center-of-mass) block, which never couples
+    to X, and index 1 the antisymmetric (relative) block, which holds X
+    and its bath.
+    """
+    block = w + np.diag(k.sum(axis=1))
+    return np.stack([block - k, block + k])
+
+
+def sector_eigenvalues(model: SystemModel):
+    """Eigenvalues of both sector blocks, (2, N) with each row ascending.
+
+    Row 0 is the symmetric and row 1 the antisymmetric block; together
+    they are the spectrum of the full 2N quadratic form, and 2/m times
+    them are the squared frequencies.
+    """
+    return np.linalg.eigvalsh(_sector_blocks(model.w_matrix, model.k_matrix))
+
+
 def validate_model(w_matrix, k_matrix, mass, hbar=1.0):
     """Check all structural invariants; return [(name, message), ...].
 
@@ -134,13 +157,11 @@ def validate_model(w_matrix, k_matrix, mass, hbar=1.0):
         )
 
     if not any(name in ("w_symmetry", "k_symmetry", "k_negative") for name, _ in violations):
-        # For symmetric K the rotation (x +- xbar)/sqrt(2) splits the full
-        # form into the sector blocks W + diag(khat) -+ K.  Finite entries
-        # can still overflow there, and LAPACK turns an inf or NaN into
-        # meaningless eigenvalues instead of an error.
+        # Finite entries can still overflow in the sector blocks, and
+        # LAPACK turns an inf or NaN into meaningless eigenvalues instead
+        # of an error.
         with np.errstate(over="ignore", invalid="ignore"):
-            block = w + np.diag(k.sum(axis=1))
-            sectors = np.stack([block - k, block + k])
+            sectors = _sector_blocks(w, k)
         if not (np.isfinite(sectors).all()
                 and np.isfinite(eigs := np.linalg.eigvalsh(sectors)).all()):
             violations.append(
@@ -297,24 +318,15 @@ def phonon_spectrum(model: SystemModel) -> PhononSpectrum:
     return PhononSpectrum(frequencies=freqs, basis=_fix_signs(basis.T).T)
 
 
-def _full_potential(w, k):
-    n = w.shape[0]
-    khat = k.sum(axis=1)
-    q = np.zeros((2 * n, 2 * n))
-    diag_block = w + np.diag(khat)
-    q[:n, :n] = diag_block
-    q[n:, n:] = diag_block
-    q[:n, n:] = -k
-    q[n:, :n] = -k.T
-    return q
-
-
 def full_potential_matrix(model: SystemModel):
     """Quadratic form Q of the total potential: V(z) = z^T Q z, z = (x, xbar).
 
-    Diagonal blocks W + diag(khat), off-diagonal blocks -K.
+    Diagonal blocks W + diag(khat), off-diagonal blocks -K.  The package
+    works with its sector blocks instead; Q is the unsplit reference.
     """
-    return _full_potential(model.w_matrix, model.k_matrix)
+    k = model.k_matrix
+    diag_block = model.w_matrix + np.diag(model.row_coupling_sums)
+    return np.block([[diag_block, -k], [-k.T, diag_block]])
 
 
 def potential_energy(model: SystemModel, x, xbar):

@@ -186,33 +186,25 @@ def smoothed_spectrum(comb: DeltaComb, epsilon, omegas) -> SpectrumTable:
 def ohmic_spectrum(params: OscillatorParams, omegas, hbar=1.0, mass=1.0) -> SpectrumTable:
     """Smoothed strength spectrum for a constant (memoryless) friction.
 
-    Evaluates (hbar / m pi) w g0 / ((W0^2 - w^2)^2 + (w g0)^2) for w > 0.
-    In the underdamped regime the equivalent two-Lorentzian form in
-    (omega_bar, gamma_bar) is evaluated as well and cross-checked; the
-    two are one algebraic identity apart.
+    Evaluates (hbar / m pi) w g0 / ((W0^2 - w^2)^2 + (w g0)^2) for w > 0;
+    in the underdamped regime through the algebraically equal
+    two-Lorentzian form in (omega_bar, gamma_bar).
     """
     w = np.asarray(omegas, dtype=float)
-    g0 = params.gamma0
-    w0_sq = params.omega0_sq
     pos = w > 0
+    wp = w[pos]
     values = np.zeros_like(w)
-    denom = (w0_sq - w[pos] ** 2) ** 2 + (w[pos] * g0) ** 2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        values[pos] = hbar / (mass * np.pi) * w[pos] * g0 / denom
-
     if params.regime == "underdamped":
         wb, gb = params.omega_bar, params.gamma_bar
         pref = hbar * gb / (2.0 * np.pi * mass * wb)
-        two_lorentz = pref * (
-            1.0 / ((w[pos] - wb) ** 2 + gb**2) - 1.0 / ((w[pos] + wb) ** 2 + gb**2)
+        values[pos] = pref * (
+            1.0 / ((wp - wb) ** 2 + gb**2) - 1.0 / ((wp + wb) ** 2 + gb**2)
         )
-        scale = max(np.abs(values[pos]).max(initial=0.0), 1e-300)
-        mismatch = np.abs(two_lorentz - values[pos]).max(initial=0.0)
-        if mismatch > 1e-10 * scale:  # pragma: no cover - algebraic identity
-            raise AssertionError(
-                f"two-Lorentzian form deviates by {mismatch:.3e} (relative to {scale:.3e})"
-            )
-        values[pos] = two_lorentz
+    else:
+        g0 = params.gamma0
+        denom = (params.omega0_sq - wp**2) ** 2 + (wp * g0) ** 2
+        with np.errstate(invalid="ignore", divide="ignore"):
+            values[pos] = hbar / (mass * np.pi) * wp * g0 / denom
     return SpectrumTable(omegas=w, values=values)
 
 

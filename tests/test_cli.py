@@ -177,6 +177,20 @@ def test_bad_model_value(tmp_path, capsys, command, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_asymmetric_coupling_file_is_config_error(tmp_path, capsys, command):
+    cfg = tmp_path / "bad.ini"
+    out = write_general_config(cfg, n=8)
+    k_file = cfg.with_suffix(".k.csv")
+    k = np.loadtxt(k_file, delimiter=",")
+    k[0, 1] = 0.1
+    np.savetxt(k_file, k, delimiter=",")
+    assert main([command, str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [model] invalid model: k_symmetry")
+    assert not out.exists()
+
+
 def count_calls(monkeypatch, targets):
     """Count calls to each (module, function) of the package.
 
@@ -204,7 +218,8 @@ def decomposition_counts(tmp_path, monkeypatch, command, write=write_config):
     counts = count_calls(monkeypatch, [
         ("model", "phonon_spectrum"), ("mapping", "caldeira_leggett_form"),
         ("mapping", "collective_sector_eigensystem"),
-        ("mapping", "interaction_in_phonon_basis")])
+        ("mapping", "interaction_in_phonon_basis"),
+        ("model", "full_potential_matrix")])
     cfg = tmp_path / "demo.ini"
     write(cfg, n=16, alpha=0.5, t_max=16.0, steps=1600)
     assert main([command, str(cfg), "--quiet"]) == 0
@@ -215,14 +230,14 @@ def decomposition_counts(tmp_path, monkeypatch, command, write=write_config):
     # a point-coupled chain maps by the secular route: no dense eigensolve
     ("run", {"phonon_spectrum": 0, "caldeira_leggett_form": 0,
              "collective_sector_eigensystem": 0,
-             "interaction_in_phonon_basis": 0}),
+             "interaction_in_phonon_basis": 0, "full_potential_matrix": 0}),
     # verify's phonons, shared by its dense form (which also returns U),
     # and one sector eigensystem, shared by its sector modes and the
-    # energy reconstruction; the symmetric sector forms its own
-    # congruence, so only the dense form transforms K
+    # energy reconstruction; the sector blocks are in the site basis, so
+    # only the dense form transforms K, and nothing forms the 2N matrix
     ("verify", {"phonon_spectrum": 1, "caldeira_leggett_form": 1,
                 "collective_sector_eigensystem": 1,
-                "interaction_in_phonon_basis": 1}),
+                "interaction_in_phonon_basis": 1, "full_potential_matrix": 0}),
 ])
 def test_each_decomposition_is_computed_once(tmp_path, monkeypatch, command, expected):
     assert decomposition_counts(tmp_path, monkeypatch, command) == expected
@@ -234,7 +249,24 @@ def test_general_model_run_maps_once_by_dense_route(tmp_path, monkeypatch):
                                   write_general_config)
     assert counts == {"phonon_spectrum": 1, "caldeira_leggett_form": 1,
                       "collective_sector_eigensystem": 1,
-                      "interaction_in_phonon_basis": 1}
+                      "interaction_in_phonon_basis": 1,
+                      "full_potential_matrix": 0}
+
+
+@pytest.mark.parametrize("write", [write_config, write_general_config])
+def test_verify_factorises_nothing_larger_than_n(tmp_path, monkeypatch, write):
+    # the full form splits into two N x N sector blocks, so no eigensolve
+    # or QR of verify sees the 2N-coordinate matrix
+    sizes = []
+    for name in ("eigvalsh", "eigh", "qr"):
+        def recorded(a, *args, _fn=getattr(np.linalg, name), **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    cfg = tmp_path / "demo.ini"
+    write(cfg, n=16, alpha=0.5, t_max=16.0, steps=1600)
+    assert main(["verify", str(cfg), "--quiet"]) == 0
+    assert sizes and max(sizes) <= 16
 
 
 @pytest.mark.parametrize("mass, omega0", [(1.0, 1.0), (2.0, 3.0)])
@@ -355,15 +387,21 @@ directory = {tmp_path / 'out'}
 
 def test_verify_coarse_step_fails_with_error_norm(tmp_path):
     # a step at the stability boundary over a long window accumulates
-    # enough phase error to break the volterra-vs-exact tolerance
-    cfg = tmp_path / "coarse.ini"
-    out = write_config(cfg, n=32, alpha=0.5, t_max=1600.0, steps=32000)
-    assert main(["verify", str(cfg), "--quiet"]) == 1
-    report = json.loads((out / "verification.json").read_text())
-    by_name = {c["name"]: c for c in report["checks"]}
-    entry = by_name["dynamics.volterra_vs_exact"]
-    assert not entry["passed"]
-    assert entry["measured"] > 1e-4
+    # enough phase error to break the volterra-vs-exact tolerance; the
+    # error is measured against |P0|, so a kick of either sign fails
+    measured = []
+    for p0 in (1.0, -1.0):
+        cfg = tmp_path / "coarse.ini"
+        out = write_config(cfg, n=32, alpha=0.5, t_max=1600.0, steps=32000)
+        cfg.write_text(cfg.read_text().replace("p0 = 1.0", f"p0 = {p0}"))
+        assert main(["verify", str(cfg), "--quiet"]) == 1
+        report = json.loads((out / "verification.json").read_text())
+        by_name = {c["name"]: c for c in report["checks"]}
+        entry = by_name["dynamics.volterra_vs_exact"]
+        assert not entry["passed"]
+        assert entry["measured"] > 1e-4
+        measured.append(entry["measured"])
+    assert measured[1] == pytest.approx(measured[0], rel=1e-12)
 
 
 def test_figure1_outputs(tmp_path):

@@ -282,6 +282,22 @@ def test_ohmic_spectrum_sum_rule_in_weak_damping_limit():
     assert integral == pytest.approx(0.5, rel=1e-2)
 
 
+@pytest.mark.parametrize("omega_bar, gamma_bar", [
+    (1.0, 0.1), (1.0, 1e-3), (0.3, 0.25), (2.0, 1.5)])
+def test_ohmic_two_lorentzian_form_matches_constant_friction_form(omega_bar, gamma_bar):
+    # the underdamped values come from the two-Lorentzian form; they are
+    # one algebraic identity away from (hbar / m pi) w g0 / ((W0^2 - w^2)^2 + (w g0)^2)
+    params = ohmic_params(omega_bar, gamma_bar)
+    hbar, mass = 0.7, 1.3
+    w = np.linspace(-1.0, 8.0, 9001)
+    values = ohmic_spectrum(params, w, hbar, mass).values
+    pos = w > 0
+    wp, g0 = w[pos], params.gamma0
+    general = hbar / (mass * np.pi) * wp * g0 / ((params.omega0_sq - wp**2) ** 2 + (wp * g0) ** 2)
+    assert np.abs(values[pos] - general).max() <= 1e-10 * general.max()
+    assert (values[~pos] == 0.0).all()
+
+
 # --------------------------------------------------------- convolutions
 
 def test_convolution_power_identity():
