@@ -32,7 +32,6 @@ from .mapping import (
     decoupling_indicator,
     interaction_in_phonon_basis,
     is_point_coupling,
-    point_coupling_secular,
     shift_collective_potential,
 )
 from .dynamics import (

@@ -76,8 +76,7 @@ def volterra_path(omega0_sq, freqs, weights, h, n_points, f_over_m=None,
     """Integrate xdd + omega0_sq x + int_0^t gamma(t-s) xd(s) ds = F/m
     from x(0) = 0, xd(0) = v0.
 
-    The kernel is gamma(t) = sum_k weights[k] cos(freqs[k] t); a kernel
-    whose weights are all zero skips the history sum.
+    The kernel is gamma(t) = sum_k weights[k] cos(freqs[k] t).
     n_points : grid length T, the initial point included
     f_over_m : optional (T,) force/mass samples, constant over each step
 
@@ -88,8 +87,6 @@ def volterra_path(omega0_sq, freqs, weights, h, n_points, f_over_m=None,
     blocks = -(-(n - 1) // b)
     weights = np.asarray(weights, dtype=float)
     hw = h * np.asarray(freqs, dtype=float)
-    if not np.any(weights):
-        weights, hw = weights[:0], hw[:0]
     rot = np.exp(1j * np.multiply.outer(np.arange(b + 1), hw))  # rot^0..rot^B
     transfer = _block_transfer(omega0_sq, rot[:b].real @ weights, h)
     # history e_1..e_B from the (Re C, Im C) pairs, folded into the map

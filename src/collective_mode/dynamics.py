@@ -18,7 +18,7 @@ from ._kernels import BLOCK, volterra_path
 __all__ = [
     "TrajectoryTable", "OscillatorParams",
     "damping_kernel", "gamma_transform", "omega0_squared",
-    "default_epsilon", "collective_frequency",
+    "mean_bath_spacing", "default_epsilon", "collective_frequency",
     "evolve_exact", "solve_volterra", "fourier_solution",
     "underdamped_closed_form", "linear_response",
     "reconstruct_full_trajectory", "total_energy",
@@ -147,7 +147,7 @@ def collective_frequency(form: CollectiveForm) -> OscillatorParams:
     omega_probe = np.sqrt(abs(omega0_sq))
     if epsilon > 0:
         gamma0 = float(gamma_transform(form, omega_probe, epsilon).real)
-    else:  # decoupled bath with a single zero-weight line
+    else:  # every bath line at one frequency: no spacing to smooth over
         gamma0 = 0.0
 
     if omega0_sq < 0:
@@ -203,6 +203,23 @@ def _mode_trajectory(modes, p0, h, n_points):
     return x + (scale * c_sq[free].sum() * h) * np.arange(n_points), v
 
 
+def _check_uniform_grid(grid, name):
+    """(grid, step) of a uniform, increasing grid from 0.
+
+    The start may miss 0 by round-off only: |grid[0]| <= 1e-9 step.
+    """
+    x = np.asarray(grid, dtype=float)
+    if x.size < 2:
+        raise ValueError(f"{name} grid needs at least two points")
+    steps = np.diff(x)
+    h = steps[0]
+    if not (h > 0 and np.allclose(steps, h, rtol=1e-9, atol=0.0)):
+        raise ValueError(f"{name} grid must be uniform and increasing")
+    if abs(x[0]) > 1e-9 * h:
+        raise ValueError(f"{name} grid must start at 0, got {x[0]}")
+    return x, float(h)
+
+
 def evolve_exact(modes: QuantumModes, p0, times) -> TrajectoryTable:
     """Exact collective trajectory after a momentum kick P0 at t = 0.
 
@@ -210,44 +227,16 @@ def evolve_exact(modes: QuantumModes, p0, times) -> TrajectoryTable:
     closed form on a uniform grid from 0; no time stepping, exact to
     machine precision.
     """
-    t, h = _check_uniform_grid(times)
+    t, h = _check_uniform_grid(times, "time")
     x, v = _mode_trajectory(modes, p0, h, t.size)
     return TrajectoryTable(times=t, positions=x, momenta=modes.mass * v)
-
-
-def _stepper_weights(form, omega0_sq):
-    """Line weights for the stepper, with a decoupled fast path.
-
-    A coupling that is zero up to round-off leaves a kernel of order
-    1e-30 whose dynamical effect is far below double precision; zeroing
-    it lets the stepper skip the history sum.  The weights are
-    nonnegative, so max |gamma| on a grid from 0 is their sum.
-    """
-    weights = _line_weights(form)
-    scale = max(abs(omega0_sq), form.bath_freqs.max() ** 2, 1e-300)
-    if weights.sum() < 1e-20 * scale:
-        return np.zeros_like(weights)
-    return weights
-
-
-def _check_uniform_grid(times):
-    t = np.asarray(times, dtype=float)
-    if t.size < 2:
-        raise ValueError("need at least two time samples")
-    if abs(t[0]) > 1e-12:
-        raise ValueError(f"time grid must start at 0, got {t[0]}")
-    steps = np.diff(t)
-    h = steps[0]
-    if not np.allclose(steps, h, rtol=1e-9, atol=0.0):
-        raise ValueError("time grid must be uniform")
-    return t, float(h)
 
 
 def _integrate(form, times, v0, f_over_m=None) -> TrajectoryTable:
     """Memory-kernel stepper from X = 0 with velocity v0 and optional
     force/mass samples on the grid, behind solve_volterra and
     linear_response: grid check, step guard, kernel weights."""
-    t, h = _check_uniform_grid(times)
+    t, h = _check_uniform_grid(times, "time")
     params_scale = max(
         form.bath_freqs.max(initial=0.0),
         np.sqrt(max(2.0 * form.k_tilde_11 / form.mass, 0.0)),
@@ -256,10 +245,8 @@ def _integrate(form, times, v0, f_over_m=None) -> TrajectoryTable:
         raise ValueError(
             f"time step {h:.6g} too large; need h <= {0.1 / params_scale:.6g}"
         )
-    omega0_sq = omega0_squared(form)
-    weights = _stepper_weights(form, omega0_sq)
-    x, v = volterra_path(omega0_sq, form.bath_freqs, weights, h, t.size,
-                         f_over_m, v0=v0)
+    x, v = volterra_path(omega0_squared(form), form.bath_freqs,
+                         _line_weights(form), h, t.size, f_over_m, v0=v0)
     return TrajectoryTable(times=t, positions=x, momenta=form.mass * v)
 
 

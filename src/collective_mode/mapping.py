@@ -216,37 +216,6 @@ def _first_site_weights(n):
     return v
 
 
-def _bath_modes(poles, v, alpha, mass):
-    """Bath frequencies and couplings from the secular equation over the
-    nonuniform chain poles; poles and v include mode 0."""
-    rho = 2.0 * alpha / mass
-    lam, s2 = _secular_roots(poles[1:], rho * v[1:])
-    # The coupling alpha a_0 sum_k a_k^2 / (lam - d_k) / sqrt(s2 / rho)
-    # reduces at a root, where the sum is 1 / rho, to m / (2 sqrt(N s2 / rho)).
-    return np.sqrt(lam), mass / (2.0 * np.sqrt(poles.size * s2 / rho))
-
-
-def point_coupling_secular(n_particles, omega0, alpha, mass=1.0):
-    """Bath frequencies and couplings of the point-coupled chain pair,
-    from the rank-one secular equation instead of a dense eigensolve.
-
-    The bath block is (m/2)(diag(d) + rho a a^T) over the nonuniform
-    chain modes, with d the squared chain frequencies, rho = 2 alpha / m
-    and a_k the first-site amplitude of mode k; its eigenvalues
-    (m/2) lam solve rho sum_k a_k^2 / (lam - d_k) = 1.  Returns
-    (bath_freqs, c) with bath_freqs ascending and c aligned.
-    """
-    n = int(n_particles)
-    if n < 2:
-        raise ValueError(f"need N >= 2, got {n}")
-    if alpha <= 0:
-        raise ValueError(f"secular path needs alpha > 0, got {alpha}")
-    if omega0 <= 0 or mass <= 0:
-        raise ValueError("omega0 and mass must be positive")
-    poles = next_neighbor_frequencies(n, omega0) ** 2
-    return _bath_modes(poles, _first_site_weights(n), alpha, mass)
-
-
 def is_point_coupling(model: SystemModel) -> bool:
     """True for a next-neighbor chain pair coupled only by K_11 > 0."""
     k = model.k_matrix
@@ -310,21 +279,27 @@ def _point_coupled_mapping(model: SystemModel):
     are the roots of its secular equation over all N poles.  X is phonon
     mode 0, so its weight in the mode at lam is
     (a_0 / lam)^2 / sum_k a_k^2 / (lam - d_k)^2 = rho a_0^2 / (lam^2 s2).
+    The bath block drops mode 0: (m/2)(diag(d) + rho a a^T) over the
+    nonuniform modes, whose eigenvalues (m/2) lam solve the same
+    equation over the poles k >= 1.
     """
     n, m = model.n_particles, model.mass
     alpha = 2.0 * float(model.k_matrix[0, 0])
+    rho = 2.0 * alpha / m
     poles = next_neighbor_frequencies(n, model.omega0) ** 2
     v = _first_site_weights(n)
-    bath_freqs, couplings_l = _bath_modes(poles, v, alpha, m)
+    pw = rho * v
+    lam, s2 = _secular_roots(poles[1:], pw[1:])
+    # The coupling alpha a_0 sum_k a_k^2 / (lam - d_k) / sqrt(s2 / rho)
+    # reduces at a root, where the sum is 1 / rho, to m / (2 sqrt(N s2 / rho)).
     form = CollectiveForm(
         k_tilde_11=alpha / n,
-        bath_freqs=bath_freqs,
-        couplings_l=couplings_l,
+        bath_freqs=np.sqrt(lam),
+        couplings_l=m / (2.0 * np.sqrt(n * s2 / rho)),
         coupling_k=alpha * np.sqrt(v[0] * v[1:]),
         mass=m,
         hbar=model.hbar,
     )
-    pw = (2.0 * alpha / m) * v
     lam, s2 = _secular_roots(poles, pw)
     modes = QuantumModes(
         frequencies=np.sqrt(lam),

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import OscillatorParams, gamma_transform, omega0_squared
+from .dynamics import (
+    OscillatorParams, _check_uniform_grid, gamma_transform, omega0_squared,
+)
 from .mapping import CollectiveForm, QuantumModes, interaction_in_phonon_basis
 from .model import SystemModel, _psd_eigh, phonon_spectrum
 
@@ -184,53 +186,35 @@ def smoothed_spectrum(comb: DeltaComb, epsilon, omegas) -> SpectrumTable:
 
 
 def ohmic_spectrum(params: OscillatorParams, omegas, hbar=1.0, mass=1.0) -> SpectrumTable:
-    """Smoothed strength spectrum for a constant (memoryless) friction.
+    """Smoothed strength spectrum for a constant (memoryless) friction:
+    (hbar / m pi) w g0 / ((W0^2 - w^2)^2 + (w g0)^2) for w > 0, 0 below.
 
-    Evaluates (hbar / m pi) w g0 / ((W0^2 - w^2)^2 + (w g0)^2) for w > 0;
-    in the underdamped regime through the algebraically equal
-    two-Lorentzian form in (omega_bar, gamma_bar).
+    In the underdamped regime this is the paper's pair of Lorentzians
+    in (omega_bar, gamma_bar); the product of their denominators is the
+    one above.
     """
     w = np.asarray(omegas, dtype=float)
     pos = w > 0
     wp = w[pos]
     values = np.zeros_like(w)
-    if params.regime == "underdamped":
-        wb, gb = params.omega_bar, params.gamma_bar
-        pref = hbar * gb / (2.0 * np.pi * mass * wb)
-        values[pos] = pref * (
-            1.0 / ((wp - wb) ** 2 + gb**2) - 1.0 / ((wp + wb) ** 2 + gb**2)
-        )
-    else:
-        g0 = params.gamma0
-        denom = (params.omega0_sq - wp**2) ** 2 + (wp * g0) ** 2
-        with np.errstate(invalid="ignore", divide="ignore"):
-            values[pos] = hbar / (mass * np.pi) * wp * g0 / denom
+    g0 = params.gamma0
+    denom = (params.omega0_sq - wp**2) ** 2 + (wp * g0) ** 2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        values[pos] = hbar / (mass * np.pi) * wp * g0 / denom
     return SpectrumTable(omegas=w, values=values)
-
-
-def _check_uniform_from_zero(omegas):
-    w = np.asarray(omegas, dtype=float)
-    if w.size < 2:
-        raise ValueError("need at least two grid points")
-    steps = np.diff(w)
-    h = steps[0]
-    if not np.allclose(steps, h, rtol=1e-9, atol=0.0):
-        raise ValueError("frequency grid must be uniform")
-    if abs(w[0]) > 1e-9 * h:
-        raise ValueError(f"frequency grid must start at 0, got {w[0]}")
-    return w, float(h)
 
 
 def convolution_power_spectrum(base: SpectrumTable, n: int) -> SpectrumTable:
     """n-fold self-convolution of a spectrum, scaled by n!.
 
     The factorial counts the fully crossed pairings of n identical
-    factors (2 for n = 2).  Direct quadrature on the uniform grid; the
-    grid must start at 0 and carry essentially all the spectral mass.
+    factors (2 for n = 2).  The convolution is observable_spectrum's
+    n-fold term; the grid must start at 0 and carry essentially all the
+    spectral mass.
     """
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
-    w, h = _check_uniform_from_zero(base.omegas)
+    w, h = _check_uniform_grid(base.omegas, "frequency")
     values = base.values
     if n == 1:
         return SpectrumTable(omegas=w, values=values.copy())
@@ -258,10 +242,8 @@ def convolution_power_spectrum(base: SpectrumTable, n: int) -> SpectrumTable:
             stacklevel=2,
         )
 
-    out = values.copy()
-    for _ in range(n - 1):
-        out = np.convolve(out, values)[: w.size] * h
-    return SpectrumTable(omegas=w, values=math.factorial(n) * out)
+    out = observable_spectrum(base, {n: 1.0})
+    return SpectrumTable(omegas=w, values=math.factorial(n) * out.values)
 
 
 def observable_spectrum(base: SpectrumTable, coefficients) -> SpectrumTable:
@@ -273,7 +255,7 @@ def observable_spectrum(base: SpectrumTable, coefficients) -> SpectrumTable:
     the beta_n).  The n = 0 term is a static offset with no transition
     content and is rejected.
     """
-    w, h = _check_uniform_from_zero(base.omegas)
+    w, h = _check_uniform_grid(base.omegas, "frequency")
     out = np.zeros_like(base.values)
     items = sorted(coefficients.items())
     if any(n < 1 for n, _ in items):

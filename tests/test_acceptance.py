@@ -16,6 +16,7 @@ from collective_mode import (
     build_next_neighbor_model,
     caldeira_leggett_form,
     collective_frequency,
+    collective_mapping,
     collective_sector_modes,
     convolution_power_spectrum,
     correlator_S,
@@ -23,10 +24,10 @@ from collective_mode import (
     evolve_exact,
     fdt_spectrum,
     full_potential_matrix,
+    is_point_coupling,
     mean_bath_spacing,
     ohmic_spectrum,
     phonon_spectrum,
-    point_coupling_secular,
     sector_eigenvalues,
     shift_collective_potential,
     smoothed_spectrum,
@@ -114,7 +115,9 @@ def test_criterion_4_secular_cross_check():
         for alpha in (0.1, 1.0, 10.0):
             model = build_next_neighbor_model(n, 1.0, 1.0, alpha)
             form = caldeira_leggett_form(model)[0]
-            freqs, c_n = point_coupling_secular(n, 1.0, alpha, 1.0)
+            assert is_point_coupling(model)  # the secular route
+            secular = collective_mapping(model)[0]
+            freqs, c_n = secular.bath_freqs, secular.couplings_l
             err = max(
                 np.abs(freqs - form.bath_freqs).max(),
                 np.abs(np.abs(c_n) - np.abs(form.couplings_l)).max(),

@@ -311,6 +311,19 @@ def test_runtime_loads_no_scipy(tmp_path):
     assert result.stdout.strip() == "[]"
 
 
+def test_benchmark_import_probe_reports_backend():
+    # perfbench/child.py --import-only times the package import and reads
+    # collective_mode.BACKEND_NAME into the host facts of every benchmark run
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "perfbench/child.py", "--import-only"],
+        capture_output=True, text=True, cwd=root,
+        env={**os.environ, "PYTHONPATH": "src"})
+    assert result.returncode == 0, result.stderr
+    record = json.loads(result.stdout.strip().splitlines()[-1])
+    assert record["host"]["backend"]
+
+
 def test_too_large_step_is_numerical_failure(tmp_path, capsys):
     cfg = tmp_path / "coarse.ini"
     write_config(cfg, n=16, alpha=0.5, t_max=100.0, steps=100)  # h = 1.0

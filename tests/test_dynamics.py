@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from collective_mode import (
+    CollectiveForm,
     build_general_model,
     build_next_neighbor_model,
     caldeira_leggett_form,
@@ -22,7 +23,7 @@ from collective_mode import (
     underdamped_closed_form,
 )
 from collective_mode._kernels import volterra_path
-from collective_mode.dynamics import _stepper_weights
+from collective_mode.dynamics import _line_weights
 
 
 def point_form(n, alpha):
@@ -105,6 +106,19 @@ def test_collective_frequency_decoupled():
     params = collective_frequency(form)
     assert params.omega0_sq == pytest.approx(2.0 * form.k_tilde_11, rel=1e-13)
     assert params.gamma0 < 1e-25
+    assert params.regime == "underdamped"
+
+
+def test_collective_frequency_equal_bath_lines():
+    # lines at one frequency have no mean spacing, so there is no
+    # smoothing width to read the friction at: gamma0 is 0
+    couplings = np.array([0.1, 0.2, 0.3])
+    form = CollectiveForm(k_tilde_11=2.0, bath_freqs=np.full(3, 1.5),
+                          couplings_l=couplings, coupling_k=couplings,
+                          mass=1.0, hbar=1.0)
+    params = collective_frequency(form)
+    assert params.gamma0 == 0.0
+    assert params.omega0_sq == pytest.approx(4.0 - 0.56 / 2.25, rel=1e-13)
     assert params.regime == "underdamped"
 
 
@@ -407,7 +421,7 @@ def assert_matches_trapezoid(path, n_points):
     h = 0.02 / form.bath_freqs.max()
     t = np.arange(n_points) * h
     omega0_sq = collective_frequency(form).omega0_sq
-    weights = _stepper_weights(form, omega0_sq)
+    weights = _line_weights(form)
     force = 0.3 * np.sin(0.9 * t) if path == "forced" else np.zeros_like(t)
     v0 = 0.0 if path == "forced" else 1.0
     x, v = volterra_path(omega0_sq, form.bath_freqs, weights, h, t.size,
@@ -438,7 +452,7 @@ def test_blocked_stepper_matches_accumulator_loop_over_long_run(path):
     h = 0.01
     t = np.arange(50001) * h
     omega0_sq = collective_frequency(form).omega0_sq
-    weights = _stepper_weights(form, omega0_sq)
+    weights = _line_weights(form)
     force = 0.3 * np.sin(0.9 * t) if path == "forced" else None
     v0 = 0.0 if path == "forced" else 1.0
     x, v = volterra_path(omega0_sq, form.bath_freqs, weights, h, t.size,
@@ -447,6 +461,26 @@ def test_blocked_stepper_matches_accumulator_loop_over_long_run(path):
                                     t.size, force, v0=v0)
     assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
     assert np.abs(v - v_ref).max() <= 1e-12 * np.abs(v_ref).max()
+
+
+@pytest.mark.parametrize("path", ["kick", "forced"])
+def test_round_off_weights_match_zero_weights(path):
+    # a coupling that is zero up to round-off leaves line weights of
+    # order 1e-30; the history sum over them must leave the path of the
+    # decoupled oscillator in place
+    form = point_form(8, 1.0)
+    h = 0.02 / form.bath_freqs.max()
+    t = np.arange(2000) * h
+    omega0_sq = collective_frequency(form).omega0_sq
+    weights = _line_weights(form)
+    force = 0.3 * np.sin(0.9 * t) if path == "forced" else None
+    v0 = 0.0 if path == "forced" else 1.0
+    x, v = volterra_path(omega0_sq, form.bath_freqs, 1e-30 * weights, h,
+                         t.size, force, v0=v0)
+    x_ref, v_ref = volterra_path(omega0_sq, form.bath_freqs, 0.0 * weights,
+                                 h, t.size, force, v0=v0)
+    assert np.abs(x - x_ref).max() <= 1e-14 * np.abs(x_ref).max()
+    assert np.abs(v - v_ref).max() <= 1e-14 * np.abs(v_ref).max()
 
 
 def direct_mode_sum(modes, p0, t):

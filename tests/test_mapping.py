@@ -18,7 +18,6 @@ from collective_mode import (
     interaction_in_phonon_basis,
     is_point_coupling,
     phonon_spectrum,
-    point_coupling_secular,
     sector_eigenvalues,
     shift_collective_potential,
 )
@@ -26,6 +25,14 @@ from collective_mode import (
 
 def point_model(n, alpha, mass=1.0, omega0=1.0):
     return build_next_neighbor_model(n, mass, omega0, alpha)
+
+
+def secular_bath(n, alpha):
+    """Bath frequencies and couplings from the O(N^2) secular route."""
+    model = point_model(n, alpha)
+    assert is_point_coupling(model)
+    form = collective_mapping(model)[0]
+    return form.bath_freqs, form.couplings_l
 
 
 def dense_bath(model):
@@ -132,21 +139,21 @@ def test_point_coupling_not_decoupled():
 
 
 def test_secular_n2_hand_value():
-    freqs, c = point_coupling_secular(2, 1.0, 1.0, 1.0)
+    freqs, c = secular_bath(2, 1.0)
     assert freqs[0] ** 2 == pytest.approx(3.0, rel=1e-12)
     assert abs(c[0]) == pytest.approx(0.5, rel=1e-10)
 
 
 def test_secular_roots_collapse_for_small_alpha():
     n = 8
-    freqs, _ = point_coupling_secular(n, 1.0, 1e-10, 1.0)
+    freqs, _ = secular_bath(n, 1e-10)
     ph = phonon_spectrum(point_model(n, 0.0))
     assert np.allclose(freqs, ph.frequencies[1:], atol=1e-8)
 
 
 def test_secular_interlacing():
     n, alpha = 8, 0.5
-    freqs, _ = point_coupling_secular(n, 1.0, alpha, 1.0)
+    freqs, _ = secular_bath(n, alpha)
     chain = phonon_spectrum(point_model(n, 0.0)).frequencies
     for j in range(n - 2):
         assert chain[j + 1] < freqs[j] < chain[j + 2]
@@ -159,7 +166,7 @@ def test_secular_matches_generic_pipeline():
         for alpha in (0.1, 1.0, 10.0):
             model = point_model(n, alpha)
             form = caldeira_leggett_form(model)[0]
-            freqs, c = point_coupling_secular(n, 1.0, alpha, 1.0)
+            freqs, c = secular_bath(n, alpha)
             assert np.abs(freqs - form.bath_freqs).max() < 1e-12
             assert np.abs(np.abs(c) - np.abs(form.couplings_l)).max() < 1e-12
 
@@ -205,13 +212,6 @@ def test_dense_route_for_other_models():
         assert np.array_equal(form.bath_freqs, dense.bath_freqs)
         assert np.array_equal(modes.frequencies,
                               collective_sector_modes(dense).frequencies)
-
-
-def test_secular_rejects_bad_input():
-    with pytest.raises(ValueError):
-        point_coupling_secular(8, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        point_coupling_secular(1, 1.0, 1.0, 1.0)
 
 
 def test_sector_modes_n2_hand_values():

@@ -19,8 +19,8 @@ from collective_mode import (
     decoupling_indicator,
     evolve_exact,
     full_potential_matrix,
+    is_point_coupling,
     phonon_spectrum,
-    point_coupling_secular,
     sector_eigenvalues,
     solve_volterra,
     strength_comb,
@@ -116,9 +116,10 @@ def test_secular_extreme_couplings():
     for n in (4, 32, 128, 1024):
         chain_sq = (2.0 * np.sin(np.pi * np.arange(n) / (2 * n))) ** 2
         for alpha in (1e-6, 1e-2, 1e2, 1e6):
-            freqs, c = point_coupling_secular(n, 1.0, alpha, 1.0)
-            modes = collective_mapping(
-                build_next_neighbor_model(n, 1.0, 1.0, alpha))[1]
+            model = build_next_neighbor_model(n, 1.0, 1.0, alpha)
+            assert is_point_coupling(model)  # the secular route
+            form, modes = collective_mapping(model)
+            freqs, c = form.bath_freqs, form.couplings_l
             c_sq = modes.x_coefficients**2
             assert np.isfinite(modes.frequencies).all()
             assert np.isfinite(c_sq).all()
@@ -137,6 +138,8 @@ def test_secular_extreme_couplings():
 def test_secular_matches_generic_at_n128():
     model = build_next_neighbor_model(128, 1.0, 1.0, 2.0)
     form = caldeira_leggett_form(model)[0]
-    freqs, c = point_coupling_secular(128, 1.0, 2.0, 1.0)
+    assert is_point_coupling(model)  # the secular route
+    secular = collective_mapping(model)[0]
+    freqs, c = secular.bath_freqs, secular.couplings_l
     assert np.abs(freqs - form.bath_freqs).max() < 1e-8
     assert np.abs(np.abs(c) - np.abs(form.couplings_l)).max() < 1e-8

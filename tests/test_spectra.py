@@ -285,16 +285,18 @@ def test_ohmic_spectrum_sum_rule_in_weak_damping_limit():
 @pytest.mark.parametrize("omega_bar, gamma_bar", [
     (1.0, 0.1), (1.0, 1e-3), (0.3, 0.25), (2.0, 1.5)])
 def test_ohmic_two_lorentzian_form_matches_constant_friction_form(omega_bar, gamma_bar):
-    # the underdamped values come from the two-Lorentzian form; they are
-    # one algebraic identity away from (hbar / m pi) w g0 / ((W0^2 - w^2)^2 + (w g0)^2)
+    # oracle: the paper's underdamped form, two Lorentzians in
+    # (omega_bar, gamma_bar); the product of their denominators is
+    # (W0^2 - w^2)^2 + (w g0)^2, the one ohmic_spectrum evaluates
     params = ohmic_params(omega_bar, gamma_bar)
     hbar, mass = 0.7, 1.3
     w = np.linspace(-1.0, 8.0, 9001)
     values = ohmic_spectrum(params, w, hbar, mass).values
     pos = w > 0
-    wp, g0 = w[pos], params.gamma0
-    general = hbar / (mass * np.pi) * wp * g0 / ((params.omega0_sq - wp**2) ** 2 + (wp * g0) ** 2)
-    assert np.abs(values[pos] - general).max() <= 1e-10 * general.max()
+    wp, wb, gb = w[pos], params.omega_bar, params.gamma_bar
+    two_lorentzian = hbar * gb / (2.0 * np.pi * mass * wb) * (
+        1.0 / ((wp - wb) ** 2 + gb**2) - 1.0 / ((wp + wb) ** 2 + gb**2))
+    assert np.abs(values[pos] - two_lorentzian).max() <= 1e-10 * two_lorentzian.max()
     assert (values[~pos] == 0.0).all()
 
 
@@ -391,6 +393,14 @@ def test_convolution_power_requires_grid_from_zero():
     base = SpectrumTable(omegas=w, values=np.exp(-w))
     with pytest.raises(ValueError, match="start at 0"):
         convolution_power_spectrum(base, 2)
+
+
+def test_spectrum_grid_must_increase():
+    # a constant or descending grid has no positive step to integrate with
+    for w in (np.zeros(5), -np.linspace(0.0, 4.0, 1000)):
+        base = SpectrumTable(omegas=w, values=np.exp(-np.abs(w)))
+        with pytest.raises(ValueError, match="uniform and increasing"):
+            observable_spectrum(base, {2: 1.0})
 
 
 def test_observable_spectrum_combines_powers():
