@@ -12,6 +12,7 @@ digits so reruns are byte-identical.
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -42,10 +43,20 @@ def write_table(path, header, columns):
         fh.write((row * len(table)) % tuple(table.ravel().tolist()))
 
 
-def write_table_json(path, header, columns):
-    payload = {name: [float(v) for v in col] for name, col in zip(header, columns)}
+def _strict(value):
+    """value with every non-finite float, nested or not, replaced by None."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_strict(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def write_json(path, payload):
+    """Write payload as strict JSON (sorted keys, indent 1, trailing
+    newline); NaN and infinities, which JSON cannot hold, become null."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+        json.dump(_strict(payload), fh, sort_keys=True, indent=1, allow_nan=False)
         fh.write("\n")
 
 
@@ -207,7 +218,7 @@ def run_scenario(scenario, quiet=False):
     t = np.linspace(0.0, scenario.t_max, scenario.steps + 1)
     exact = dyn.evolve_exact(modes, scenario.p0, t)
     volt = dyn.solve_volterra(form, scenario.p0, t)
-    if params.regime in ("underdamped", "critical"):
+    if params.regime != "overdamped":
         closed = dyn.underdamped_closed_form(params, scenario.p0, t, form.mass)
         closed_vals = closed.positions
     else:
@@ -234,7 +245,7 @@ def run_scenario(scenario, quiet=False):
                 np.abs(volt.positions - exact.positions).max()),
         },
     }
-    if params.regime in ("underdamped", "critical"):
+    if params.regime != "overdamped":
         summary["cross_route_error"]["closed_form_vs_exact_linf"] = float(
             np.abs(closed_vals - exact.positions).max())
 
@@ -260,16 +271,16 @@ def run_scenario(scenario, quiet=False):
         }
         summary["cross_route_error"]["fdt_vs_smoothed_linf_rel"] = fdt_gap
         summary["cross_route_error"]["fdt_vs_smoothed_in_window"] = (
-            spectra.fdt_comparison_in_window(eps, params.omega0_sq))
+            spectra.fdt_comparison_in_window(eps, params))
 
     for name, (header, columns) in tables.items():
         if "csv" in scenario.formats:
             write_table(out / f"{name}.csv", header, columns)
         if "json" in scenario.formats:
-            write_table_json(out / f"{name}.json", header, columns)
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+            write_json(out / f"{name}.json",
+                       {h: np.asarray(c, dtype=float).tolist()
+                        for h, c in zip(header, columns)})
+    write_json(out / "summary.json", summary)
 
     if not quiet:
         print(f"wrote {', '.join(sorted(tables))} + summary.json to {out}")
@@ -289,9 +300,7 @@ def run_verify(scenario, quiet=False):
         "checks": [c.to_json() for c in checks],
         "all_passed": all(c.passed for c in checks),
     }
-    with open(out / "verification.json", "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(out / "verification.json", report)
     if not quiet:
         for c in checks:
             status = "PASS" if c.passed else "FAIL"
@@ -303,14 +312,9 @@ def run_verify(scenario, quiet=False):
 def run_figure1(outdir, quiet=False):
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    from .dynamics import OscillatorParams
-
     omega_bar, gamma_bar = 1.0, 0.1
     gamma0 = 2.0 * gamma_bar
-    params = OscillatorParams(
-        omega0_sq=omega_bar**2 + gamma0**2 / 4.0,
-        gamma0=gamma0, omega_bar=omega_bar, gamma_bar=gamma_bar,
-        regime="underdamped")
+    params = dyn.OscillatorParams(omega_bar**2 + gamma0**2 / 4.0, gamma0)
     w = np.linspace(0.0, 4.0, 2000)
     s = spectra.ohmic_spectrum(params, w, 1.0, 1.0)
     with warnings.catch_warnings():

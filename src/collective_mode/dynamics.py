@@ -54,6 +54,9 @@ class TrajectoryTable:
             object.__setattr__(self, "momenta", p)
 
 
+_REGIME_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class OscillatorParams:
     """Damped-oscillator parameters of the collective mode.
@@ -62,17 +65,45 @@ class OscillatorParams:
                 kernel-at-zero renormalization); may be <= 0 for an
                 unstable choice of collective coordinate
     gamma0    : friction coefficient from the flat-kernel fit
-    omega_bar : reduced frequency sqrt(omega0_sq - gamma0^2/4); NaN
-                outside the underdamped/critical regimes
-    gamma_bar : gamma0 / 2
-    regime    : "underdamped" | "overdamped" | "critical"
+
+    The frequency W0, the half-width gamma_bar, the regime and the
+    reduced frequency omega_bar follow from these two.
     """
 
     omega0_sq: float
     gamma0: float
-    omega_bar: float
-    gamma_bar: float
-    regime: str
+
+    @property
+    def omega0(self) -> float:
+        """W0 = sqrt(omega0_sq), and 0 when omega0_sq < 0."""
+        return float(np.sqrt(max(self.omega0_sq, 0.0)))
+
+    @property
+    def gamma_bar(self) -> float:
+        return self.gamma0 / 2.0
+
+    @property
+    def regime(self) -> str:
+        """Overdamped for a negative omega0_sq; critical when W0 and
+        gamma_bar agree to a relative 1e-12, or both are zero (the free
+        coordinate, whose critical closed form is ballistic motion);
+        otherwise underdamped if W0 > gamma_bar, else overdamped."""
+        if self.omega0_sq < 0:
+            return "overdamped"
+        w0, gb = self.omega0, self.gamma_bar
+        scale = max(w0, gb)
+        if scale == 0.0 or abs(w0 - gb) <= _REGIME_TOL * scale:
+            return "critical"
+        return "underdamped" if w0 > gb else "overdamped"
+
+    @property
+    def omega_bar(self) -> float:
+        """sqrt(omega0_sq - gamma0^2/4): 0 when critical, NaN when overdamped."""
+        regime = self.regime
+        if regime == "critical":
+            return 0.0
+        disc = self.omega0_sq - self.gamma0**2 / 4.0
+        return float(np.sqrt(disc)) if regime == "underdamped" and disc >= 0 else float("nan")
 
 
 def _line_weights(form: CollectiveForm):
@@ -130,51 +161,21 @@ def default_epsilon(form: CollectiveForm) -> float:
     return 5.0 * mean_bath_spacing(form)
 
 
-_REGIME_TOL = 1e-12
-
-
 def collective_frequency(form: CollectiveForm) -> OscillatorParams:
     """Collective frequency and friction of the damped-oscillator picture.
 
     omega0_sq = 2 Ktilde_11 / m - gamma(0).  The friction gamma0 is read
     off as Re of the regularized kernel transform at resonance, at the
-    default smoothing width.  A nonpositive omega0_sq is flagged as
-    overdamped (the params are still returned).
+    default smoothing width.  The params are returned for every
+    omega0_sq; a negative one reads as the overdamped regime.
     """
     omega0_sq = omega0_squared(form)
     epsilon = default_epsilon(form)
-
-    omega_probe = np.sqrt(abs(omega0_sq))
     if epsilon > 0:
-        gamma0 = float(gamma_transform(form, omega_probe, epsilon).real)
+        gamma0 = float(gamma_transform(form, np.sqrt(abs(omega0_sq)), epsilon).real)
     else:  # every bath line at one frequency: no spacing to smooth over
         gamma0 = 0.0
-
-    if omega0_sq < 0:
-        regime = "overdamped"
-    else:
-        omega0 = np.sqrt(omega0_sq)
-        scale = max(omega0, gamma0 / 2.0)
-        if scale == 0.0 or abs(omega0 - gamma0 / 2.0) <= _REGIME_TOL * scale:
-            # includes the free coordinate (both rates zero): the
-            # critical closed form degenerates to ballistic motion
-            regime = "critical"
-        elif omega0 > gamma0 / 2.0:
-            regime = "underdamped"
-        else:
-            regime = "overdamped"
-
-    disc = omega0_sq - gamma0**2 / 4.0
-    omega_bar = np.sqrt(disc) if regime in ("underdamped", "critical") and disc >= 0 else float("nan")
-    if regime == "critical":
-        omega_bar = 0.0
-    return OscillatorParams(
-        omega0_sq=float(omega0_sq),
-        gamma0=gamma0,
-        omega_bar=float(omega_bar),
-        gamma_bar=gamma0 / 2.0,
-        regime=regime,
-    )
+    return OscillatorParams(omega0_sq=float(omega0_sq), gamma0=gamma0)
 
 
 def _mode_trajectory(modes, p0, h, n_points):
@@ -321,8 +322,8 @@ def reconstruct_full_trajectory(form: CollectiveForm, sector, bath_transform,
     from collective_sector_eigensystem, the orthogonal U that
     diagonalized its bath block and the chain phonons it was mapped
     from.  The kick excites only the antisymmetric sector; the
-    symmetric sector stays at rest.  Returns (times, z, zdot) with
-    z = (x, xbar) of shape (T, 2N).  Used to check energy conservation
+    symmetric sector stays at rest.  Returns (z, zdot) on the times,
+    with z = (x, xbar) of shape (T, 2N).  Used to check energy conservation
     along the exact route.
     """
     t = np.asarray(times, dtype=float)
@@ -346,7 +347,7 @@ def reconstruct_full_trajectory(form: CollectiveForm, sector, bath_transform,
     to_chain = to_phonons.T @ (phonons.basis / np.sqrt(2.0))
     x = q @ to_chain
     xd = qdot @ to_chain
-    return t, np.hstack([x, -x]), np.hstack([xd, -xd])
+    return np.hstack([x, -x]), np.hstack([xd, -xd])
 
 
 def total_energy(model: SystemModel, z, zdot):

@@ -36,18 +36,16 @@ class CollectiveForm:
     k_tilde_11     : stiffness of the bare collective coordinate
     bath_freqs     : (N-1,) bath frequencies, ascending, > 0
     couplings_l    : (N-1,) couplings of X to the diagonal bath modes
-    coupling_k     : (N-1,) couplings of X to the undiagonalized bath
     """
 
     k_tilde_11: float
     bath_freqs: np.ndarray
     couplings_l: np.ndarray
-    coupling_k: np.ndarray
     mass: float
     hbar: float
 
     def __post_init__(self):
-        _freeze(self, "bath_freqs", "couplings_l", "coupling_k")
+        _freeze(self, "bath_freqs", "couplings_l")
 
 
 @dataclass(frozen=True)
@@ -107,12 +105,10 @@ def caldeira_leggett_form(model: SystemModel, phonons: PhononSpectrum | None = N
             "bath block has a zero mode; bath frequencies must be positive"
         )
 
-    k_vec = k_tilde[0, 1:].copy()
     form = CollectiveForm(
         k_tilde_11=float(k_tilde[0, 0]),
         bath_freqs=np.sqrt(2.0 * evals / m),
-        couplings_l=u.T @ k_vec,
-        coupling_k=k_vec,
+        couplings_l=u.T @ k_tilde[0, 1:],
         mass=m,
         hbar=model.hbar,
     )
@@ -223,35 +219,26 @@ def is_point_coupling(model: SystemModel) -> bool:
     return bool(single and model.omega0 is not None)
 
 
-def collective_sector_matrix(form: CollectiveForm):
-    """Frequency-squared matrix of the coupled (X, bath) sector.
-
-    2*Ktilde_11/m sits in the corner and the bath frequencies squared on
-    the rest of the diagonal.  The off-diagonal coupling row is 2 l/m:
-    expanding the quadratic form (d, Ktilde d) produces the cross terms
-    2 X sum_n Ktilde_1n d_n, so the force of the bath on X (and vice
-    versa) carries twice the stored coupling vector.  This is what makes
-    the mapped sector reproduce the full-system spectrum exactly.
-    """
-    m = form.mass
-    nb = form.bath_freqs.size
-    mat = np.zeros((nb + 1, nb + 1))
-    mat[0, 0] = 2.0 * form.k_tilde_11 / m
-    mat[0, 1:] = 2.0 * form.couplings_l / m
-    mat[1:, 0] = 2.0 * form.couplings_l / m
-    mat[np.arange(1, nb + 1), np.arange(1, nb + 1)] = form.bath_freqs**2
-    return mat
-
-
 def collective_sector_eigensystem(form: CollectiveForm):
-    """Eigensolve of the sector matrix: (frequencies, mode_matrix).
+    """Eigensolve of the coupled (X, bath) sector: (frequencies, mode_matrix).
+
+    The frequency-squared matrix holds 2*Ktilde_11/m in the corner and
+    the bath frequencies squared on the rest of the diagonal.  The
+    off-diagonal coupling row is 2 l/m: expanding the quadratic form
+    (d, Ktilde d) produces the cross terms 2 X sum_n Ktilde_1n d_n, so
+    the force of the bath on X (and vice versa) carries twice the stored
+    coupling vector.  This is what makes the mapped sector reproduce the
+    full-system spectrum exactly.
 
     mode_matrix is orthogonal with columns as modes; frequencies are
     ascending.  Raises when the sector has a genuinely negative mode;
     a zero mode (free collective coordinate, no direct stiffness) is
     kept as frequency 0.
     """
-    evals, modes = _psd_eigh(collective_sector_matrix(form), "collective sector")
+    m = form.mass
+    mat = np.diag(np.append(2.0 * form.k_tilde_11 / m, form.bath_freqs**2))
+    mat[0, 1:] = mat[1:, 0] = 2.0 * form.couplings_l / m
+    evals, modes = _psd_eigh(mat, "collective sector")
     return np.sqrt(evals), modes
 
 
@@ -296,7 +283,6 @@ def _point_coupled_mapping(model: SystemModel):
         k_tilde_11=alpha / n,
         bath_freqs=np.sqrt(lam),
         couplings_l=m / (2.0 * np.sqrt(n * s2 / rho)),
-        coupling_k=alpha * np.sqrt(v[0] * v[1:]),
         mass=m,
         hbar=model.hbar,
     )

@@ -292,8 +292,8 @@ def fdt_spectrum(form: CollectiveForm, omegas, epsilon) -> SpectrumTable:
     return SpectrumTable(omegas=w, values=values)
 
 
-def fdt_comparison_in_window(epsilon, omega0_sq) -> bool:
+def fdt_comparison_in_window(epsilon, params: OscillatorParams) -> bool:
     """Whether the resolvent route is comparable with the broadened
     strength comb: the smoothing width must be small against the
     resonance, eps <= W0 / 2."""
-    return bool(epsilon <= 0.5 * np.sqrt(max(omega0_sq, 0.0)))
+    return bool(epsilon <= 0.5 * params.omega0)

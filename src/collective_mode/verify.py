@@ -155,8 +155,8 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
             passed=False, detail=str(exc)))
         volt = None
     if volt is not None:
-        if params.omega0_sq > 0:
-            scale = abs(p0) / (m * np.sqrt(params.omega0_sq))
+        if params.omega0 > 0:
+            scale = abs(p0) / (m * params.omega0)
         else:
             scale = max(float(np.abs(exact.positions).max()), 1e-300)
         err = np.abs(volt.positions - exact.positions).max() / scale
@@ -164,8 +164,8 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
                  f"L-inf over [0, {t_max:g}] at {steps} steps, kick scale |P0|/(m W0)")
 
     t_e = np.linspace(0.0, t_max, min(steps + 1, 2001))
-    _, z, zdot = dyn.reconstruct_full_trajectory(form, sector, bath_transform,
-                                                phonons, p0, t_e)
+    z, zdot = dyn.reconstruct_full_trajectory(form, sector, bath_transform,
+                                             phonons, p0, t_e)
     energy = dyn.total_energy(model, z, zdot)
     err = np.abs(energy - energy[0]).max() / max(energy[0], 1e-300)
     _bounded(checks, "dynamics.energy_conservation", err, 1e-10,
@@ -189,8 +189,8 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
 
     if epsilon is None:
         epsilon = dyn.default_epsilon(form)
-    if params.omega0_sq > 0 and epsilon > 0:
-        w0 = np.sqrt(params.omega0_sq)
+    if params.omega0 > 0 and epsilon > 0:
+        w0 = params.omega0
         wgrid = np.linspace(0.5 * w0, 2.0 * w0, 31)
         prof = dyn.gamma_transform(form, wgrid, epsilon).real
         mean = prof.mean()
@@ -223,18 +223,17 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
         _bounded(checks, "spectra.classical_quantum_link", link, 1e-12,
                  "Im S(t) vs -(hbar / 2 P0) X(t), pointwise")
 
-        wmax = 2.0 * max(comb.frequencies.max(), np.sqrt(params.omega0_sq))
+        wmax = 2.0 * max(comb.frequencies.max(), params.omega0)
         wgrid = np.linspace(0.0, wmax, 4001)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             sm = spectra.smoothed_spectrum(comb, epsilon, wgrid)
         fd = spectra.fdt_spectrum(form, wgrid, epsilon)
-        if not spectra.fdt_comparison_in_window(epsilon, params.omega0_sq):
-            omega0 = np.sqrt(max(params.omega0_sq, 0.0))
+        if not spectra.fdt_comparison_in_window(epsilon, params):
             checks.append(_skip(
                 "spectra.route_equivalence",
                 f"smoothing width {epsilon:.3g} is not small against the "
-                f"resonance {omega0:.3g}; the broadened-comb comparison "
+                f"resonance {params.omega0:.3g}; the broadened-comb comparison "
                 "needs W0 >> eps"))
         else:
             err = np.abs(fd.values - sm.values).max() / max(sm.values.max(), 1e-300)

@@ -108,6 +108,26 @@ def test_run_json_format(tmp_path):
     assert len(payload["t"]) == 801
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_overdamped_run_writes_strict_json(tmp_path):
+    # an overdamped run has no omega_bar and no closed-form trajectory;
+    # JSON cannot hold NaN, so both are written as null
+    cfg = tmp_path / "over.ini"
+    out = write_config(cfg, n=4, alpha=1000.0, t_max=1.0, steps=2000,
+                       formats="csv,json")
+    assert main(["run", str(cfg), "--quiet"]) == 0
+    payloads = {f.name: json.loads(f.read_text(), parse_constant=_reject_constant)
+                for f in out.glob("*.json")}
+    assert {"summary.json", "trajectory.json", "spectrum.json"} <= set(payloads)
+    summary = payloads["summary.json"]
+    assert summary["regime"] == "overdamped"
+    assert summary["omega_bar"] is None
+    assert set(payloads["trajectory.json"]["x_closed_form"]) == {None}
+
+
 def test_malformed_config_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("""

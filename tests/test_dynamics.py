@@ -3,6 +3,7 @@ import pytest
 
 from collective_mode import (
     CollectiveForm,
+    OscillatorParams,
     build_general_model,
     build_next_neighbor_model,
     caldeira_leggett_form,
@@ -114,8 +115,7 @@ def test_collective_frequency_equal_bath_lines():
     # smoothing width to read the friction at: gamma0 is 0
     couplings = np.array([0.1, 0.2, 0.3])
     form = CollectiveForm(k_tilde_11=2.0, bath_freqs=np.full(3, 1.5),
-                          couplings_l=couplings, coupling_k=couplings,
-                          mass=1.0, hbar=1.0)
+                          couplings_l=couplings, mass=1.0, hbar=1.0)
     params = collective_frequency(form)
     assert params.gamma0 == 0.0
     assert params.omega0_sq == pytest.approx(4.0 - 0.56 / 2.25, rel=1e-13)
@@ -126,6 +126,38 @@ def test_collective_frequency_underdamped_at_large_n():
     params = collective_frequency(point_form(64, 0.2))
     assert params.regime == "underdamped"
     assert np.sqrt(params.omega0_sq) > params.gamma0 / 2.0
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "omega0_sq, gamma0, regime, omega0, gamma_bar, omega_bar", [
+        (-1.0, 0.5, "overdamped", 0.0, 0.25, NAN),
+        (0.0, 0.0, "critical", 0.0, 0.0, 0.0),
+        # |W0 - gamma0/2| against 1e-12 max(W0, gamma0/2)
+        (1.0, 2.0 + 1e-12, "critical", 1.0, 1.0 + 0.5e-12, 0.0),
+        (1.0, 2.0 - 4e-12, "underdamped", 1.0, 1.0 - 2e-12, 2e-6),
+        (1.0, 2.0 + 4e-12, "overdamped", 1.0, 1.0 + 2e-12, NAN),
+        (4.0, 1.0, "underdamped", 2.0, 0.5, np.sqrt(3.75)),
+        (1.0, 4.0, "overdamped", 1.0, 2.0, NAN),
+    ])
+def test_oscillator_params_derived_quantities(omega0_sq, gamma0, regime,
+                                              omega0, gamma_bar, omega_bar):
+    params = OscillatorParams(omega0_sq, gamma0)
+    assert params.regime == regime
+    assert params.omega0 == omega0
+    assert params.gamma_bar == gamma_bar
+    # the near-critical omega_bar cancels 1 - gamma_bar^2 to 4e-12
+    assert params.omega_bar == pytest.approx(omega_bar, rel=1e-4, nan_ok=True)
+
+
+def test_collective_frequency_free_coordinate_is_critical():
+    # no coupling: no stiffness and no friction, so X moves ballistically
+    params = collective_frequency(point_form(8, 0.0))
+    assert (params.omega0_sq, params.gamma0) == (0.0, 0.0)
+    assert params.regime == "critical"
+    assert params.omega_bar == 0.0
 
 
 def test_evolve_exact_initial_conditions():
@@ -151,7 +183,7 @@ def test_evolve_exact_energy_conserved():
     t = np.linspace(0.0, 60.0, 601)
     phonons = phonon_spectrum(model)
     form, u = caldeira_leggett_form(model, phonons)
-    _, z, zdot = reconstruct_full_trajectory(
+    z, zdot = reconstruct_full_trajectory(
         form, collective_sector_eigensystem(form), u, phonons, 1.0, t)
     e = total_energy(model, z, zdot)
     # kick energy P0^2/2m
@@ -277,8 +309,8 @@ def test_closed_form_basics():
 
 
 def test_closed_form_rejects_overdamped():
-    from collective_mode.dynamics import OscillatorParams
-    bad = OscillatorParams(0.01, 1.0, float("nan"), 0.5, "overdamped")
+    bad = OscillatorParams(0.01, 1.0)
+    assert bad.regime == "overdamped"
     with pytest.raises(ValueError):
         underdamped_closed_form(bad, 1.0, np.linspace(0, 1, 10), 1.0)
 

@@ -78,11 +78,13 @@ def test_constant_coupling_single_entry():
 
 
 def test_caldeira_leggett_n2_hand_values():
-    form, _, b = dense_bath(point_model(2, 1.0))
+    model = point_model(2, 1.0)
+    form, _, b = dense_bath(model)
+    k_vec = decoupling_indicator(model, phonon_spectrum(model))[0]
     assert form.k_tilde_11 == pytest.approx(0.5, abs=1e-13)
     assert b[0, 0] == pytest.approx(1.5, abs=1e-13)
     assert form.bath_freqs[0] == pytest.approx(np.sqrt(3.0), abs=1e-13)
-    assert form.coupling_k[0] == pytest.approx(0.5, abs=1e-13)
+    assert k_vec[0] == pytest.approx(0.5, abs=1e-13)
     assert form.couplings_l[0] == pytest.approx(0.5, abs=1e-13)
 
 
@@ -90,13 +92,14 @@ def test_bath_invariants():
     for n, alpha in ((4, 0.5), (16, 2.0)):
         model = point_model(n, alpha)
         form, u, b = dense_bath(model)
+        k_vec = decoupling_indicator(model, phonon_spectrum(model))[0]
         m = model.mass
         target = (m / 2.0) * np.diag(form.bath_freqs**2)
         assert np.abs(u.T @ u - np.eye(n - 1)).max() < 1e-12
         assert np.abs(u.T @ b @ u - target).max() < 1e-10
-        assert np.abs(u.T @ form.coupling_k - form.couplings_l).max() < 1e-12
+        assert np.abs(u.T @ k_vec - form.couplings_l).max() < 1e-12
         assert np.linalg.norm(form.couplings_l) == pytest.approx(
-            np.linalg.norm(form.coupling_k), rel=1e-12)
+            np.linalg.norm(k_vec), rel=1e-12)
         assert (form.bath_freqs > 0).all()
         assert (np.diff(form.bath_freqs) >= 0).all()
 
@@ -105,7 +108,7 @@ def test_zero_alpha_bath_is_free_phonons():
     model = point_model(8, 0.0)
     ph = phonon_spectrum(model)
     form = caldeira_leggett_form(model)[0]
-    assert np.abs(form.coupling_k).max() == 0.0
+    assert np.abs(decoupling_indicator(model, ph)[0]).max() == 0.0
     assert np.allclose(form.bath_freqs, ph.frequencies[1:], rtol=1e-12)
 
 
@@ -185,7 +188,6 @@ def test_structured_mapping_matches_dense(n, mass, omega0):
         dense = caldeira_leggett_form(model)[0]
         dense_modes = collective_sector_modes(dense)
         assert abs(form.k_tilde_11 - dense.k_tilde_11) < 1e-12
-        assert np.abs(form.coupling_k - dense.coupling_k).max() < 1e-12
         assert np.abs(form.bath_freqs - dense.bath_freqs).max() < 1e-12
         assert np.abs(np.abs(form.couplings_l)
                       - np.abs(dense.couplings_l)).max() < 1e-12

@@ -248,7 +248,7 @@ def test_smoothed_spectrum_window_warnings():
 def ohmic_params(omega_bar=1.0, gamma_bar=0.1):
     g0 = 2.0 * gamma_bar
     w0_sq = omega_bar**2 + g0**2 / 4.0
-    return OscillatorParams(w0_sq, g0, omega_bar, gamma_bar, "underdamped")
+    return OscillatorParams(w0_sq, g0)
 
 
 def test_ohmic_spectrum_reference_value():
@@ -456,8 +456,7 @@ def test_fdt_agrees_with_dressed_ohmic_closed_form():
     fd = fdt_spectrum(form, w, eps)
     g_d = params.gamma0 + 2.0 * eps
     w0_sq_d = params.omega0_sq + eps**2 + eps * params.gamma0
-    dressed = OscillatorParams(
-        w0_sq_d, g_d, np.sqrt(w0_sq_d - g_d**2 / 4.0), g_d / 2.0, "underdamped")
+    dressed = OscillatorParams(w0_sq_d, g_d)
     oh = ohmic_spectrum(dressed, w, form.hbar, form.mass)
     mask = np.abs(w - np.sqrt(params.omega0_sq)) < 3.0 * g_d / 2.0
     scale = oh.values.max()
