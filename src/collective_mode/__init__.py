@@ -44,7 +44,6 @@ from .dynamics import (
     gamma_transform,
     linear_response,
     mean_bath_spacing,
-    reconstruct_full_trajectory,
     solve_volterra,
     total_energy,
     underdamped_closed_form,

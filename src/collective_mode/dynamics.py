@@ -20,8 +20,7 @@ __all__ = [
     "damping_kernel", "gamma_transform", "omega0_squared",
     "mean_bath_spacing", "default_epsilon", "collective_frequency",
     "evolve_exact", "solve_volterra", "fourier_solution",
-    "underdamped_closed_form", "linear_response",
-    "reconstruct_full_trajectory", "total_energy",
+    "underdamped_closed_form", "linear_response", "total_energy",
 ]
 
 
@@ -144,7 +143,7 @@ def gamma_transform(form: CollectiveForm, omega, epsilon):
 def omega0_squared(form: CollectiveForm) -> float:
     """Renormalized collective stiffness Omega0^2 = 2 Ktilde_11 / m - gamma(0)
     of the equation of motion."""
-    return 2.0 * form.k_tilde_11 / form.mass - damping_kernel(form, 0.0)
+    return form.bare_omega_sq - damping_kernel(form, 0.0)
 
 
 def mean_bath_spacing(form: CollectiveForm) -> float:
@@ -240,7 +239,7 @@ def _integrate(form, times, v0, f_over_m=None) -> TrajectoryTable:
     t, h = _check_uniform_grid(times, "time")
     params_scale = max(
         form.bath_freqs.max(initial=0.0),
-        np.sqrt(max(2.0 * form.k_tilde_11 / form.mass, 0.0)),
+        np.sqrt(max(form.bare_omega_sq, 0.0)),
     )
     if params_scale > 0 and h > 0.1 / params_scale:
         raise ValueError(
@@ -314,53 +313,38 @@ def linear_response(form: CollectiveForm, force_samples, times):
     return forced, TrajectoryTable(times=t, positions=predicted)
 
 
-def reconstruct_full_trajectory(form: CollectiveForm, sector, bath_transform,
-                                phonons: PhononSpectrum, p0, times):
-    """Full-phase-space trajectory (z, zdot) behind evolve_exact.
+def total_energy(model: SystemModel, sector, bath_transform,
+                 phonons: PhononSpectrum, p0, times):
+    """Total energy of the two chains along the exact kicked trajectory.
 
-    Takes the form, its sector eigensystem (frequencies, mode_matrix)
-    from collective_sector_eigensystem, the orthogonal U that
-    diagonalized its bath block and the chain phonons it was mapped
-    from.  The kick excites only the antisymmetric sector; the
-    symmetric sector stays at rest.  Returns (z, zdot) on the times,
-    with z = (x, xbar) of shape (T, 2N).  Used to check energy conservation
+    Takes the sector eigensystem (frequencies, mode_matrix) from
+    collective_sector_eigensystem, the orthogonal U that diagonalized the
+    bath block and the chain phonons the form was mapped from.  The kick
+    excites only the antisymmetric sector a = (x - xbar)/sqrt(2); the
+    symmetric sector stays at rest and carries no energy.  The normal
+    coordinates q(t) map to a = q M, so the energy is
+    (m/2) qdot (M M^T) qdot + q (M anti M^T) q with the antisymmetric
+    block of the full quadratic form.  Used to check energy conservation
     along the exact route.
     """
     t = np.asarray(times, dtype=float)
-    m = form.mass
+    m = model.mass
 
     # Normal coordinates q_n(t) = (P0 c_n / m) sin(w_n t)/w_n.
     w, v_modes = sector
-    c = v_modes[0, :]
-    amp = p0 / m * c
+    amp = p0 / m * v_modes[0, :]
     phase = np.multiply.outer(t, w)
     free = w == 0.0
     q = np.sin(phase) * (amp / np.where(free, 1.0, w))
     q[:, free] = np.outer(t, amp[free])
     qdot = np.cos(phase) * amp
 
-    # One N x N map from the normal coordinates to the chain: q -> (X, xi)
-    # through the sector modes; X is the first antisymmetric phonon
-    # coordinate d_1 itself and the bath coordinates rotate back to d
-    # through U; then c = d/sqrt(2), cbar = -c and x = A^T c.
-    to_phonons = np.vstack([v_modes[:1], bath_transform @ v_modes[1:]])
-    to_chain = to_phonons.T @ (phonons.basis / np.sqrt(2.0))
-    x = q @ to_chain
-    xd = qdot @ to_chain
-    return np.hstack([x, -x]), np.hstack([xd, -xd])
-
-
-def total_energy(model: SystemModel, z, zdot):
-    """Total energy (kinetic + potential) along a full trajectory.
-
-    The potential is evaluated on the sector coordinates
-    (x +- xbar)/sqrt(2) through the two N x N sector blocks.
-    """
-    n = model.n_particles
-    x, xbar = z[..., :n], z[..., n:]
-    sym, anti = _sector_blocks(model.w_matrix, model.k_matrix)
-    s = (x + xbar) / np.sqrt(2.0)
-    a = (x - xbar) / np.sqrt(2.0)
-    kinetic = 0.5 * model.mass * (zdot**2).sum(axis=-1)
-    potential = ((s @ sym) * s).sum(axis=-1) + ((a @ anti) * a).sum(axis=-1)
+    # M: q -> (X, xi) through the sector modes; X is the first
+    # antisymmetric phonon coordinate itself and the bath coordinates
+    # rotate back to the phonon coordinates through U; A^T then gives
+    # the site coordinates a.
+    to_anti = np.vstack([v_modes[:1], bath_transform @ v_modes[1:]]).T @ phonons.basis
+    anti = _sector_blocks(model.w_matrix, model.k_matrix)[1]
+    kinetic = 0.5 * m * ((qdot @ (to_anti @ to_anti.T)) * qdot).sum(axis=-1)
+    potential = ((q @ (to_anti @ anti @ to_anti.T)) * q).sum(axis=-1)
     return kinetic + potential

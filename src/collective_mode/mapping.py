@@ -47,6 +47,12 @@ class CollectiveForm:
     def __post_init__(self):
         _freeze(self, "bath_freqs", "couplings_l")
 
+    @property
+    def bare_omega_sq(self) -> float:
+        """Squared frequency 2 Ktilde_11 / m of the bare collective
+        coordinate, before the bath renormalizes it."""
+        return 2.0 * self.k_tilde_11 / self.mass
+
 
 @dataclass(frozen=True)
 class QuantumModes:
@@ -67,7 +73,7 @@ class QuantumModes:
 
 def interaction_in_phonon_basis(model: SystemModel, phonons: PhononSpectrum):
     """Coupling of the antisymmetric (relative) sector in the phonon
-    basis: Ktilde = A diag(khat) A^T + A K A^T.
+    basis: Ktilde = A (diag(khat) + K) A^T.
 
     A is the mode basis (rows are modes) and khat_i the row sums of K.
     """
@@ -76,10 +82,7 @@ def interaction_in_phonon_basis(model: SystemModel, phonons: PhononSpectrum):
         raise ValueError(
             f"basis size {a.shape[0]} does not match model N = {model.n_particles}"
         )
-    khat = model.row_coupling_sums
-    k_alpha = (a * khat) @ a.T
-    k_beta = a @ model.k_matrix @ a.T
-    k_tilde = k_alpha + k_beta
+    k_tilde = a @ (np.diag(model.row_coupling_sums) + model.k_matrix) @ a.T
     return (k_tilde + k_tilde.T) / 2.0
 
 
@@ -118,7 +121,7 @@ def caldeira_leggett_form(model: SystemModel, phonons: PhononSpectrum | None = N
 def decoupling_indicator(model: SystemModel, phonons: PhononSpectrum):
     """Coupling vector of X to the bath, plus a flag.
 
-    Forms the first row of Ktilde = A diag(khat) A^T + A K A^T by two
+    Forms the first row of Ktilde = A (diag(khat) + K) A^T by two
     matrix-vector products; for symmetric K it equals the projection of
     the row sums khat onto the nonuniform phonon modes,
     k_i = (2/sqrt(N)) sum_j khat_j A_{j,i+1}.  The flag is true when the
@@ -236,7 +239,7 @@ def collective_sector_eigensystem(form: CollectiveForm):
     kept as frequency 0.
     """
     m = form.mass
-    mat = np.diag(np.append(2.0 * form.k_tilde_11 / m, form.bath_freqs**2))
+    mat = np.diag(np.append(form.bare_omega_sq, form.bath_freqs**2))
     mat[0, 1:] = mat[1:, 0] = 2.0 * form.couplings_l / m
     evals, modes = _psd_eigh(mat, "collective sector")
     return np.sqrt(evals), modes

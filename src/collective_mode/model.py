@@ -298,14 +298,12 @@ def phonon_spectrum(model: SystemModel) -> PhononSpectrum:
     m = model.mass
 
     uniform = np.full(n, 1.0 / np.sqrt(n))
-    # Orthonormal basis of the complement of the uniform vector.
-    full = np.eye(n)
-    full[:, 0] = uniform
-    q, _ = np.linalg.qr(full)
-    # QR can flip the first column's sign; realign with the uniform vector.
-    if q[:, 0] @ uniform < 0:
-        q[:, 0] = -q[:, 0]
-    comp = q[:, 1:]
+    # Orthonormal basis of the complement of the uniform vector: the
+    # Householder reflector I - v v^T / v_0 with v = uniform + e_0 maps
+    # e_0 to -uniform, so its other columns span the complement.
+    v = uniform.copy()
+    v[0] += 1.0
+    comp = np.eye(n)[:, 1:] - np.outer(v, v[1:] / v[0])
 
     evals, evecs = _psd_eigh(comp.T @ w @ comp, "chain potential W")
 

@@ -16,8 +16,10 @@ import numpy as np
 from .dynamics import (
     OscillatorParams, _check_uniform_grid, gamma_transform, omega0_squared,
 )
-from .mapping import CollectiveForm, QuantumModes, interaction_in_phonon_basis
-from .model import SystemModel, _psd_eigh, phonon_spectrum
+from .mapping import (
+    CollectiveForm, QuantumModes, caldeira_leggett_form, decoupling_indicator,
+)
+from .model import SystemModel, phonon_spectrum
 
 __all__ = [
     "DeltaComb", "SpectrumTable",
@@ -88,26 +90,21 @@ def sigma_resolvent(model: SystemModel, omega, epsilon) -> float:
     """Spectral density from the resolvent of the bath-block square root.
 
     Evaluates -(1 / 2 pi m w) Im (k, [w - sqrt(Wr^2 + (2/m) Kr) + i eps]^-1 k)
-    through the eigendecomposition of the matrix square root.  For small
-    epsilon this is the Lorentzian-broadened line spectrum (with the
-    1/w prefactor taken at the evaluation point).  Raises
-    UnstableModelError when the bath block has a negative mode.
+    in the eigenbasis of the bath block, where the mapping already holds
+    it: the eigenvalues are the bath frequencies and the projections of
+    the coupling k are 2 l.  For small epsilon this is the
+    Lorentzian-broadened line spectrum (with the 1/w prefactor taken at
+    the evaluation point).  Raises UnstableModelError when the bath
+    block has a negative mode.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if omega == 0:
         raise ValueError("omega = 0 is singular (1/omega prefactor)")
-    phonons = phonon_spectrum(model)
-    k_tilde = interaction_in_phonon_basis(model, phonons)
-    m = model.mass
-
-    mat = np.diag(phonons.frequencies[1:] ** 2) + 2.0 / m * k_tilde[1:, 1:]
-    evals, evecs = _psd_eigh(mat, "bath block")
-    roots = np.sqrt(evals)
-    k_vec = 2.0 * k_tilde[0, 1:]   # equations-of-motion coupling
-    proj = evecs.T @ k_vec
-    resolvent = np.sum(proj**2 / (omega - roots + 1j * epsilon))
-    return float(-resolvent.imag / (2.0 * np.pi * m * omega))
+    form, _ = caldeira_leggett_form(model)
+    proj = 2.0 * form.couplings_l   # equations-of-motion coupling
+    resolvent = np.sum(proj**2 / (omega - form.bath_freqs + 1j * epsilon))
+    return float(-resolvent.imag / (2.0 * np.pi * form.mass * omega))
 
 
 def sigma_phonon_approximation(model: SystemModel, kappa=None) -> DeltaComb:
@@ -122,11 +119,11 @@ def sigma_phonon_approximation(model: SystemModel, kappa=None) -> DeltaComb:
     if kappa is None:
         kappa = float(model.k_matrix.mean())
     phonons = phonon_spectrum(model)
-    k_tilde = interaction_in_phonon_basis(model, phonons)
     n = model.n_particles
     m = model.mass
     shifted = np.sqrt(phonons.frequencies[1:] ** 2 + 2.0 * n * kappa / m)
-    k_vec = 2.0 * k_tilde[0, 1:]   # equations-of-motion coupling
+    # equations-of-motion coupling
+    k_vec = 2.0 * decoupling_indicator(model, phonons)[0]
     return DeltaComb(frequencies=shifted, weights=k_vec**2 / (2.0 * m * shifted))
 
 

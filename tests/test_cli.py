@@ -289,6 +289,18 @@ def test_verify_factorises_nothing_larger_than_n(tmp_path, monkeypatch, write):
     assert sizes and max(sizes) <= 16
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_no_qr_factorisation(tmp_path, monkeypatch, command):
+    # the uniform phonon mode is deflated by a closed-form reflector; the
+    # general model makes run take the dense route through the phonons
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called")
+    monkeypatch.setattr(np.linalg, "qr", refused)
+    cfg = tmp_path / "demo.ini"
+    write_general_config(cfg, n=16, alpha=0.5, t_max=16.0, steps=1600)
+    assert main([command, str(cfg), "--quiet"]) == 0
+
+
 @pytest.mark.parametrize("mass, omega0", [(1.0, 1.0), (2.0, 3.0)])
 def test_secular_route_matches_dense_route_end_to_end(tmp_path, mass, omega0):
     # one chain pair, run as a point-coupled chain (secular route) and as

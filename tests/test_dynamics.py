@@ -18,7 +18,6 @@ from collective_mode import (
     linear_response,
     phonon_spectrum,
     potential_energy,
-    reconstruct_full_trajectory,
     solve_volterra,
     total_energy,
     underdamped_closed_form,
@@ -183,27 +182,53 @@ def test_evolve_exact_energy_conserved():
     t = np.linspace(0.0, 60.0, 601)
     phonons = phonon_spectrum(model)
     form, u = caldeira_leggett_form(model, phonons)
-    z, zdot = reconstruct_full_trajectory(
-        form, collective_sector_eigensystem(form), u, phonons, 1.0, t)
-    e = total_energy(model, z, zdot)
+    e = total_energy(model, collective_sector_eigensystem(form), u, phonons, 1.0, t)
     # kick energy P0^2/2m
     assert e[0] == pytest.approx(0.5, rel=1e-12)
     assert np.abs(e - e[0]).max() < 1e-10 * e[0]
 
 
-def test_total_energy_matches_definition():
-    # the batched quadratic form against the potential summed from its
-    # definition, row by row, on arbitrary phase-space points
+def disordered_energy_inputs():
     rng = np.random.default_rng(5)
     n = 5
     w = build_next_neighbor_model(n, 1.3, 1.0, 0.0).w_matrix
     k = rng.uniform(0.0, 0.5, size=(n, n))
     model = build_general_model(w, (k + k.T) / 2.0, mass=1.3)
-    z = rng.normal(size=(7, 2 * n))
-    zdot = rng.normal(size=(7, 2 * n))
-    ref = [0.5 * model.mass * (v @ v) + potential_energy(model, x[:n], x[n:])
-           for x, v in zip(z, zdot)]
-    assert np.allclose(total_energy(model, z, zdot), ref, rtol=1e-12, atol=0.0)
+    phonons = phonon_spectrum(model)
+    form, u = caldeira_leggett_form(model, phonons)
+    return model, collective_sector_eigensystem(form), u, phonons
+
+
+def test_total_energy_matches_definition():
+    # the sector quadratic forms against the two-chain energy summed
+    # from its definition, row by row, on the chain trajectory rebuilt
+    # from the same maps: xbar = -x and kinetic energy m |xdot|^2
+    model, sector, u, phonons = disordered_energy_inputs()
+    t = np.linspace(0.0, 12.0, 7)
+    p0, m = 0.8, model.mass
+    w, v = sector
+    amp = p0 / m * v[0]
+    q = np.sin(np.outer(t, w)) * (amp / w)
+    qdot = np.cos(np.outer(t, w)) * amp
+    to_phonons = np.vstack([v[:1], u @ v[1:]])
+    to_chain = to_phonons.T @ phonons.basis / np.sqrt(2.0)
+    ref = [m * (xd @ xd) + potential_energy(model, x, -x)
+           for x, xd in zip(q @ to_chain, qdot @ to_chain)]
+    energy = total_energy(model, sector, u, phonons, p0, t)
+    assert np.allclose(energy, ref, rtol=1e-12, atol=0.0)
+
+
+def test_total_energy_detects_a_wrong_bath_map():
+    # one bath mode mapped back with the wrong sign puts the trajectory
+    # off the true normal modes, and its energy drifts
+    model, sector, u, phonons = disordered_energy_inputs()
+    t = np.linspace(0.0, 30.0, 301)
+    e = total_energy(model, sector, u, phonons, 1.0, t)
+    assert np.abs(e - e[0]).max() < 1e-10 * e[0]
+    flipped = u.copy()
+    flipped[:, 1] *= -1.0
+    e = total_energy(model, sector, flipped, phonons, 1.0, t)
+    assert np.abs(e - e[0]).max() > 1e-6 * e[0]
 
 
 def test_volterra_matches_exact():

@@ -21,6 +21,7 @@ from collective_mode import (
     fdt_spectrum,
     full_potential_matrix,
     mean_bath_spacing,
+    next_neighbor_frequencies,
     observable_spectrum,
     ohmic_spectrum,
     shift_collective_potential,
@@ -28,6 +29,7 @@ from collective_mode import (
     sigma_phonon_approximation,
     sigma_resolvent,
     smoothed_spectrum,
+    standing_wave_basis,
     strength_comb,
 )
 from collective_mode.dynamics import OscillatorParams
@@ -65,13 +67,21 @@ def test_sigma_comb_decoupled():
 
 
 def test_sigma_resolvent_matches_termwise_smoothing():
-    model = point_model(8, 1.0)
-    form = caldeira_leggett_form(model)[0]
+    # reference bath block built here from the chain's closed-form modes
+    # and solved by scipy, independent of the package's mapping
+    n, m = 8, 1.0
+    model = point_model(n, 1.0)
+    a = standing_wave_basis(n)
+    k_tilde = a @ (np.diag(model.row_coupling_sums) + model.k_matrix) @ a.T
+    freqs = next_neighbor_frequencies(n, 1.0)
+    evals, u = scipy.linalg.eigh(k_tilde[1:, 1:] + np.diag(m * freqs[1:] ** 2 / 2.0))
+    bath_freqs = np.sqrt(2.0 * evals / m)
+    couplings_l = u.T @ k_tilde[0, 1:]
     eps = 0.05
     for w in np.linspace(0.2, 2.2, 9):
         val = sigma_resolvent(model, w, eps)
-        lor = (eps / np.pi) / ((w - form.bath_freqs) ** 2 + eps**2)
-        ref = ((2 * form.couplings_l) ** 2 * lor).sum() / (2 * form.mass * w)
+        lor = (eps / np.pi) / ((w - bath_freqs) ** 2 + eps**2)
+        ref = ((2 * couplings_l) ** 2 * lor).sum() / (2 * m * w)
         assert abs(val - ref) < 1e-8 * max(abs(ref), 1e-6)
 
 
