@@ -7,9 +7,11 @@ sector splits into X plus N-1 bath coordinates; the bath block B is
 diagonalized once more, leaving X coupled linearly to N-1 harmonic
 modes.  For the single-point next-neighbor coupling the bath block and
 the whole collective sector are a diagonal matrix plus one rank-one
-term, so the same data follows in O(N^2) from secular equations; the
-dense route serves general models and stays the oracle of the
-structured one.
+term; with lam = 4 sin^2(theta/2) (units of omega0^2) their secular
+equations sum over the chain's poles in closed form,
+G(lam) = cos((N - 1/2) theta) / (2 sin(N theta) sin(theta/2)), so the same
+data follows in O(N); the dense route serves general models and stays
+the oracle of the structured one.
 """
 
 from dataclasses import dataclass, replace
@@ -22,7 +24,6 @@ from .model import (
     UnstableModelError,
     _freeze,
     _psd_eigh,
-    next_neighbor_frequencies,
     phonon_spectrum,
 )
 
@@ -145,74 +146,83 @@ def shift_collective_potential(form: CollectiveForm, k0: float) -> CollectiveFor
     return replace(form, k_tilde_11=form.k_tilde_11 + float(k0))
 
 
-def _secular_roots(poles, pw):
-    """Roots of the rank-one secular equation sum_k pw_k / (lam - d_k) = 1.
-
-    The poles d_k must be strictly ascending and the weights pw_k
-    positive, so one root lies in each gap between poles and one in
-    (d_top, d_top + sum pw].  Each root is written lam = d_o + delta
-    with o the nearer pole of its bracket, so delta keeps full relative
-    precision next to a pole.  All offsets are solved at once by Newton
-    steps on the smooth F(delta) = delta (1 - R(delta)) - pw_o
-    (R: the sum without pole o), with bisection whenever a step leaves
-    the bracket.  Returns (lam, s2), lam ascending and
-    s2 = sum_k pw_k / (lam - d_k)^2, both from the stored offsets.
-    """
-    n = poles.size
-    # The sign of the secular function at a gap midpoint tells which pole
-    # the root is nearer to; the top root is measured from the top pole.
-    half = np.diff(poles) / 2.0
-    mid_minus_poles = poles[:-1, None] + half[:, None] - poles
-    upper = (1.0 / mid_minus_poles) @ pw > 1.0
-    gap = np.arange(n - 1)
-    o = np.append(np.where(upper, gap + 1, gap), n - 1)
-    lo = np.append(np.where(upper, -half, 0.0), 0.0)
-    hi = np.append(np.where(upper, 0.0, half), pw.sum())
-
-    shifts = poles[o, None] - poles          # d_o - d_k
-    shifts[np.arange(n), o] = np.inf         # leaves pole o out of R
-    pw_o = pw[o]
-    # One-pole start; the top bound is closed (it is the root for n = 1).
-    delta = pw_o / (1.0 - (1.0 / shifts) @ pw)
-    delta = np.where((lo < delta) & (delta <= hi), delta, (lo + hi) / 2.0)
-
-    todo = np.arange(n)
+def _bracketed_newton(residual, e, lo, hi):
+    """Zeros of residual(e, idx) -> (r, dr/de) in brackets [lo, hi] that
+    have 0 at one end and r < 0 between 0 and the zero, all at once:
+    Newton steps, with bisection whenever a step leaves its bracket."""
+    todo = np.arange(e.size)
     for _ in range(_SECULAR_MAX_ITER):
-        d = delta[todo]
-        inv = 1.0 / (shifts[todo] + d[:, None])
-        one_minus_r = 1.0 - inv @ pw
-        f = d * one_minus_r - pw_o[todo]
-        # F has the sign of the secular function times -delta, and the
-        # secular function falls across each bracket.
-        right = f * d < 0
+        d = e[todo]
+        r, dr = residual(d, todo)
+        right = r * d < 0
         a = np.where(right, d, lo[todo])
         b = np.where(right, hi[todo], d)
         lo[todo], hi[todo] = a, b
-        step = f / (one_minus_r + d * ((inv * inv) @ pw))
+        step = r / dr
         new = d - step
         converged = np.abs(step) <= 2.0 * np.spacing(np.abs(d))
         inside = (a < new) & (new < b)
-        delta[todo] = np.where(inside | converged, new, (a + b) / 2.0)
+        e[todo] = np.where(inside | converged, new, (a + b) / 2.0)
         todo = todo[~(converged | (np.nextafter(a, b) >= b))]
         if todo.size == 0:
-            break
+            return e
+    raise RuntimeError(f"secular roots not converged after {_SECULAR_MAX_ITER} "
+                       f"iterations for {todo.size} of {e.size} brackets")
+
+
+def _secular_roots(n, rho, beta):
+    """(lam, s2) of rho G(lam) - beta/lam = 1 in units of omega0^2, s2 being
+    -d/dlam of the left side; beta is 0 (sector) or rho/N (bath).  As
+    lam (rho G - beta/lam - 1) = rho sin(theta) cot(N theta) - X with
+    X = 2 (2 - rho) sin^2(theta/2) + beta, an in-band root zeroes
+    u = X sin(N e) / sin(theta) - rho cos(N e), e = theta - pi o/N the offset
+    from the nearer end o of its gap (o = N: the band edge); there
+    s2 = u'(e) / (2 lam sin(N e)).  If N X(pi) + rho < 0 the top root is
+    lam = 4 cosh^2(kappa/2) with G = (1 - e^{(1-2N) kappa}) / ((1 - e^{-2N
+    kappa}) (e^kappa + 1)); its s2 (0/0 at the edge) is the pole sum.
+    """
+    k = np.arange(1 if beta else 0, n)
+    gap = np.pi / n
+    cos_k = np.sin(gap * (n - k) / 2.0)   # cos(theta_k / 2), exact near pi
+    inside = n * (4.0 - 2.0 * rho + beta) + rho >= 0
+    o = k if inside else k[:-1]
+
+    def residual(e, idx):
+        theta = gap * o[idx] + e
+        sin_t = np.sin(np.where(2 * o[idx] < n, theta, gap * (n - o[idx]) - e))
+        x = 2.0 * (2.0 - rho) * np.sin(theta / 2.0) ** 2 + beta
+        sn, cn = np.sin(n * e), np.cos(n * e)
+        du = ((2.0 - rho + n * rho) * sn
+              + x * (n * cn - sn * np.cos(theta) / sin_t) / sin_t)
+        return x * sn / sin_t - rho * cn, du
+    # u = X / sin(theta) at a gap's midpoint picks the nearer end, and the
+    # angle form N e = atan2(rho, u) there starts Newton.
+    u_mid = residual(np.full(o.size, gap / 2.0), slice(None))[0]
+    upper = u_mid < 0
+    o = o + upper
+    e = _bracketed_newton(residual, np.arctan2(rho, u_mid) / n - gap * upper,
+                          np.where(upper, -gap / 2.0, 0.0),
+                          np.where(upper, 0.0, gap / 2.0))
+    lam = 4.0 * np.sin((gap * o + e) / 2.0) ** 2
+    s2 = residual(e, slice(None))[1] / (2.0 * lam * np.sin(n * e))
+    if inside:
+        dist = 4.0 * (np.sin((gap * (2 * n - o[-1] - k) - e[-1]) / 2.0)
+                      * np.sin((gap * (o[-1] - k) + e[-1]) / 2.0))
     else:
-        raise RuntimeError(
-            f"secular roots not converged after {_SECULAR_MAX_ITER} "
-            f"iterations for {todo.size} of {n} brackets"
-        )
-
-    inv = 1.0 / (shifts + delta[:, None])
-    s2 = pw_o / delta**2 + (inv * inv) @ pw
-    return poles[o] + delta, s2
-
-
-def _first_site_weights(n):
-    """Squared first-site amplitudes v_k of the chain modes, k = 0..N-1
-    (sum v = 1)."""
-    v = (2.0 / n) * np.cos(np.pi * np.arange(n) / (2 * n)) ** 2
-    v[0] = 1.0 / n
-    return v
+        def residual(kappa, _):
+            a, b = -np.expm1((1 - 2 * n) * kappa), -np.expm1(-2 * n * kappa)
+            ek = np.exp(kappa) + 1.0
+            g = a / (b * ek)
+            dg = g * ((2 * n - 1) / a - 2 * n / b + 1.0 / ek)
+            lam_top = 4.0 * np.cosh(kappa / 2.0) ** 2
+            return (1.0 + beta / lam_top - rho * g,
+                    -2.0 * beta * np.sinh(kappa) / lam_top**2 - rho * dg)
+        top = np.array([2.0 * np.arcsinh(np.sqrt(rho / 4.0))])   # lam <= 4 + rho
+        kappa = _bracketed_newton(residual, top / 2.0, np.zeros(1), top)
+        lam = np.append(lam, 4.0 * np.cosh(kappa / 2.0) ** 2)
+        dist = 4.0 * (np.sinh(kappa / 2.0) ** 2 + cos_k**2)
+    v = np.where(k > 0, 2.0 * cos_k**2, 1.0) / n
+    return lam, np.append(s2[:k.size - 1], rho * np.sum(v / dist**2))
 
 
 def is_point_coupling(model: SystemModel) -> bool:
@@ -261,7 +271,7 @@ def collective_sector_modes(form: CollectiveForm) -> QuantumModes:
 
 
 def _point_coupled_mapping(model: SystemModel):
-    """(form, modes) of a point-coupled chain pair in O(N^2).
+    """(form, modes) of a point-coupled chain pair in O(N).
 
     In the phonon basis the antisymmetric sector's frequency-squared
     matrix is diag(d) + rho a a^T with a_0^2 = 1/N, so Ktilde_11 =
@@ -273,36 +283,26 @@ def _point_coupled_mapping(model: SystemModel):
     nonuniform modes, whose eigenvalues (m/2) lam solve the same
     equation over the poles k >= 1.
     """
-    n, m = model.n_particles, model.mass
+    n, m, w0_sq = model.n_particles, model.mass, model.omega0**2
     alpha = 2.0 * float(model.k_matrix[0, 0])
-    rho = 2.0 * alpha / m
-    poles = next_neighbor_frequencies(n, model.omega0) ** 2
-    v = _first_site_weights(n)
-    pw = rho * v
-    lam, s2 = _secular_roots(poles[1:], pw[1:])
-    # The coupling alpha a_0 sum_k a_k^2 / (lam - d_k) / sqrt(s2 / rho)
-    # reduces at a root, where the sum is 1 / rho, to m / (2 sqrt(N s2 / rho)).
-    form = CollectiveForm(
-        k_tilde_11=alpha / n,
-        bath_freqs=np.sqrt(lam),
-        couplings_l=m / (2.0 * np.sqrt(n * s2 / rho)),
-        mass=m,
-        hbar=model.hbar,
-    )
-    lam, s2 = _secular_roots(poles, pw)
-    modes = QuantumModes(
-        frequencies=np.sqrt(lam),
-        x_coefficients=np.sqrt(pw[0] / (lam**2 * s2)),
-        mass=m,
-        hbar=model.hbar,
-    )
+    rho = 2.0 * alpha / (m * w0_sq)   # lam, s2 and rho in units of omega0^2
+    lam, s2 = _secular_roots(n, rho, rho / n)
+    # At a root, where sum_k a_k^2 / (lam - d_k) = 1 / rho, the coupling
+    # alpha a_0 sum / sqrt(s2 / rho) is m omega0^2 / (2 sqrt(N s2 / rho)).
+    form = CollectiveForm(k_tilde_11=alpha / n, bath_freqs=np.sqrt(w0_sq * lam),
+                          couplings_l=m * w0_sq / (2.0 * np.sqrt(n * s2 / rho)),
+                          mass=m, hbar=model.hbar)
+    lam, s2 = _secular_roots(n, rho, 0.0)
+    modes = QuantumModes(frequencies=np.sqrt(w0_sq * lam),
+                         x_coefficients=np.sqrt(rho / (n * lam**2 * s2)),
+                         mass=m, hbar=model.hbar)
     return form, modes
 
 
 def collective_mapping(model: SystemModel):
     """Collective form and sector modes of a model: (form, modes).
 
-    A point-coupled next-neighbor chain pair takes the O(N^2) secular
+    A point-coupled next-neighbor chain pair takes the O(N) secular
     route; every other model takes the dense eigensolves.
     """
     if is_point_coupling(model):

@@ -86,7 +86,7 @@ def sigma_comb(form: CollectiveForm) -> DeltaComb:
     )
 
 
-def sigma_resolvent(model: SystemModel, omega, epsilon) -> float:
+def sigma_resolvent(model: SystemModel, omega, epsilon):
     """Spectral density from the resolvent of the bath-block square root.
 
     Evaluates -(1 / 2 pi m w) Im (k, [w - sqrt(Wr^2 + (2/m) Kr) + i eps]^-1 k)
@@ -94,17 +94,20 @@ def sigma_resolvent(model: SystemModel, omega, epsilon) -> float:
     it: the eigenvalues are the bath frequencies and the projections of
     the coupling k are 2 l.  For small epsilon this is the
     Lorentzian-broadened line spectrum (with the 1/w prefactor taken at
-    the evaluation point).  Raises UnstableModelError when the bath
-    block has a negative mode.
+    the evaluation point).  omega may be an array; the model is mapped
+    once per call, and a scalar omega gives a float.  Raises
+    UnstableModelError when the bath block has a negative mode.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if omega == 0:
+    w = np.asarray(omega, dtype=float)
+    if (w == 0).any():
         raise ValueError("omega = 0 is singular (1/omega prefactor)")
     form, _ = caldeira_leggett_form(model)
     proj = 2.0 * form.couplings_l   # equations-of-motion coupling
-    resolvent = np.sum(proj**2 / (omega - form.bath_freqs + 1j * epsilon))
-    return float(-resolvent.imag / (2.0 * np.pi * form.mass * omega))
+    resolvent = (proj**2 / (w[..., None] - form.bath_freqs + 1j * epsilon)).sum(-1)
+    sigma = -resolvent.imag / (2.0 * np.pi * form.mass * w)
+    return float(sigma) if sigma.ndim == 0 else sigma
 
 
 def sigma_phonon_approximation(model: SystemModel, kappa=None) -> DeltaComb:

@@ -17,6 +17,7 @@ from collective_mode import (
     full_potential_matrix,
     interaction_in_phonon_basis,
     is_point_coupling,
+    next_neighbor_frequencies,
     phonon_spectrum,
     sector_eigenvalues,
     shift_collective_potential,
@@ -28,11 +29,114 @@ def point_model(n, alpha, mass=1.0, omega0=1.0):
 
 
 def secular_bath(n, alpha):
-    """Bath frequencies and couplings from the O(N^2) secular route."""
+    """Bath frequencies and couplings from the O(N) secular route."""
     model = point_model(n, alpha)
     assert is_point_coupling(model)
     form = collective_mapping(model)[0]
     return form.bath_freqs, form.couplings_l
+
+
+def first_site_weights(n):
+    """Squared first-site amplitudes v_k of the chain modes (sum 1)."""
+    v = (2.0 / n) * np.sin(np.pi * (n - np.arange(n)) / (2 * n)) ** 2
+    v[0] = 1.0 / n
+    return v
+
+
+def explicit_secular_roots(k, n, omega0, pw):
+    """Roots of sum_k pw_k / (lam - d_k) = 1 by explicit pole sums: (lam, s2).
+
+    The solver the mapping used before the chain's closed form, kept as
+    the oracle at N in the thousands, where the dense route is slow.  The
+    poles are the chain's d_k = 4 omega0^2 sin^2(pi k / 2N) for the
+    ascending indices k.  Each root is lam = d_o + delta with o the
+    nearer pole of its bracket; Newton steps on
+    F(delta) = delta (1 - R(delta)) - pw_o (R: the sum without pole o),
+    bisection whenever a step leaves the bracket.  The pole differences
+    d_o - d_k are taken in product form, because their float differences
+    lose relative precision near the band top (5e-11 of s2 at N = 1024).
+    """
+    poles = (2.0 * omega0 * np.sin(np.pi * k / (2 * n))) ** 2
+    size = k.size
+    half = np.diff(poles) / 2.0
+    upper = np.array([(1.0 / (poles[i] + half[i] - poles)) @ pw > 1.0
+                      for i in range(size - 1)], dtype=bool)
+    gap = np.arange(size - 1)
+    o = np.append(np.where(upper, gap + 1, gap), size - 1)
+    lo = np.append(np.where(upper, -half, 0.0), 0.0)
+    hi = np.append(np.where(upper, 0.0, half), pw.sum())
+    pw_o = pw[o]
+    # d_o - d_k, with pole o left out of R
+    j = np.arange(2 * n + 1)
+    sines = np.sin(np.pi * np.minimum(j, 2 * n - j) / (2 * n))  # sin(pi j / 2N)
+    shifts = np.empty((size, size))
+    for start in range(0, size, 256):
+        ko = k[o[start:start + 256], None]
+        shifts[start:start + 256] = (4.0 * omega0**2 * sines[ko + k]
+                                     * sines[np.abs(ko - k)] * np.sign(ko - k))
+    shifts[np.arange(size), o] = np.inf
+
+    def sums(rows, d):
+        # sum_k pw_k / (d_o - d_k + delta)^p for p = 1, 2
+        r1, r2 = np.empty(rows.size), np.empty(rows.size)
+        for start in range(0, rows.size, 256):
+            blk = slice(start, start + 256)
+            inv = 1.0 / (shifts[rows[blk]] + d[blk, None])
+            r1[blk], r2[blk] = inv @ pw, (inv * inv) @ pw
+        return r1, r2
+
+    # one-pole start; the top bound is closed (it is the root for size 1)
+    with np.errstate(divide="ignore"):
+        delta = pw_o / (1.0 - sums(np.arange(size), np.zeros(size))[0])
+    delta = np.where((lo < delta) & (delta <= hi), delta, (lo + hi) / 2.0)
+    todo = np.arange(size)
+    for _ in range(100):
+        d = delta[todo]
+        r1, r2 = sums(todo, d)
+        f = d * (1.0 - r1) - pw_o[todo]
+        right = f * d < 0
+        a = np.where(right, d, lo[todo])
+        b = np.where(right, hi[todo], d)
+        lo[todo], hi[todo] = a, b
+        step = f / (1.0 - r1 + d * r2)
+        new = d - step
+        converged = np.abs(step) <= 2.0 * np.spacing(np.abs(d))
+        inside = (a < new) & (new < b)
+        delta[todo] = np.where(inside | converged, new, (a + b) / 2.0)
+        todo = todo[~(converged | (np.nextafter(a, b) >= b))]
+        if todo.size == 0:
+            break
+    else:
+        raise RuntimeError("explicit secular roots not converged")
+    return poles[o] + delta, pw_o / delta**2 + sums(np.arange(size), delta)[1]
+
+
+def explicit_mapping(n, alpha, mass, omega0):
+    """(bath_freqs, |l|, sector lam, c^2) of a point-coupled chain from
+    the explicit-sum oracle."""
+    rho = 2.0 * alpha / mass
+    k = np.arange(n)
+    pw = rho * first_site_weights(n)
+    lam, s2 = explicit_secular_roots(k[1:], n, omega0, pw[1:])
+    freqs, l_abs = np.sqrt(lam), mass / (2.0 * np.sqrt(n * s2 / rho))
+    lam, s2 = explicit_secular_roots(k, n, omega0, pw)
+    return freqs, l_abs, lam, pw[0] / (lam**2 * s2)
+
+
+def assert_matches_explicit(model, alpha):
+    """The bounds of test_structured_mapping_matches_dense, against the
+    explicit-sum oracle."""
+    form, modes = collective_mapping(model)
+    freqs, l_abs, lam_ref, c_sq_ref = explicit_mapping(
+        model.n_particles, alpha, model.mass, model.omega0)
+    assert np.abs(form.bath_freqs - freqs).max() < 1e-12
+    assert np.abs(np.abs(form.couplings_l) - l_abs).max() < 1e-12
+    lam = modes.frequencies**2
+    assert np.abs(lam - lam_ref).max() < 1e-12 * lam_ref[-1]
+    c_sq = modes.x_coefficients**2
+    assert np.abs(c_sq - c_sq_ref).max() < 1e-9
+    assert abs(c_sq.sum() - 1.0) < 1e-14
+    return form, modes
 
 
 def dense_bath(model):
@@ -177,7 +281,7 @@ def test_secular_matches_generic_pipeline():
 @pytest.mark.parametrize("mass, omega0", [(1.0, 1.0), (2.0, 3.0)])
 @pytest.mark.parametrize("n", [2, 8, 32, 64, 128, 512, 1024])
 def test_structured_mapping_matches_dense(n, mass, omega0):
-    # the O(N^2) secular route that `run` takes for point-coupled chains,
+    # the O(N) secular route that `run` takes for point-coupled chains,
     # against the dense eigensolves; sector frequencies squared are
     # compared at the scale of the largest one, which is the dense
     # route's accuracy
@@ -196,6 +300,63 @@ def test_structured_mapping_matches_dense(n, mass, omega0):
         c_sq = modes.x_coefficients**2
         assert np.abs(c_sq - dense_modes.x_coefficients**2).max() < 1e-9
         assert abs(c_sq.sum() - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("mass, omega0", [(1.0, 1.0), (2.0, 3.0)])
+@pytest.mark.parametrize("n", [2048, 4096])
+def test_structured_mapping_matches_explicit_sums(n, mass, omega0):
+    # the closed-form route against the explicit pole sums, at N where
+    # the dense route is slow
+    for alpha in (0.1, 0.5, 1.0, 10.0):
+        model = point_model(n, alpha, mass, omega0)
+        assert is_point_coupling(model)
+        assert_matches_explicit(model, alpha)
+
+
+@pytest.mark.parametrize("n", [5, 64, 1000])
+def test_chain_green_function_closed_form(n):
+    # G(lam) = sum_k v_k / (lam - d_k) in units of omega0^2, in the band
+    # at lam = 4 sin^2(theta/2) and above it at lam = 4 cosh^2(kappa/2).
+    # A few ulps of lam move either side by about eps lam |G'(lam)|, and
+    # the sum rounds at eps sum_k |v_k / (lam - d_k)|.
+    poles = next_neighbor_frequencies(n, 1.0) ** 2
+    v = first_site_weights(n)
+    for lam in (0.3, 1.7, 3.9, 5.0):
+        terms = v / (lam - poles)
+        if lam < 4.0:
+            theta = 2.0 * np.arcsin(np.sqrt(lam) / 2.0)
+            closed = np.cos((n - 0.5) * theta) / (
+                2.0 * np.sin(n * theta) * np.sin(theta / 2.0))
+        else:
+            kappa = 2.0 * np.arccosh(np.sqrt(lam) / 2.0)
+            closed = -np.expm1((1 - 2 * n) * kappa) / (
+                -np.expm1(-2 * n * kappa) * (np.exp(kappa) + 1.0))
+        scale = np.abs(terms).sum() + lam * (terms**2 / v).sum()
+        assert abs(closed - terms.sum()) < 8.0 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("mass, omega0", [(1.0, 1.0), (2.0, 3.0)])
+@pytest.mark.parametrize("n", [2, 8, 1024])
+@pytest.mark.parametrize("scale", [1.0 - 1e-12, 1.0, 1.0 + 1e-12])
+@pytest.mark.parametrize("sector", [True, False])
+def test_secular_top_root_at_band_edge(sector, scale, n, mass, omega0):
+    # the top root reaches the band edge lam = 4 omega0^2 where
+    # rho G(4) = 1: G(4) = (2N-1)/(4N) for the sector and (N-1)/(2N) for
+    # the bath, with rho = 2 alpha / (m omega0^2); there the closed form
+    # is 0/0 in the offset from the edge
+    crossing = 4 * n / (2 * n - 1) if sector else 2 * n / (n - 1)
+    alpha = scale * crossing * mass * omega0**2 / 2.0
+    model = point_model(n, alpha, mass, omega0)
+    form, modes = assert_matches_explicit(model, alpha)
+    chain_sq = next_neighbor_frequencies(n, omega0) ** 2
+    for roots, poles in ((form.bath_freqs**2, chain_sq[1:]),
+                         (modes.frequencies**2, chain_sq)):
+        assert np.isfinite(roots).all()
+        assert (np.diff(roots) > 0).all()
+        assert (roots[:-1] > poles[:-1]).all() and (roots[:-1] < poles[1:]).all()
+        assert roots[-1] > poles[-1]
+    top = (modes.frequencies if sector else form.bath_freqs)[-1] ** 2
+    assert abs(top - 4.0 * omega0**2) < 1e-10 * omega0**2
 
 
 def test_dense_route_for_other_models():

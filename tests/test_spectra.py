@@ -78,11 +78,14 @@ def test_sigma_resolvent_matches_termwise_smoothing():
     bath_freqs = np.sqrt(2.0 * evals / m)
     couplings_l = u.T @ k_tilde[0, 1:]
     eps = 0.05
-    for w in np.linspace(0.2, 2.2, 9):
-        val = sigma_resolvent(model, w, eps)
+    omega = np.linspace(0.2, 2.2, 9)
+    vals = sigma_resolvent(model, omega, eps)   # one mapping for all points
+    assert vals.shape == omega.shape
+    for w, val in zip(omega, vals):
         lor = (eps / np.pi) / ((w - bath_freqs) ** 2 + eps**2)
         ref = ((2 * couplings_l) ** 2 * lor).sum() / (2 * m * w)
         assert abs(val - ref) < 1e-8 * max(abs(ref), 1e-6)
+    assert sigma_resolvent(model, omega[3], eps) == vals[3]
 
 
 def test_sigma_resolvent_peak_height():
@@ -108,6 +111,10 @@ def test_sigma_resolvent_below_band():
 def test_sigma_resolvent_rejects_zero_frequency():
     with pytest.raises(ValueError):
         sigma_resolvent(point_model(4, 1.0), 0.0, 0.1)
+    with pytest.raises(ValueError, match="omega = 0"):
+        sigma_resolvent(point_model(4, 1.0), np.array([0.5, 0.0]), 0.1)
+    with pytest.raises(ValueError, match="epsilon"):
+        sigma_resolvent(point_model(4, 1.0), np.array([0.5, 1.0]), 0.0)
 
 
 def test_sigma_resolvent_rejects_unstable_bath():
