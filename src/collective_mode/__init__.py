@@ -14,12 +14,9 @@ from .model import (
     UnstableModelError,
     build_general_model,
     build_next_neighbor_model,
-    full_potential_matrix,
     next_neighbor_frequencies,
     phonon_spectrum,
-    potential_energy,
     sector_eigenvalues,
-    standing_wave_basis,
     validate_model,
 )
 from .mapping import (
@@ -30,7 +27,6 @@ from .mapping import (
     collective_sector_eigensystem,
     collective_sector_modes,
     decoupling_indicator,
-    interaction_in_phonon_basis,
     is_point_coupling,
     shift_collective_potential,
 )
@@ -58,7 +54,6 @@ from .spectra import (
     ohmic_spectrum,
     sigma_comb,
     sigma_phonon_approximation,
-    sigma_resolvent,
     smoothed_spectrum,
     strength_comb,
 )

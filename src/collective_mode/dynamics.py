@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mapping import CollectiveForm, QuantumModes, collective_sector_modes
-from .model import PhononSpectrum, SystemModel, _sector_blocks
+from .model import SystemModel, _sector_blocks
 from ._kernels import BLOCK, volterra_path
 
 __all__ = [
@@ -313,13 +313,12 @@ def linear_response(form: CollectiveForm, force_samples, times):
     return forced, TrajectoryTable(times=t, positions=predicted)
 
 
-def total_energy(model: SystemModel, sector, bath_transform,
-                 phonons: PhononSpectrum, p0, times):
+def total_energy(model: SystemModel, sector, basis, p0, times):
     """Total energy of the two chains along the exact kicked trajectory.
 
     Takes the sector eigensystem (frequencies, mode_matrix) from
-    collective_sector_eigensystem, the orthogonal U that diagonalized the
-    bath block and the chain phonons the form was mapped from.  The kick
+    collective_sector_eigensystem and the orthogonal site-space basis
+    [u | C U] that caldeira_leggett_form returns with the form.  The kick
     excites only the antisymmetric sector a = (x - xbar)/sqrt(2); the
     symmetric sector stays at rest and carries no energy.  The normal
     coordinates q(t) map to a = q M, so the energy is
@@ -339,11 +338,9 @@ def total_energy(model: SystemModel, sector, bath_transform,
     q[:, free] = np.outer(t, amp[free])
     qdot = np.cos(phase) * amp
 
-    # M: q -> (X, xi) through the sector modes; X is the first
-    # antisymmetric phonon coordinate itself and the bath coordinates
-    # rotate back to the phonon coordinates through U; A^T then gives
-    # the site coordinates a.
-    to_anti = np.vstack([v_modes[:1], bath_transform @ v_modes[1:]]).T @ phonons.basis
+    # M: q -> (X, xi) through the sector modes, then the basis takes
+    # (X, xi) to the site coordinates a.
+    to_anti = v_modes.T @ basis.T
     anti = _sector_blocks(model.w_matrix, model.k_matrix)[1]
     kinetic = 0.5 * m * ((qdot @ (to_anti @ to_anti.T)) * qdot).sum(axis=-1)
     potential = ((q @ (to_anti @ anti @ to_anti.T)) * q).sum(axis=-1)

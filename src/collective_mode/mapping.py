@@ -2,16 +2,19 @@
 coordinate coupled to an internal bath of relative phonons.
 
 The collective coordinate X is the scaled difference of the two chains'
-center-of-mass coordinates.  In the phonon basis the antisymmetric
-sector splits into X plus N-1 bath coordinates; the bath block B is
-diagonalized once more, leaving X coupled linearly to N-1 harmonic
-modes.  For the single-point next-neighbor coupling the bath block and
-the whole collective sector are a diagonal matrix plus one rank-one
-term; with lam = 4 sin^2(theta/2) (units of omega0^2) their secular
-equations sum over the chain's poles in closed form,
-G(lam) = cos((N - 1/2) theta) / (2 sin(N theta) sin(theta/2)), so the same
-data follows in O(N); the dense route serves general models and stays
-the oracle of the structured one.
+center-of-mass coordinates, the uniform mode of the antisymmetric
+sector.  On the orthogonal complement of the uniform vector that
+sector holds N-1 bath coordinates; their block B is diagonalized,
+leaving X coupled linearly to N-1 harmonic modes.  The bath does not
+depend on which orthonormal basis of the complement is used, so the
+dense route takes the one of the phonon deflation's reflector instead
+of the phonons themselves.  For the single-point next-neighbor
+coupling the bath block and the whole collective sector are a diagonal
+matrix plus one rank-one term; with lam = 4 sin^2(theta/2) (units of
+omega0^2) their secular equations sum over the chain's poles in closed
+form, G(lam) = cos((N - 1/2) theta) / (2 sin(N theta) sin(theta/2)), so
+the same data follows in O(N); the dense route serves general models
+and stays the oracle of the structured one.
 """
 
 from dataclasses import dataclass, replace
@@ -22,9 +25,11 @@ from .model import (
     PhononSpectrum,
     SystemModel,
     UnstableModelError,
+    _fix_signs,
     _freeze,
     _psd_eigh,
-    phonon_spectrum,
+    _reflect,
+    _sector_blocks,
 )
 
 _SECULAR_MAX_ITER = 100
@@ -72,51 +77,42 @@ class QuantumModes:
         _freeze(self, "frequencies", "x_coefficients")
 
 
-def interaction_in_phonon_basis(model: SystemModel, phonons: PhononSpectrum):
-    """Coupling of the antisymmetric (relative) sector in the phonon
-    basis: Ktilde = A (diag(khat) + K) A^T.
-
-    A is the mode basis (rows are modes) and khat_i the row sums of K.
-    """
-    a = phonons.basis
-    if a.shape[0] != model.n_particles:
-        raise ValueError(
-            f"basis size {a.shape[0]} does not match model N = {model.n_particles}"
-        )
-    k_tilde = a @ (np.diag(model.row_coupling_sums) + model.k_matrix) @ a.T
-    return (k_tilde + k_tilde.T) / 2.0
-
-
-def caldeira_leggett_form(model: SystemModel, phonons: PhononSpectrum | None = None):
+def caldeira_leggett_form(model: SystemModel):
     """Map a validated model onto the collective + internal-bath form by
-    dense eigensolves: (form, U).
+    dense eigensolves: (form, basis).
 
-    Builds B_{nm} = Ktilde_{n+1,m+1} + (m/2) omega_{n+1}^2 delta_{nm}
-    from the model's phonons (computed here unless passed in),
-    diagonalizes it, and projects the coupling row of Ktilde onto the
-    bath eigenmodes.  U is orthogonal with
-    U^T B U = (m/2) diag(bath_freqs^2); the energy reconstruction needs it.
+    The reflector H of the phonon deflation sends e_0 to -u, so in
+    H anti H (anti the antisymmetric block) the corner is Ktilde_11 =
+    u^T anti u and the lower block is the bath block B = C^T anti C,
+    with C the last N-1 columns of H.  B is diagonalized once; its
+    eigenmodes U give the orthogonal site-space map basis = [u | C U]
+    from (X, bath modes) onto the antisymmetric coordinates, with each
+    column's first nonzero entry positive, and the couplings are the
+    coupling row (C U)^T anti u.  None of this depends on which
+    orthonormal basis of the complement of u is used.  The energy
+    reconstruction needs the basis.
     """
-    if phonons is None:
-        phonons = phonon_spectrum(model)
-    k_tilde = interaction_in_phonon_basis(model, phonons)
-    m = model.mass
-
-    b = k_tilde[1:, 1:] + np.diag(m * phonons.frequencies[1:] ** 2 / 2.0)
-    evals, u = _psd_eigh(b, "bath block")
+    n, m = model.n_particles, model.mass
+    anti = _sector_blocks(model.w_matrix, model.k_matrix)[1]
+    reflected = _reflect(_reflect(anti).T)
+    evals, u = _psd_eigh(reflected[1:, 1:], "bath block")
     if (evals == 0.0).any():
         raise UnstableModelError(
             "bath block has a zero mode; bath frequencies must be positive"
         )
+    lift = np.zeros((n, n))
+    lift[0, 0] = -1.0
+    lift[1:, 1:] = u
+    basis = _fix_signs(_reflect(lift))
 
     form = CollectiveForm(
-        k_tilde_11=float(k_tilde[0, 0]),
+        k_tilde_11=float(reflected[0, 0]),
         bath_freqs=np.sqrt(2.0 * evals / m),
-        couplings_l=u.T @ k_tilde[0, 1:],
+        couplings_l=basis[:, 1:].T @ (anti @ basis[:, 0]),
         mass=m,
         hbar=model.hbar,
     )
-    return form, u
+    return form, basis
 
 
 def decoupling_indicator(model: SystemModel, phonons: PhononSpectrum):

@@ -238,21 +238,6 @@ def next_neighbor_frequencies(n_particles, omega0):
     return 2.0 * omega0 * np.abs(np.sin(np.pi * k / (2 * n_particles)))
 
 
-def standing_wave_basis(n_particles):
-    """Closed-form orthogonal mode basis of the free next-neighbor chain.
-
-    Row k (k >= 1) is sqrt(2/N) cos(pi k (j + 1/2) / N) over sites j;
-    row 0 is the uniform zero mode.
-    """
-    n = n_particles
-    j = np.arange(n)
-    basis = np.empty((n, n))
-    basis[0] = 1.0 / np.sqrt(n)
-    for k in range(1, n):
-        basis[k] = np.sqrt(2.0 / n) * np.cos(np.pi * k * (j + 0.5) / n)
-    return basis
-
-
 def _fix_signs(modes):
     """Make the first nonzero component of every column nonnegative, in
     place; returns ``modes``.  Row-wise modes go in transposed."""
@@ -284,6 +269,16 @@ def _psd_eigh(mat, what):
     return np.clip(evals, 0.0, None), _fix_signs(evecs)
 
 
+def _reflect(x):
+    """H x for the Householder reflector H = I - v v^T / v_0, v = u + e_0,
+    which swaps e_0 and -u (u the uniform unit vector), so columns 1..N-1
+    of H span the complement of u.  A rank-one update, O(N) per column of
+    x; H A H for a symmetric A is _reflect(_reflect(A).T)."""
+    v = np.full(x.shape[0], 1.0 / np.sqrt(x.shape[0]))
+    v[0] += 1.0
+    return x - np.multiply.outer(v, v @ x / v[0])
+
+
 def phonon_spectrum(model: SystemModel) -> PhononSpectrum:
     """Diagonalize the chain: frequencies and the orthogonal mode basis.
 
@@ -294,47 +289,13 @@ def phonon_spectrum(model: SystemModel) -> PhononSpectrum:
     first and mode signs are fixed for reproducibility.
     """
     n = model.n_particles
-    w = model.w_matrix
-    m = model.mass
-
-    uniform = np.full(n, 1.0 / np.sqrt(n))
-    # Orthonormal basis of the complement of the uniform vector: the
-    # Householder reflector I - v v^T / v_0 with v = uniform + e_0 maps
-    # e_0 to -uniform, so its other columns span the complement.
-    v = uniform.copy()
-    v[0] += 1.0
-    comp = np.eye(n)[:, 1:] - np.outer(v, v[1:] / v[0])
-
-    evals, evecs = _psd_eigh(comp.T @ w @ comp, "chain potential W")
+    evals, evecs = _psd_eigh(_reflect(_reflect(model.w_matrix).T)[1:, 1:],
+                             "chain potential W")
 
     freqs = np.empty(n)
     freqs[0] = 0.0
-    freqs[1:] = np.sqrt(2.0 * evals / m)
-    basis = np.empty((n, n))
-    basis[0] = uniform
-    basis[1:] = (comp @ evecs).T
-    return PhononSpectrum(frequencies=freqs, basis=_fix_signs(basis.T).T)
-
-
-def full_potential_matrix(model: SystemModel):
-    """Quadratic form Q of the total potential: V(z) = z^T Q z, z = (x, xbar).
-
-    Diagonal blocks W + diag(khat), off-diagonal blocks -K.  The package
-    works with its sector blocks instead; Q is the unsplit reference.
-    """
-    k = model.k_matrix
-    diag_block = model.w_matrix + np.diag(model.row_coupling_sums)
-    return np.block([[diag_block, -k], [-k.T, diag_block]])
-
-
-def potential_energy(model: SystemModel, x, xbar):
-    """Total potential evaluated from its definition (independent of Q).
-
-    (x, W x) + (xbar, W xbar) + sum_ij K_ij (x_i - xbar_j)^2.
-    """
-    x = np.asarray(x, dtype=float)
-    xbar = np.asarray(xbar, dtype=float)
-    w = model.w_matrix
-    k = model.k_matrix
-    diff = x[:, None] - xbar[None, :]
-    return float(x @ w @ x + xbar @ w @ xbar + (k * diff**2).sum())
+    freqs[1:] = np.sqrt(2.0 * evals / model.mass)
+    modes = np.zeros((n, n))
+    modes[0, 0] = -1.0
+    modes[1:, 1:] = evecs   # H maps the columns to u and the complement modes
+    return PhononSpectrum(frequencies=freqs, basis=_fix_signs(_reflect(modes)).T)

@@ -17,13 +17,13 @@ from .dynamics import (
     OscillatorParams, _check_uniform_grid, gamma_transform, omega0_squared,
 )
 from .mapping import (
-    CollectiveForm, QuantumModes, caldeira_leggett_form, decoupling_indicator,
+    CollectiveForm, QuantumModes, decoupling_indicator,
 )
 from .model import SystemModel, phonon_spectrum
 
 __all__ = [
     "DeltaComb", "SpectrumTable",
-    "sigma_comb", "sigma_resolvent", "sigma_phonon_approximation",
+    "sigma_comb", "sigma_phonon_approximation",
     "strength_comb", "correlator_S", "smoothed_spectrum",
     "ohmic_spectrum", "convolution_power_spectrum", "observable_spectrum",
     "fdt_spectrum", "fdt_comparison_in_window",
@@ -84,30 +84,6 @@ def sigma_comb(form: CollectiveForm) -> DeltaComb:
         frequencies=w,
         weights=(2.0 * form.couplings_l) ** 2 / (2.0 * form.mass * w),
     )
-
-
-def sigma_resolvent(model: SystemModel, omega, epsilon):
-    """Spectral density from the resolvent of the bath-block square root.
-
-    Evaluates -(1 / 2 pi m w) Im (k, [w - sqrt(Wr^2 + (2/m) Kr) + i eps]^-1 k)
-    in the eigenbasis of the bath block, where the mapping already holds
-    it: the eigenvalues are the bath frequencies and the projections of
-    the coupling k are 2 l.  For small epsilon this is the
-    Lorentzian-broadened line spectrum (with the 1/w prefactor taken at
-    the evaluation point).  omega may be an array; the model is mapped
-    once per call, and a scalar omega gives a float.  Raises
-    UnstableModelError when the bath block has a negative mode.
-    """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    w = np.asarray(omega, dtype=float)
-    if (w == 0).any():
-        raise ValueError("omega = 0 is singular (1/omega prefactor)")
-    form, _ = caldeira_leggett_form(model)
-    proj = 2.0 * form.couplings_l   # equations-of-motion coupling
-    resolvent = (proj**2 / (w[..., None] - form.bath_freqs + 1j * epsilon)).sum(-1)
-    sigma = -resolvent.imag / (2.0 * np.pi * form.mass * w)
-    return float(sigma) if sigma.ndim == 0 else sigma
 
 
 def sigma_phonon_approximation(model: SystemModel, kappa=None) -> DeltaComb:

@@ -93,7 +93,7 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
     ))
 
     try:
-        form, bath_transform = mapping.caldeira_leggett_form(model, phonons)
+        form, site_basis = mapping.caldeira_leggett_form(model)
     except model_mod.UnstableModelError as exc:
         checks.append(CheckResult(
             name="mapping.bath_stability", measured=None, tolerance=None,
@@ -164,7 +164,7 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
                  f"L-inf over [0, {t_max:g}] at {steps} steps, kick scale |P0|/(m W0)")
 
     t_e = np.linspace(0.0, t_max, min(steps + 1, 2001))
-    energy = dyn.total_energy(model, sector, bath_transform, phonons, p0, t_e)
+    energy = dyn.total_energy(model, sector, site_basis, p0, t_e)
     err = np.abs(energy - energy[0]).max() / max(energy[0], 1e-300)
     _bounded(checks, "dynamics.energy_conservation", err, 1e-10,
              "total energy drift along the exact trajectory")

@@ -24,7 +24,6 @@ from collective_mode import (
     decoupling_indicator,
     evolve_exact,
     fdt_spectrum,
-    full_potential_matrix,
     is_point_coupling,
     mean_bath_spacing,
     ohmic_spectrum,
@@ -37,6 +36,7 @@ from collective_mode import (
 )
 from collective_mode.dynamics import OscillatorParams
 from collective_mode.spectra import SpectrumTable
+from oracles import full_potential_matrix
 
 
 def report(number, name, detail):

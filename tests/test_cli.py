@@ -237,9 +237,7 @@ def count_calls(monkeypatch, targets):
 def decomposition_counts(tmp_path, monkeypatch, command, write=write_config):
     counts = count_calls(monkeypatch, [
         ("model", "phonon_spectrum"), ("mapping", "caldeira_leggett_form"),
-        ("mapping", "collective_sector_eigensystem"),
-        ("mapping", "interaction_in_phonon_basis"),
-        ("model", "full_potential_matrix")])
+        ("mapping", "collective_sector_eigensystem")])
     cfg = tmp_path / "demo.ini"
     write(cfg, n=16, alpha=0.5, t_max=16.0, steps=1600)
     assert main([command, str(cfg), "--quiet"]) == 0
@@ -249,28 +247,33 @@ def decomposition_counts(tmp_path, monkeypatch, command, write=write_config):
 @pytest.mark.parametrize("command, expected", [
     # a point-coupled chain maps by the secular route: no dense eigensolve
     ("run", {"phonon_spectrum": 0, "caldeira_leggett_form": 0,
-             "collective_sector_eigensystem": 0,
-             "interaction_in_phonon_basis": 0, "full_potential_matrix": 0}),
-    # verify's phonons, shared by its dense form (which also returns U),
-    # and one sector eigensystem, shared by its sector modes and the
-    # energy reconstruction; the sector blocks are in the site basis, so
-    # only the dense form transforms K, and nothing forms the 2N matrix
+             "collective_sector_eigensystem": 0}),
+    # verify's phonons feed its chain checks only; its dense form (which
+    # also returns the site basis) and one sector eigensystem, shared by
+    # its sector modes and the energy reconstruction
     ("verify", {"phonon_spectrum": 1, "caldeira_leggett_form": 1,
-                "collective_sector_eigensystem": 1,
-                "interaction_in_phonon_basis": 1, "full_potential_matrix": 0}),
+                "collective_sector_eigensystem": 1}),
 ])
 def test_each_decomposition_is_computed_once(tmp_path, monkeypatch, command, expected):
     assert decomposition_counts(tmp_path, monkeypatch, command) == expected
 
 
 def test_general_model_run_maps_once_by_dense_route(tmp_path, monkeypatch):
-    # the same chain as a general model takes the dense route, once
+    # the same chain as a general model takes the dense route, once: it
+    # deflates the uniform mode without the phonons, so its eigenvectors
+    # are the bath block's (N - 1) and the collective sector's (N);
+    # validation takes eigenvalues only
+    sizes = []
+
+    def recorded(a, *args, _fn=np.linalg.eigh, **kwargs):
+        sizes.append(np.shape(a))
+        return _fn(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
     counts = decomposition_counts(tmp_path, monkeypatch, "run",
                                   write_general_config)
-    assert counts == {"phonon_spectrum": 1, "caldeira_leggett_form": 1,
-                      "collective_sector_eigensystem": 1,
-                      "interaction_in_phonon_basis": 1,
-                      "full_potential_matrix": 0}
+    assert counts == {"phonon_spectrum": 0, "caldeira_leggett_form": 1,
+                      "collective_sector_eigensystem": 1}
+    assert sizes == [(15, 15), (16, 16)]
 
 
 @pytest.mark.parametrize("write", [write_config, write_general_config])

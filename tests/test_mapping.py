@@ -14,14 +14,13 @@ from collective_mode import (
     collective_sector_eigensystem,
     collective_sector_modes,
     decoupling_indicator,
-    full_potential_matrix,
-    interaction_in_phonon_basis,
     is_point_coupling,
     next_neighbor_frequencies,
     phonon_spectrum,
     sector_eigenvalues,
     shift_collective_potential,
 )
+from oracles import full_potential_matrix, phonon_basis_blocks
 
 
 def point_model(n, alpha, mass=1.0, omega0=1.0):
@@ -140,19 +139,18 @@ def assert_matches_explicit(model, alpha):
 
 
 def dense_bath(model):
-    """Dense form, its bath transform U and the bath block B it diagonalized."""
-    ph = phonon_spectrum(model)
-    form, u = caldeira_leggett_form(model, ph)
-    k_tilde = interaction_in_phonon_basis(model, ph)
-    b = k_tilde[1:, 1:] + np.diag(model.mass * ph.frequencies[1:] ** 2 / 2.0)
-    return form, u, b
+    """Dense form, its bath modes U in the phonon basis and the phonon-basis
+    bath block B of the oracle, which U must diagonalize."""
+    form, basis = caldeira_leggett_form(model)
+    u = phonon_spectrum(model).basis[1:] @ basis[:, 1:]
+    return form, u, phonon_basis_blocks(model)[1]
 
 
 def test_point_coupling_k_tilde_rank_one():
     # K~_nm = alpha a_n a_m with a the site-1 profile of the modes
     model = point_model(4, 1.0)
     ph = phonon_spectrum(model)
-    k_tilde = interaction_in_phonon_basis(model, ph)
+    k_tilde = phonon_basis_blocks(model)[0]
     a = ph.basis[:, 0]
     assert np.abs(k_tilde - np.outer(a, a)).max() < 1e-12
     assert k_tilde[0, 0] == pytest.approx(0.25, abs=1e-13)
@@ -164,7 +162,7 @@ def test_point_coupling_k_tilde_rank_one():
 def test_zero_coupling_transforms_vanish():
     model = point_model(5, 0.0)
     ph = phonon_spectrum(model)
-    assert np.abs(interaction_in_phonon_basis(model, ph)).max() == 0.0
+    assert np.abs(phonon_basis_blocks(model)[0]).max() == 0.0
     k_bar = ph.basis @ (np.diag(model.row_coupling_sums) - model.k_matrix) @ ph.basis.T
     assert np.abs(k_bar).max() == 0.0
 
@@ -446,11 +444,19 @@ def test_dense_route_matches_scipy_oracle():
         k[j, i] += v * (i != j)
     model = build_general_model(w, k, mass)
     phonons = phonon_spectrum(model)
-    form, _ = caldeira_leggett_form(model, phonons)
+    form, _ = caldeira_leggett_form(model)
     sector_sq = collective_sector_eigensystem(form)[0] ** 2
 
     def close(got, ref):
         return np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    # the dense route deflates u by a reflector, not by the phonons: it
+    # must match the mapping in the phonon basis, up to each l's sign
+    k_tilde, b = phonon_basis_blocks(model)
+    b_evals, b_modes = scipy.linalg.eigh(b)
+    assert close(form.k_tilde_11, k_tilde[0, 0])
+    assert close(form.bath_freqs, np.sqrt(2.0 * b_evals / mass))
+    assert close(np.abs(form.couplings_l), np.abs(b_modes.T @ k_tilde[0, 1:]))
 
     # the bath block is the antisymmetric block on the complement of
     # the uniform vector, in any orthonormal basis of it

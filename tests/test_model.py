@@ -8,14 +8,12 @@ from collective_mode import (
     UnstableModelError,
     build_general_model,
     build_next_neighbor_model,
-    full_potential_matrix,
     next_neighbor_frequencies,
     phonon_spectrum,
-    potential_energy,
-    standing_wave_basis,
     validate_model,
 )
 from collective_mode.model import _fix_signs
+from oracles import full_potential_matrix, potential_energy, standing_wave_basis
 
 
 def test_next_neighbor_n2_matrices():

@@ -18,13 +18,13 @@ from collective_mode import (
     correlator_S,
     decoupling_indicator,
     evolve_exact,
-    full_potential_matrix,
     is_point_coupling,
     phonon_spectrum,
     sector_eigenvalues,
     solve_volterra,
     strength_comb,
 )
+from oracles import full_potential_matrix
 
 
 def random_models(count, seed=20240809):

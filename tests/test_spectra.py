@@ -7,8 +7,6 @@ import scipy.linalg
 from collective_mode import (
     DeltaComb,
     SpectrumTable,
-    SystemModel,
-    UnstableModelError,
     build_general_model,
     build_next_neighbor_model,
     caldeira_leggett_form,
@@ -19,7 +17,6 @@ from collective_mode import (
     damping_kernel,
     evolve_exact,
     fdt_spectrum,
-    full_potential_matrix,
     mean_bath_spacing,
     next_neighbor_frequencies,
     observable_spectrum,
@@ -27,12 +24,11 @@ from collective_mode import (
     shift_collective_potential,
     sigma_comb,
     sigma_phonon_approximation,
-    sigma_resolvent,
     smoothed_spectrum,
-    standing_wave_basis,
     strength_comb,
 )
 from collective_mode.dynamics import OscillatorParams
+from oracles import full_potential_matrix, standing_wave_basis
 
 
 def point_model(n, alpha):
@@ -66,9 +62,11 @@ def test_sigma_comb_decoupled():
     assert comb.weights.max() < 1e-25
 
 
-def test_sigma_resolvent_matches_termwise_smoothing():
+def test_sigma_comb_matches_termwise_smoothing():
     # reference bath block built here from the chain's closed-form modes
-    # and solved by scipy, independent of the package's mapping
+    # and solved by scipy, independent of the package's mapping; the
+    # comb's lines, Lorentzian-broadened with the 1/(2 m w) prefactor
+    # taken at w, against the same sum over the reference lines
     n, m = 8, 1.0
     model = point_model(n, 1.0)
     a = standing_wave_basis(n)
@@ -77,54 +75,14 @@ def test_sigma_resolvent_matches_termwise_smoothing():
     evals, u = scipy.linalg.eigh(k_tilde[1:, 1:] + np.diag(m * freqs[1:] ** 2 / 2.0))
     bath_freqs = np.sqrt(2.0 * evals / m)
     couplings_l = u.T @ k_tilde[0, 1:]
+    comb = sigma_comb(caldeira_leggett_form(model)[0])
     eps = 0.05
-    omega = np.linspace(0.2, 2.2, 9)
-    vals = sigma_resolvent(model, omega, eps)   # one mapping for all points
-    assert vals.shape == omega.shape
-    for w, val in zip(omega, vals):
+    for w in np.linspace(0.2, 2.2, 9):
+        val = (comb.weights * comb.frequencies
+               * (eps / np.pi) / ((w - comb.frequencies) ** 2 + eps**2)).sum() / w
         lor = (eps / np.pi) / ((w - bath_freqs) ** 2 + eps**2)
         ref = ((2 * couplings_l) ** 2 * lor).sum() / (2 * m * w)
         assert abs(val - ref) < 1e-8 * max(abs(ref), 1e-6)
-    assert sigma_resolvent(model, omega[3], eps) == vals[3]
-
-
-def test_sigma_resolvent_peak_height():
-    model = point_model(8, 1.0)
-    form = caldeira_leggett_form(model)[0]
-    comb = sigma_comb(form)
-    eps = 1e-4
-    peak = sigma_resolvent(model, form.bath_freqs[0], eps)
-    assert peak == pytest.approx(comb.weights[0] / (np.pi * eps), rel=1e-4)
-
-
-def test_sigma_resolvent_below_band():
-    model = point_model(8, 1.0)
-    form = caldeira_leggett_form(model)[0]
-    w1 = form.bath_freqs[0]
-    val = sigma_resolvent(model, 0.01 * w1, 0.1 * w1)
-    comb = sigma_comb(form)
-    lor = (0.1 * w1 / np.pi) / ((0.01 * w1 - comb.frequencies) ** 2 + (0.1 * w1) ** 2)
-    tail = ((2 * form.couplings_l) ** 2 * lor).sum() / (2 * form.mass * 0.01 * w1)
-    assert abs(val) < tail + 1e-10
-
-
-def test_sigma_resolvent_rejects_zero_frequency():
-    with pytest.raises(ValueError):
-        sigma_resolvent(point_model(4, 1.0), 0.0, 0.1)
-    with pytest.raises(ValueError, match="omega = 0"):
-        sigma_resolvent(point_model(4, 1.0), np.array([0.5, 0.0]), 0.1)
-    with pytest.raises(ValueError, match="epsilon"):
-        sigma_resolvent(point_model(4, 1.0), np.array([0.5, 1.0]), 0.0)
-
-
-def test_sigma_resolvent_rejects_unstable_bath():
-    # the negative coupling of test_mapping's unstable bath (bypasses
-    # validation) gives the bath block a negative mode
-    w = build_next_neighbor_model(2, 1.0, 1.0, 0.0).w_matrix
-    k = np.zeros((2, 2))
-    k[0, 0] = -2.0
-    with pytest.raises(UnstableModelError, match="bath block"):
-        sigma_resolvent(SystemModel(2, 1.0, w, k), 1.0, 0.1)
 
 
 def test_sigma_phonon_approximation_small_fluctuations():
