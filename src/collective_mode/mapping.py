@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (
-    PhononSpectrum,
     SystemModel,
     UnstableModelError,
     _fix_signs,
@@ -115,22 +114,23 @@ def caldeira_leggett_form(model: SystemModel):
     return form, basis
 
 
-def decoupling_indicator(model: SystemModel, phonons: PhononSpectrum):
-    """Coupling vector of X to the bath, plus a flag.
+def decoupling_indicator(model: SystemModel):
+    """Coupling vector of X to the bath in site space, plus a flag.
 
-    Forms the first row of Ktilde = A (diag(khat) + K) A^T by two
-    matrix-vector products; for symmetric K it equals the projection of
-    the row sums khat onto the nonuniform phonon modes,
-    k_i = (2/sqrt(N)) sum_j khat_j A_{j,i+1}.  The flag is true when the
-    coupling vanishes, i.e. when all khat_i are equal (constant row sums
-    give no damping).  Takes the model's phonons.
+    The vector is (I - u u^T)(diag(khat) + K) u, u the uniform unit
+    vector: the antisymmetric block's force on the complement of u when
+    X alone is displaced.  For symmetric K, K u = khat / sqrt(N), so it
+    is (2/sqrt(N)) (khat - mean(khat)).  Any orthonormal basis of the
+    complement rotates it into a coupling row: the phonon modes give the
+    one of the phonon basis, the bath modes C U the couplings l.  The
+    flag is true when the coupling vanishes, i.e. when all khat_i are
+    equal (constant row sums give no damping).
     """
     khat = model.row_coupling_sums
-    a = phonons.basis
-    k_generic = (a[1:] * khat) @ a[0] + a[1:] @ (model.k_matrix @ a[0])
+    k_site = (2.0 / np.sqrt(model.n_particles)) * (khat - khat.mean())
     khat_scale = np.abs(khat).max()
-    decoupled = np.abs(k_generic).max() < 1e-12 * max(khat_scale, 1e-300)
-    return k_generic, bool(decoupled)
+    decoupled = np.abs(k_site).max() < 1e-12 * max(khat_scale, 1e-300)
+    return k_site, bool(decoupled)
 
 
 def shift_collective_potential(form: CollectiveForm, k0: float) -> CollectiveForm:
@@ -224,8 +224,8 @@ def _secular_roots(n, rho, beta):
 def is_point_coupling(model: SystemModel) -> bool:
     """True for a next-neighbor chain pair coupled only by K_11 > 0."""
     k = model.k_matrix
-    single = np.count_nonzero(k) == 1 and k[0, 0] > 0
-    return bool(single and model.omega0 is not None)
+    return bool(model.omega0 is not None and k[0, 0] > 0
+                and np.count_nonzero(k) == 1)
 
 
 def collective_sector_eigensystem(form: CollectiveForm):

@@ -110,7 +110,7 @@ def sector_eigenvalues(model: SystemModel):
     return np.linalg.eigvalsh(_sector_blocks(model.w_matrix, model.k_matrix))
 
 
-def validate_model(w_matrix, k_matrix, mass, hbar=1.0):
+def validate_model(w_matrix, k_matrix, mass, hbar=1.0, return_eigenvalues=False):
     """Check all structural invariants; return [(name, message), ...].
 
     An empty list means the model is valid.  Checks are reported
@@ -118,15 +118,21 @@ def validate_model(w_matrix, k_matrix, mass, hbar=1.0):
     or positivity problem.  W need not be circulant: the mapping only
     needs W symmetric with vanishing row sums (the uniform vector must
     be a zero mode), which the free-ended next-neighbor chain satisfies.
+    With return_eigenvalues the result is (violations, eigs), eigs being
+    the positivity check's sector eigenvalues as sector_eigenvalues
+    returns them, or None when the checks stop before that eigensolve.
     """
+    def result(violations, eigs=None):
+        return (violations, eigs) if return_eigenvalues else violations
+
     violations = []
     w = np.asarray(w_matrix, dtype=float)
     k = np.asarray(k_matrix, dtype=float)
 
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        return [("shape", f"W must be square, got {w.shape}")]
+        return result([("shape", f"W must be square, got {w.shape}")])
     if k.shape != w.shape:
-        return [("shape", f"K shape {k.shape} does not match W shape {w.shape}")]
+        return result([("shape", f"K shape {k.shape} does not match W shape {w.shape}")])
     n = w.shape[0]
     if n < 2:
         violations.append(("size", f"need N >= 2 particles per chain, got {n}"))
@@ -136,7 +142,7 @@ def validate_model(w_matrix, k_matrix, mass, hbar=1.0):
     if not (np.isfinite(w).all() and np.isfinite(k).all()):
         violations.append(("non_finite", "W and K must have finite entries"))
     if violations:
-        return violations
+        return result(violations)
 
     scale = max(np.abs(w).max(), 1e-300)
 
@@ -156,6 +162,7 @@ def validate_model(w_matrix, k_matrix, mass, hbar=1.0):
             ("row_sum", f"max |sum_i W_ij| = {rowsum:.3e} exceeds {_TOL_ROWSUM:.0e} * max|W|")
         )
 
+    eigs = None
     if not any(name in ("w_symmetry", "k_symmetry", "k_negative") for name, _ in violations):
         # Finite entries can still overflow in the sector blocks, and
         # LAPACK turns an inf or NaN into meaningless eigenvalues instead
@@ -174,26 +181,30 @@ def validate_model(w_matrix, k_matrix, mass, hbar=1.0):
                  f"min eigenvalue {lowest:.3e} of the full quadratic form is negative")
             )
 
-    return violations
+    return result(violations, eigs)
 
 
-def build_general_model(w_matrix, k_matrix, mass, hbar=1.0):
+def build_general_model(w_matrix, k_matrix, mass, hbar=1.0, return_eigenvalues=False):
     """Validate user-supplied (W, K) and wrap them in a SystemModel.
 
     Raises ModelValidationError carrying the full violation list when an
-    invariant fails.
+    invariant fails.  With return_eigenvalues the result is (model,
+    eigs), eigs being the sector eigenvalues validation computed, so a
+    caller that needs them does not solve again.
     """
-    violations = validate_model(w_matrix, k_matrix, mass, hbar)
+    violations, eigs = validate_model(w_matrix, k_matrix, mass, hbar,
+                                      return_eigenvalues=True)
     if violations:
         raise ModelValidationError(violations)
     w = np.asarray(w_matrix, dtype=float)
-    return SystemModel(
+    model = SystemModel(
         n_particles=w.shape[0],
         mass=float(mass),
         w_matrix=w,
         k_matrix=np.asarray(k_matrix, dtype=float),
         hbar=float(hbar),
     )
+    return (model, eigs) if return_eigenvalues else model
 
 
 def build_next_neighbor_model(n_particles, mass=1.0, omega0=1.0, alpha=0.0, hbar=1.0):

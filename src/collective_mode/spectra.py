@@ -101,8 +101,8 @@ def sigma_phonon_approximation(model: SystemModel, kappa=None) -> DeltaComb:
     n = model.n_particles
     m = model.mass
     shifted = np.sqrt(phonons.frequencies[1:] ** 2 + 2.0 * n * kappa / m)
-    # equations-of-motion coupling
-    k_vec = 2.0 * decoupling_indicator(model, phonons)[0]
+    # equations-of-motion coupling, rotated into the phonon basis
+    k_vec = 2.0 * (phonons.basis[1:] @ decoupling_indicator(model)[0])
     return DeltaComb(frequencies=shifted, weights=k_vec**2 / (2.0 * m * shifted))
 
 
@@ -129,7 +129,8 @@ def correlator_S(modes: QuantumModes, t):
         raise ValueError("correlator needs strictly positive mode frequencies")
     t_arr = np.asarray(t, dtype=float)
     coeff = modes.hbar / (2.0 * modes.mass) * modes.x_coefficients**2 / w
-    out = np.exp(-1j * np.multiply.outer(t_arr, w)) @ coeff
+    phase = np.multiply.outer(t_arr, w)
+    out = np.cos(phase) @ coeff - 1j * (np.sin(phase) @ coeff)
     return complex(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 

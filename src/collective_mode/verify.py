@@ -42,19 +42,20 @@ def _bounded(checks, name, measured, tolerance, detail):
                               passed=measured <= tolerance, detail=detail))
 
 
-def run_checks(model, p0, t_max, steps, epsilon=None):
+def run_checks(model, p0, t_max, steps, epsilon=None, sector_eigs=None):
     """Run every applicable invariant against the model.
 
     The trajectory comparisons kick X with p0 and sample [0, t_max] at
     steps + 1 points; epsilon is the spectral smoothing width (default
-    five mean bath spacings).
+    five mean bath spacings).  sector_eigs are the model's
+    sector_eigenvalues when validation has already computed them.
     """
     checks = []
     n = model.n_particles
     m = model.mass
 
     # --- model structure
-    eigs = model_mod.sector_eigenvalues(model)
+    eigs = model_mod.sector_eigenvalues(model) if sector_eigs is None else sector_eigs
     top = max(eigs.max(), 1e-300)
     checks.append(CheckResult(
         name="model.full_potential_psd",
@@ -64,25 +65,27 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
         detail="min eigenvalue of the full quadratic form, relative to max",
     ))
 
-    phonons = model_mod.phonon_spectrum(model)
-    basis = phonons.basis
-    r = (2.0 / m) * basis @ model.w_matrix - phonons.frequencies[:, None] ** 2 * basis
-    resid = float(np.linalg.norm(r, axis=1).max())
-    scale = phonons.frequencies[-1] ** 2
-    _bounded(checks, "model.phonon_residual", resid / max(scale, 1e-300), 1e-10,
-             "worst eigenpair residual, relative to the top frequency squared")
-
+    # the mapping never uses the phonons; only the chain checks do
     if model.omega0 is not None:
+        phonons = model_mod.phonon_spectrum(model)
+        basis = phonons.basis
+        r = (2.0 / m) * basis @ model.w_matrix - phonons.frequencies[:, None] ** 2 * basis
+        resid = float(np.linalg.norm(r, axis=1).max())
+        scale = phonons.frequencies[-1] ** 2
+        _bounded(checks, "model.phonon_residual", resid / max(scale, 1e-300), 1e-10,
+                 "worst eigenpair residual, relative to the top frequency squared")
         ref = model_mod.next_neighbor_frequencies(n, model.omega0)
         err = np.abs(phonons.frequencies - ref).max() / max(ref[-1], 1e-300)
         _bounded(checks, "model.closed_form_frequencies", err, 1e-12,
                  "dense eigensolve vs closed-form chain frequencies")
     else:
+        checks.append(_skip("model.phonon_residual",
+                            "a general model maps without its phonons"))
         checks.append(_skip("model.closed_form_frequencies",
                             "no closed form for a general chain matrix"))
 
     # --- mapping
-    k_vec, decoupled = mapping.decoupling_indicator(model, phonons)
+    k_vec, decoupled = mapping.decoupling_indicator(model)
     khat_scale = max(float(model.row_coupling_sums.max()), 1e-300)
     checks.append(CheckResult(
         name="mapping.decoupling_indicator",
@@ -106,6 +109,18 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
         passed=bool(form.bath_freqs.min() > 0),
         detail="smallest bath frequency",
     ))
+
+    # the bath eigenpairs, couplings and site basis that total_energy reads:
+    # anti B = B diag((m/2) w^2) + u l^T column by column, B = C U
+    bath = site_basis[:, 1:]
+    bath_evals = (m / 2.0) * form.bath_freqs**2
+    anti = model_mod._sector_blocks(model.w_matrix, model.k_matrix)[1]
+    r = anti @ bath - bath * bath_evals - np.multiply.outer(site_basis[:, 0],
+                                                             form.couplings_l)
+    _bounded(checks, "mapping.bath_residual",
+             np.linalg.norm(r, axis=0).max() / max(bath_evals[-1], 1e-300), 1e-10,
+             "worst bath eigenpair residual in site space, relative to the "
+             "top bath eigenvalue")
 
     sector = mapping.collective_sector_eigensystem(form)
     modes = mapping.QuantumModes(frequencies=sector[0],

@@ -2,12 +2,13 @@
 
 None of these is on the package's runtime path: each builds a quantity
 from its definition or from a basis the package no longer uses, so it
-stays independent of the code under test.
+stays independent of the code under test.  disordered_model is the
+seeded general model these references are checked on.
 """
 
 import numpy as np
 
-from collective_mode import SystemModel, phonon_spectrum
+from collective_mode import SystemModel, build_general_model, phonon_spectrum
 
 
 def full_potential_matrix(model: SystemModel):
@@ -62,3 +63,42 @@ def phonon_basis_blocks(model: SystemModel):
     k_tilde = (k_tilde + k_tilde.T) / 2.0
     b = k_tilde[1:, 1:] + np.diag(model.mass * ph.frequencies[1:] ** 2 / 2.0)
     return k_tilde, b
+
+
+def phonon_coupling_row(model: SystemModel):
+    """Coupling row of X in the chain's phonon basis A: row 0 of
+    Ktilde = A (diag(khat) + K) A^T without its corner, by two
+    matrix-vector products with the phonon modes."""
+    a = phonon_spectrum(model).basis
+    return (a[1:] * model.row_coupling_sums) @ a[0] + a[1:] @ (model.k_matrix @ a[0])
+
+
+def correlator_exp(modes, t):
+    """Ground-state correlator of X summed as complex exponentials:
+    (hbar / 2 m) sum_n c_n^2 / w_n exp(-i w_n t)."""
+    t_arr = np.asarray(t, dtype=float)
+    coeff = modes.hbar / (2.0 * modes.mass) * modes.x_coefficients**2 / modes.frequencies
+    out = np.exp(-1j * np.multiply.outer(t_arr, modes.frequencies)) @ coeff
+    return complex(out) if t_arr.ndim == 0 else out
+
+
+def disordered_model(n, seed, mass=1.0):
+    """Seeded general model: a free-ended chain with bonds
+    (m/2)(1 +- 0.1 u), K_11 near 0.25 and three more K entries of at
+    most 0.002 among the first 8 sites, all nonnegative and symmetric."""
+    rng = np.random.default_rng(seed)
+    bonds = mass / 2.0 * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, n - 1))
+    idx = np.arange(n - 1)
+    w = np.zeros((n, n))
+    w[idx, idx] += bonds
+    w[idx + 1, idx + 1] += bonds
+    w[idx, idx + 1] -= bonds
+    w[idx + 1, idx] -= bonds
+    k = np.zeros((n, n))
+    k[0, 0] = rng.uniform(0.245, 0.255)
+    for _ in range(3):
+        i, j = rng.integers(0, min(n, 8), size=2)
+        v = rng.uniform(0.0, 0.002)
+        k[i, j] += v
+        k[j, i] += v * (i != j)
+    return build_general_model(w, k, mass)

@@ -234,6 +234,21 @@ def count_calls(monkeypatch, targets):
     return counts
 
 
+def record_shapes(monkeypatch, names=("eigvalsh", "eigh")):
+    """Record the input shape of every call to each named np.linalg
+    function, in call order."""
+    shapes = {}
+    for name in names:
+        shapes[name] = []
+
+        def recorded(a, *args, _fn=getattr(np.linalg, name), _log=shapes[name],
+                     **kwargs):
+            _log.append(np.shape(a))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return shapes
+
+
 def decomposition_counts(tmp_path, monkeypatch, command, write=write_config):
     counts = count_calls(monkeypatch, [
         ("model", "phonon_spectrum"), ("mapping", "caldeira_leggett_form"),
@@ -244,18 +259,36 @@ def decomposition_counts(tmp_path, monkeypatch, command, write=write_config):
     return counts
 
 
-@pytest.mark.parametrize("command, expected", [
+@pytest.mark.parametrize("command, expected, write, shapes", [
     # a point-coupled chain maps by the secular route: no dense eigensolve
-    ("run", {"phonon_spectrum": 0, "caldeira_leggett_form": 0,
-             "collective_sector_eigensystem": 0}),
-    # verify's phonons feed its chain checks only; its dense form (which
-    # also returns the site basis) and one sector eigensystem, shared by
-    # its sector modes and the energy reconstruction
-    ("verify", {"phonon_spectrum": 1, "caldeira_leggett_form": 1,
-                "collective_sector_eigensystem": 1}),
+    pytest.param("run", {"phonon_spectrum": 0, "caldeira_leggett_form": 0,
+                         "collective_sector_eigensystem": 0},
+                 write_config, {"eigvalsh": [], "eigh": []},
+                 id="run-expected0"),
+    # verify's phonons feed its chain checks alone (residual, closed-form
+    # frequencies, interlacing); its dense form (which also returns the
+    # site basis) and one sector eigensystem, shared by its sector modes
+    # and the energy reconstruction; the factory skips validation, so
+    # verify solves the sector eigenvalues itself
+    pytest.param("verify", {"phonon_spectrum": 1, "caldeira_leggett_form": 1,
+                            "collective_sector_eigensystem": 1},
+                 write_config,
+                 {"eigvalsh": [(2, 16, 16)],
+                  "eigh": [(15, 15), (15, 15), (16, 16)]},
+                 id="verify-expected1"),
+    # a general model maps without its phonons, and verify takes the
+    # sector eigenvalues that validation computed
+    pytest.param("verify", {"phonon_spectrum": 0, "caldeira_leggett_form": 1,
+                            "collective_sector_eigensystem": 1},
+                 write_general_config,
+                 {"eigvalsh": [(2, 16, 16)], "eigh": [(15, 15), (16, 16)]},
+                 id="verify-general"),
 ])
-def test_each_decomposition_is_computed_once(tmp_path, monkeypatch, command, expected):
-    assert decomposition_counts(tmp_path, monkeypatch, command) == expected
+def test_each_decomposition_is_computed_once(tmp_path, monkeypatch, command,
+                                             expected, write, shapes):
+    recorded = record_shapes(monkeypatch)
+    assert decomposition_counts(tmp_path, monkeypatch, command, write) == expected
+    assert recorded == shapes
 
 
 def test_general_model_run_maps_once_by_dense_route(tmp_path, monkeypatch):
@@ -263,17 +296,12 @@ def test_general_model_run_maps_once_by_dense_route(tmp_path, monkeypatch):
     # deflates the uniform mode without the phonons, so its eigenvectors
     # are the bath block's (N - 1) and the collective sector's (N);
     # validation takes eigenvalues only
-    sizes = []
-
-    def recorded(a, *args, _fn=np.linalg.eigh, **kwargs):
-        sizes.append(np.shape(a))
-        return _fn(a, *args, **kwargs)
-    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    shapes = record_shapes(monkeypatch, ["eigh"])
     counts = decomposition_counts(tmp_path, monkeypatch, "run",
                                   write_general_config)
     assert counts == {"phonon_spectrum": 0, "caldeira_leggett_form": 1,
                       "collective_sector_eigensystem": 1}
-    assert sizes == [(15, 15), (16, 16)]
+    assert shapes["eigh"] == [(15, 15), (16, 16)]
 
 
 @pytest.mark.parametrize("write", [write_config, write_general_config])
@@ -375,6 +403,66 @@ def test_verify_default_config_passes(tmp_path):
     names = {c["name"] for c in report["checks"]}
     assert "mapping.spectrum_preservation" in names
     assert "dynamics.volterra_vs_exact" in names
+
+
+VERIFY_CHECKS = [
+    "model.full_potential_psd", "model.phonon_residual",
+    "model.closed_form_frequencies", "mapping.decoupling_indicator",
+    "mapping.bath_stability", "mapping.bath_residual",
+    "mapping.secular_cross_check", "mapping.interlacing",
+    "mapping.spectrum_preservation", "dynamics.volterra_vs_exact",
+    "dynamics.energy_conservation", "dynamics.decoupled_kernel",
+    "dynamics.decoupled_harmonic", "dynamics.kernel_flatness",
+    "spectra.comb_total_equals_correlator_at_zero", "spectra.strength_sum_rule",
+    "spectra.classical_quantum_link", "spectra.route_equivalence",
+    "spectra.positivity",
+]
+
+
+@pytest.mark.parametrize("write, skipped", [
+    (write_config, {"dynamics.decoupled_kernel", "dynamics.decoupled_harmonic",
+                    "spectra.route_equivalence"}),
+    # the general model has no phonon checks and no secular route
+    (write_general_config, {"model.phonon_residual", "model.closed_form_frequencies",
+                            "mapping.secular_cross_check", "mapping.interlacing",
+                            "dynamics.decoupled_kernel", "dynamics.decoupled_harmonic",
+                            "spectra.route_equivalence"}),
+])
+def test_verify_check_names_are_pinned(tmp_path, write, skipped):
+    # a check can neither appear nor vanish unnoticed: both routes report
+    # the same checks in the same order, the inapplicable ones as skipped
+    cfg = tmp_path / "demo.ini"
+    out = write(cfg, n=16, alpha=0.5, t_max=16.0, steps=1600)
+    assert main(["verify", str(cfg), "--quiet"]) == 0
+    checks = json.loads((out / "verification.json").read_text())["checks"]
+    assert [c["name"] for c in checks] == VERIFY_CHECKS
+    assert {c["name"] for c in checks
+            if c["detail"].startswith("skipped")} == skipped
+    (bath,) = [c for c in checks if c["name"] == "mapping.bath_residual"]
+    assert bath["passed"] and bath["tolerance"] == 1e-10
+    assert bath["measured"] <= 1e-10
+
+
+def test_verify_bath_residual_catches_a_perturbed_basis(tmp_path, monkeypatch):
+    # one entry of one bath column of the site basis off by 1e-6: the
+    # residual of the eigensolve the mapping uses fails, and so does verify
+    from collective_mode import mapping
+
+    dense = mapping.caldeira_leggett_form
+
+    def perturbed(model):
+        form, basis = dense(model)
+        basis = basis.copy()
+        basis[5, 3] += 1e-6
+        return form, basis
+    monkeypatch.setattr(mapping, "caldeira_leggett_form", perturbed)
+    cfg = tmp_path / "demo.ini"
+    out = write_general_config(cfg, n=16, alpha=0.5, t_max=16.0, steps=1600)
+    assert main(["verify", str(cfg), "--quiet"]) == 1
+    checks = json.loads((out / "verification.json").read_text())["checks"]
+    (bath,) = [c for c in checks if c["name"] == "mapping.bath_residual"]
+    assert not bath["passed"]
+    assert bath["measured"] > 1e-8
 
 
 @pytest.mark.parametrize("epsilon, in_window", [(0.0, False), (0.01, True)])

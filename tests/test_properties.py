@@ -24,7 +24,7 @@ from collective_mode import (
     solve_volterra,
     strength_comb,
 )
-from oracles import full_potential_matrix
+from oracles import full_potential_matrix, phonon_coupling_row
 
 
 def random_models(count, seed=20240809):
@@ -62,14 +62,19 @@ def test_random_models_spectrum_preserved():
 
 
 def test_random_models_coupling_routes_agree():
-    # the closed-form projection of the row sums equals the transformed
-    # coupling row for every symmetric K
+    # the closed form from the row sums equals (I - u u^T)(diag(khat) + K) u
+    # for every symmetric K, and the phonon basis rotates it into the
+    # coupling row of A (diag(khat) + K) A^T
     for model, _ in random_models(12, seed=7):
-        phonons = phonon_spectrum(model)
-        k, decoupled = decoupling_indicator(model, phonons)
+        k, decoupled = decoupling_indicator(model)
         khat = model.row_coupling_sums
-        k_closed = (2.0 / np.sqrt(model.n_particles)) * (phonons.basis[1:] @ khat)
-        assert np.abs(k - k_closed).max() <= 1e-12 * max(np.abs(khat).max(), 1.0)
+        u = np.full(model.n_particles, 1.0 / np.sqrt(model.n_particles))
+        k_site = (np.diag(khat) + model.k_matrix) @ u
+        k_site -= u * (u @ k_site)
+        scale = max(np.abs(khat).max(), 1.0)
+        assert np.abs(k - k_site).max() <= 1e-12 * scale
+        rotated = phonon_spectrum(model).basis[1:] @ k
+        assert np.abs(rotated - phonon_coupling_row(model)).max() <= 1e-12 * scale
         if decoupled:
             assert np.abs(k).max() < 1e-12 * max(model.row_coupling_sums.max(), 1e-300)
 

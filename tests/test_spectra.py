@@ -28,7 +28,9 @@ from collective_mode import (
     strength_comb,
 )
 from collective_mode.dynamics import OscillatorParams
-from oracles import full_potential_matrix, standing_wave_basis
+from collective_mode.verify import run_checks
+from oracles import (correlator_exp, disordered_model, full_potential_matrix,
+                     phonon_coupling_row, standing_wave_basis)
 
 
 def point_model(n, alpha):
@@ -102,6 +104,16 @@ def test_sigma_phonon_approximation_small_fluctuations():
     assert np.abs(exact.weights - approx.weights).max() < 0.05 * scale
 
 
+def test_sigma_phonon_approximation_weights_match_phonon_row():
+    # the weights from the site-space coupling vector equal those of the
+    # coupling row formed in the phonon basis
+    model = disordered_model(64, 3)
+    approx = sigma_phonon_approximation(model)
+    k_vec = 2.0 * phonon_coupling_row(model)
+    ref = k_vec**2 / (2.0 * model.mass * approx.frequencies)
+    assert np.abs(approx.weights - ref).max() <= 1e-14 * ref.max()
+
+
 # ------------------------------------------------------------- strengths
 
 def test_strength_comb_decoupled_single_line():
@@ -170,6 +182,32 @@ def test_correlator_imaginary_part_is_classical_trajectory():
     x = evolve_exact(modes, p0, t).positions
     s = correlator_S(modes, t)
     assert np.abs(s.imag + 0.5 / p0 * x).max() < 1e-12
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_correlator_matches_complex_exponential_oracle(seed):
+    # cos and sin sums against the complex exponential sum, over the
+    # verify grid of a disordered model and at scalar times
+    modes = collective_sector_modes(caldeira_leggett_form(disordered_model(64, seed))[0])
+    t = np.linspace(0.0, 32.0, 2001)
+    ref = correlator_exp(modes, t)
+    assert np.abs(correlator_S(modes, t) - ref).max() <= 1e-13 * np.abs(ref).max()
+    for t0 in (0.0, 7.25, 31.5):
+        s0 = correlator_S(modes, t0)
+        assert type(s0) is complex
+        assert abs(s0 - correlator_exp(modes, t0)) <= 1e-13 * abs(ref[0])
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_verify_correlator_checks_on_disordered_model(seed):
+    # the verify checks that read the correlator stay inside their bounds
+    # on the benchmark's kind of disordered model, at N = 64
+    checks = {c.name: c for c in run_checks(disordered_model(64, seed), p0=1.0,
+                                             t_max=32.0, steps=3200)}
+    for name in ("spectra.comb_total_equals_correlator_at_zero",
+                 "spectra.classical_quantum_link"):
+        assert checks[name].tolerance == 1e-12
+        assert checks[name].passed, (name, checks[name].measured)
 
 
 # ------------------------------------------------------------- smoothing
