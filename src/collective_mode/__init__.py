@@ -12,6 +12,7 @@ from .model import (
     PhononSpectrum,
     SystemModel,
     UnstableModelError,
+    antisymmetric_block,
     build_general_model,
     build_next_neighbor_model,
     next_neighbor_frequencies,

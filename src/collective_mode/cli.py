@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import mapping, spectra
-from .model import (ModelValidationError, build_general_model,
+from .model import (ModelValidationError, _build_general_model,
                     build_next_neighbor_model)
 from .verify import run_checks
 
@@ -163,8 +163,7 @@ class Scenario:
         w = _load_matrix(self.w_file)
         k = _load_matrix(self.k_file)
         try:
-            return build_general_model(w, k, self.mass, self.hbar,
-                                       return_eigenvalues=True)
+            return _build_general_model(w, k, self.mass, self.hbar)
         except ModelValidationError as exc:
             raise ConfigError(f"[model] {exc}") from exc
 

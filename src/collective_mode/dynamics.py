@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mapping import CollectiveForm, QuantumModes, collective_sector_modes
-from .model import SystemModel, _sector_blocks
+from .model import SystemModel, antisymmetric_block
 from ._kernels import BLOCK, volterra_path
 
 __all__ = [
@@ -341,7 +341,7 @@ def total_energy(model: SystemModel, sector, basis, p0, times):
     # M: q -> (X, xi) through the sector modes, then the basis takes
     # (X, xi) to the site coordinates a.
     to_anti = v_modes.T @ basis.T
-    anti = _sector_blocks(model.w_matrix, model.k_matrix)[1]
+    anti = antisymmetric_block(model)
     kinetic = 0.5 * m * ((qdot @ (to_anti @ to_anti.T)) * qdot).sum(axis=-1)
     potential = ((q @ (to_anti @ anti @ to_anti.T)) * q).sum(axis=-1)
     return kinetic + potential

@@ -28,7 +28,7 @@ from .model import (
     _freeze,
     _psd_eigh,
     _reflect,
-    _sector_blocks,
+    antisymmetric_block,
 )
 
 _SECULAR_MAX_ITER = 100
@@ -92,7 +92,7 @@ def caldeira_leggett_form(model: SystemModel):
     reconstruction needs the basis.
     """
     n, m = model.n_particles, model.mass
-    anti = _sector_blocks(model.w_matrix, model.k_matrix)[1]
+    anti = antisymmetric_block(model)
     reflected = _reflect(_reflect(anti).T)
     evals, u = _psd_eigh(reflected[1:, 1:], "bath block")
     if (evals == 0.0).any():
@@ -119,8 +119,8 @@ def decoupling_indicator(model: SystemModel):
 
     The vector is (I - u u^T)(diag(khat) + K) u, u the uniform unit
     vector: the antisymmetric block's force on the complement of u when
-    X alone is displaced.  For symmetric K, K u = khat / sqrt(N), so it
-    is (2/sqrt(N)) (khat - mean(khat)).  Any orthonormal basis of the
+    X alone is displaced.  Since khat are K's row sums, K u = khat /
+    sqrt(N), so it is (2/sqrt(N)) (khat - mean(khat)).  Any orthonormal basis of the
     complement rotates it into a coupling row: the phonon modes give the
     one of the phonon basis, the bath modes C U the couplings l.  The
     flag is true when the coupling vanishes, i.e. when all khat_i are

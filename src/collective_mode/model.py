@@ -100,6 +100,12 @@ def _sector_blocks(w, k):
     return np.stack([block - k, block + k])
 
 
+def antisymmetric_block(model: SystemModel):
+    """W + diag(khat) + K, the antisymmetric block of _sector_blocks
+    (bit for bit), formed without the symmetric one."""
+    return model.w_matrix + np.diag(model.row_coupling_sums) + model.k_matrix
+
+
 def sector_eigenvalues(model: SystemModel):
     """Eigenvalues of both sector blocks, (2, N) with each row ascending.
 
@@ -110,7 +116,7 @@ def sector_eigenvalues(model: SystemModel):
     return np.linalg.eigvalsh(_sector_blocks(model.w_matrix, model.k_matrix))
 
 
-def validate_model(w_matrix, k_matrix, mass, hbar=1.0, return_eigenvalues=False):
+def validate_model(w_matrix, k_matrix, mass, hbar=1.0):
     """Check all structural invariants; return [(name, message), ...].
 
     An empty list means the model is valid.  Checks are reported
@@ -118,21 +124,22 @@ def validate_model(w_matrix, k_matrix, mass, hbar=1.0, return_eigenvalues=False)
     or positivity problem.  W need not be circulant: the mapping only
     needs W symmetric with vanishing row sums (the uniform vector must
     be a zero mode), which the free-ended next-neighbor chain satisfies.
-    With return_eigenvalues the result is (violations, eigs), eigs being
-    the positivity check's sector eigenvalues as sector_eigenvalues
-    returns them, or None when the checks stop before that eigensolve.
     """
-    def result(violations, eigs=None):
-        return (violations, eigs) if return_eigenvalues else violations
+    return _validate(w_matrix, k_matrix, mass, hbar)[0]
 
+
+def _validate(w_matrix, k_matrix, mass, hbar):
+    """validate_model's checks: (violations, eigs), eigs being the
+    positivity check's sector eigenvalues as sector_eigenvalues returns
+    them, or None when the checks stop before that eigensolve."""
     violations = []
     w = np.asarray(w_matrix, dtype=float)
     k = np.asarray(k_matrix, dtype=float)
 
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        return result([("shape", f"W must be square, got {w.shape}")])
+        return [("shape", f"W must be square, got {w.shape}")], None
     if k.shape != w.shape:
-        return result([("shape", f"K shape {k.shape} does not match W shape {w.shape}")])
+        return [("shape", f"K shape {k.shape} does not match W shape {w.shape}")], None
     n = w.shape[0]
     if n < 2:
         violations.append(("size", f"need N >= 2 particles per chain, got {n}"))
@@ -142,7 +149,7 @@ def validate_model(w_matrix, k_matrix, mass, hbar=1.0, return_eigenvalues=False)
     if not (np.isfinite(w).all() and np.isfinite(k).all()):
         violations.append(("non_finite", "W and K must have finite entries"))
     if violations:
-        return result(violations)
+        return violations, None
 
     scale = max(np.abs(w).max(), 1e-300)
 
@@ -181,19 +188,23 @@ def validate_model(w_matrix, k_matrix, mass, hbar=1.0, return_eigenvalues=False)
                  f"min eigenvalue {lowest:.3e} of the full quadratic form is negative")
             )
 
-    return result(violations, eigs)
+    return violations, eigs
 
 
-def build_general_model(w_matrix, k_matrix, mass, hbar=1.0, return_eigenvalues=False):
+def build_general_model(w_matrix, k_matrix, mass, hbar=1.0):
     """Validate user-supplied (W, K) and wrap them in a SystemModel.
 
     Raises ModelValidationError carrying the full violation list when an
-    invariant fails.  With return_eigenvalues the result is (model,
-    eigs), eigs being the sector eigenvalues validation computed, so a
-    caller that needs them does not solve again.
+    invariant fails.
     """
-    violations, eigs = validate_model(w_matrix, k_matrix, mass, hbar,
-                                      return_eigenvalues=True)
+    return _build_general_model(w_matrix, k_matrix, mass, hbar)[0]
+
+
+def _build_general_model(w_matrix, k_matrix, mass, hbar):
+    """build_general_model's (model, eigs), eigs being the sector
+    eigenvalues validation computed, so a caller that needs them does
+    not solve again."""
+    violations, eigs = _validate(w_matrix, k_matrix, mass, hbar)
     if violations:
         raise ModelValidationError(violations)
     w = np.asarray(w_matrix, dtype=float)
@@ -204,7 +215,7 @@ def build_general_model(w_matrix, k_matrix, mass, hbar=1.0, return_eigenvalues=F
         k_matrix=np.asarray(k_matrix, dtype=float),
         hbar=float(hbar),
     )
-    return (model, eigs) if return_eigenvalues else model
+    return model, eigs
 
 
 def build_next_neighbor_model(n_particles, mass=1.0, omega0=1.0, alpha=0.0, hbar=1.0):

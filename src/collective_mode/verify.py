@@ -114,7 +114,7 @@ def run_checks(model, p0, t_max, steps, epsilon=None, sector_eigs=None):
     # anti B = B diag((m/2) w^2) + u l^T column by column, B = C U
     bath = site_basis[:, 1:]
     bath_evals = (m / 2.0) * form.bath_freqs**2
-    anti = model_mod._sector_blocks(model.w_matrix, model.k_matrix)[1]
+    anti = model_mod.antisymmetric_block(model)
     r = anti @ bath - bath * bath_evals - np.multiply.outer(site_basis[:, 0],
                                                              form.couplings_l)
     _bounded(checks, "mapping.bath_residual",

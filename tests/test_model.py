@@ -6,14 +6,18 @@ from collective_mode import (
     ModelValidationError,
     SystemModel,
     UnstableModelError,
+    antisymmetric_block,
     build_general_model,
     build_next_neighbor_model,
     next_neighbor_frequencies,
     phonon_spectrum,
+    sector_eigenvalues,
     validate_model,
 )
-from collective_mode.model import _fix_signs
-from oracles import full_potential_matrix, potential_energy, standing_wave_basis
+from collective_mode.model import (_build_general_model, _fix_signs,
+                                   _sector_blocks, _validate)
+from oracles import (disordered_model, full_potential_matrix, potential_energy,
+                     standing_wave_basis)
 
 
 def test_next_neighbor_n2_matrices():
@@ -225,6 +229,31 @@ def test_full_potential_matches_definition_and_hessian():
             zmm = z0.copy(); zmm[i] -= h; zmm[j] -= h
             hess[i, j] = (v(zpp) - v(zpm) - v(zmp) + v(zmm)) / (4 * h * h)
     assert np.abs(hess - 2 * q).max() < 1e-8
+
+
+def test_antisymmetric_block_is_the_split_block():
+    # bit for bit the split's block 1, and the full form restricted to
+    # a = (x - xbar)/sqrt(2)
+    model = disordered_model(12, seed=5, mass=1.3)
+    anti = antisymmetric_block(model)
+    assert np.array_equal(anti, _sector_blocks(model.w_matrix, model.k_matrix)[1])
+    n = model.n_particles
+    v = np.vstack([np.eye(n), -np.eye(n)]) / np.sqrt(2.0)
+    assert np.abs(v.T @ full_potential_matrix(model) @ v - anti).max() < 1e-14
+
+
+def test_build_path_hands_over_validation_eigenvalues():
+    # the CLI's build path reuses validation's eigensolve, which must be
+    # sector_eigenvalues(model) bit for bit; checks that stop before the
+    # eigensolve hand over none
+    model = disordered_model(12, seed=5, mass=1.3)
+    built, eigs = _build_general_model(model.w_matrix, model.k_matrix, 1.3, 1.0)
+    assert np.array_equal(built.w_matrix, model.w_matrix)
+    assert np.array_equal(eigs, sector_eigenvalues(built))
+    violations, eigs = _validate(np.ones((2, 3)), np.ones((2, 3)), 1.0, 1.0)
+    assert [name for name, _ in violations] == ["shape"] and eigs is None
+    violations, eigs = _validate(model.w_matrix, -model.k_matrix, 1.0, 1.0)
+    assert "k_negative" in [name for name, _ in violations] and eigs is None
 
 
 def test_full_potential_point_coupling_cross_entry():

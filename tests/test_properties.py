@@ -63,8 +63,8 @@ def test_random_models_spectrum_preserved():
 
 def test_random_models_coupling_routes_agree():
     # the closed form from the row sums equals (I - u u^T)(diag(khat) + K) u
-    # for every symmetric K, and the phonon basis rotates it into the
-    # coupling row of A (diag(khat) + K) A^T
+    # for every K, since khat are K's row sums, and the phonon basis
+    # rotates it into the coupling row of A (diag(khat) + K) A^T
     for model, _ in random_models(12, seed=7):
         k, decoupled = decoupling_indicator(model)
         khat = model.row_coupling_sums
