@@ -9,6 +9,7 @@ the quantum transition-strength spectra the collective motion induces.
 from ._kernels import BACKEND_NAME
 from .model import (
     ModelValidationError,
+    NumericalError,
     PhononSpectrum,
     SystemModel,
     UnstableModelError,
@@ -22,6 +23,7 @@ from .model import (
 )
 from .mapping import (
     CollectiveForm,
+    ConvergenceError,
     QuantumModes,
     caldeira_leggett_form,
     collective_mapping,
@@ -33,6 +35,7 @@ from .mapping import (
 )
 from .dynamics import (
     OscillatorParams,
+    StepSizeError,
     TrajectoryTable,
     collective_frequency,
     damping_kernel,

@@ -21,14 +21,15 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import mapping, spectra
-from .model import (ModelValidationError, _build_general_model,
-                    build_next_neighbor_model)
+from .model import (ModelValidationError, NumericalError,
+                    _build_general_model, build_next_neighbor_model)
 from .verify import run_checks
 
 EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERNAL = 4
 
 
 class ConfigError(Exception):
@@ -372,9 +373,16 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, RuntimeError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except Exception:  # a bug, not a property of the input: say where
+        import traceback  # imported here: every CLI call pays for module imports
+
+        traceback.print_exc()
+        print("internal error: please report the traceback above",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mapping import CollectiveForm, QuantumModes, collective_sector_modes
-from .model import SystemModel, antisymmetric_block
+from .model import NumericalError, SystemModel, antisymmetric_block
 from ._kernels import BLOCK, volterra_path
 
 __all__ = [
@@ -21,7 +21,36 @@ __all__ = [
     "mean_bath_spacing", "default_epsilon", "collective_frequency",
     "evolve_exact", "solve_volterra", "fourier_solution",
     "underdamped_closed_form", "linear_response", "total_energy",
+    "StepSizeError",
 ]
+
+# The grid x lines sums evaluate about this many (grid point, line)
+# terms at a time, so their temporaries stay a few MB at any N.
+_CHUNK_ELEMENTS = 2**18
+
+
+class StepSizeError(NumericalError, ValueError):
+    """Raised when the time step is too large for the memory-kernel stepper."""
+
+
+def _grid_rows(row_values, grid, n_lines):
+    """row_values(x) at every point of ``grid``, evaluated on chunks of rows.
+
+    row_values maps a 1-d slice x of the flattened grid to its values,
+    each a sum over n_lines lines.  A chunk holds the largest power of
+    two rows, at least 4, within _CHUNK_ELEMENTS terms, and a single row
+    left over joins the last chunk.  OpenBLAS's gemv sums rows in groups
+    of four and numpy hands a one-row product to dot, so with one BLAS
+    thread each row meets the same kernel as in one product over the
+    whole grid and every value is bitwise that product's.  Returns the
+    grid's shape, or a Python scalar for a 0-d grid.
+    """
+    x = np.asarray(grid, dtype=float)
+    flat = x.reshape(-1)
+    rows = 1 << max(2, (_CHUNK_ELEMENTS // max(n_lines, 1)).bit_length() - 1)
+    edges = [*range(0, max(flat.size - 1, 1), rows), flat.size]
+    out = np.concatenate([row_values(flat[a:b]) for a, b in zip(edges, edges[1:])])
+    return out.item() if x.ndim == 0 else out.reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -120,9 +149,9 @@ def damping_kernel(form: CollectiveForm, t):
 
     Exact cosine sum over the bath lines; accepts scalars or arrays.
     """
-    t_arr = np.asarray(t, dtype=float)
-    out = np.cos(np.multiply.outer(t_arr, form.bath_freqs)) @ _line_weights(form)
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+    w, weights = form.bath_freqs, _line_weights(form)
+    return _grid_rows(lambda t: np.cos(np.multiply.outer(t, w)) @ weights,
+                      t, w.size)
 
 
 def gamma_transform(form: CollectiveForm, omega, epsilon):
@@ -133,11 +162,13 @@ def gamma_transform(form: CollectiveForm, omega, epsilon):
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    omega_arr = np.asarray(omega, dtype=float)
-    s = epsilon - 1j * omega_arr[..., None]
-    terms = s**2 + form.bath_freqs**2
-    out = np.divide(s, terms, out=terms) @ _line_weights(form)
-    return complex(out) if np.isscalar(omega) or omega_arr.ndim == 0 else out
+    w_sq, weights = form.bath_freqs**2, _line_weights(form)
+
+    def row_values(omega):
+        s = epsilon - 1j * omega[:, None]
+        terms = s**2 + w_sq
+        return np.divide(s, terms, out=terms) @ weights
+    return _grid_rows(row_values, omega, w_sq.size)
 
 
 def omega0_squared(form: CollectiveForm) -> float:
@@ -242,7 +273,7 @@ def _integrate(form, times, v0, f_over_m=None) -> TrajectoryTable:
         np.sqrt(max(form.bare_omega_sq, 0.0)),
     )
     if params_scale > 0 and h > 0.1 / params_scale:
-        raise ValueError(
+        raise StepSizeError(
             f"time step {h:.6g} too large; need h <= {0.1 / params_scale:.6g}"
         )
     x, v = volterra_path(omega0_squared(form), form.bath_freqs,

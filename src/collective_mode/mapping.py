@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (
+    NumericalError,
     SystemModel,
     UnstableModelError,
     _fix_signs,
@@ -32,6 +33,10 @@ from .model import (
 )
 
 _SECULAR_MAX_ITER = 100
+
+
+class ConvergenceError(NumericalError, RuntimeError):
+    """Raised when the secular root solve does not converge."""
 
 
 @dataclass(frozen=True)
@@ -162,8 +167,8 @@ def _bracketed_newton(residual, e, lo, hi):
         todo = todo[~(converged | (np.nextafter(a, b) >= b))]
         if todo.size == 0:
             return e
-    raise RuntimeError(f"secular roots not converged after {_SECULAR_MAX_ITER} "
-                       f"iterations for {todo.size} of {e.size} brackets")
+    raise ConvergenceError(f"secular roots not converged after {_SECULAR_MAX_ITER} "
+                           f"iterations for {todo.size} of {e.size} brackets")
 
 
 def _secular_roots(n, rho, beta):
@@ -222,10 +227,10 @@ def _secular_roots(n, rho, beta):
 
 
 def is_point_coupling(model: SystemModel) -> bool:
-    """True for a next-neighbor chain pair coupled only by K_11 > 0."""
-    k = model.k_matrix
-    return bool(model.omega0 is not None and k[0, 0] > 0
-                and np.count_nonzero(k) == 1)
+    """True for a next-neighbor chain pair coupled only by K_11 > 0,
+    read from the recipe build_next_neighbor_model keeps: no array is
+    formed, and a model built from arrays never qualifies."""
+    return model._chain is not None and model._chain.alpha > 0
 
 
 def collective_sector_eigensystem(form: CollectiveForm):
@@ -279,8 +284,9 @@ def _point_coupled_mapping(model: SystemModel):
     nonuniform modes, whose eigenvalues (m/2) lam solve the same
     equation over the poles k >= 1.
     """
-    n, m, w0_sq = model.n_particles, model.mass, model.omega0**2
-    alpha = 2.0 * float(model.k_matrix[0, 0])
+    n, m = model.n_particles, model.mass
+    omega0, alpha = model._chain
+    w0_sq = omega0**2
     rho = 2.0 * alpha / (m * w0_sq)   # lam, s2 and rho in units of omega0^2
     lam, s2 = _secular_roots(n, rho, rho / n)
     # At a root, where sum_k a_k^2 / (lam - d_k) = 1 / rho, the coupling

@@ -7,9 +7,16 @@ an inter-chain coupling sum_ij K_ij (x_i - xbar_j)^2 with nonnegative
 symmetric K.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+
+
+class NumericalError(Exception):
+    """Base of the package's numerical failures: an unstable sector, a
+    refused time step, a root solve that does not converge.  Each raising
+    site's subclass also derives from the builtin error it raised before."""
 
 
 class ModelValidationError(ValueError):
@@ -25,7 +32,7 @@ class ModelValidationError(ValueError):
         super().__init__(f"invalid model: {lines}")
 
 
-class UnstableModelError(RuntimeError):
+class UnstableModelError(NumericalError, RuntimeError):
     """Raised when an eigensolve exposes an unstable (negative) sector."""
 
 
@@ -43,6 +50,14 @@ def _freeze(obj, *names):
         object.__setattr__(obj, name, arr)
 
 
+class _Chain(NamedTuple):
+    """Recipe of a next-neighbor chain pair: its W and K follow from
+    these and the model's N and m."""
+
+    omega0: float
+    alpha: float
+
+
 @dataclass(frozen=True)
 class SystemModel:
     """Validated two-chain model.
@@ -52,18 +67,38 @@ class SystemModel:
     w_matrix    : (N, N) intra-chain quadratic form W
     k_matrix    : (N, N) inter-chain coupling constants K_ij >= 0
     hbar        : reduced Planck constant (natural units default)
-    omega0      : bare next-neighbor frequency, set by the factory only
+
+    A model built from arrays, dataclasses.replace included, is a
+    general model.  build_next_neighbor_model keeps the chain's recipe
+    instead and forms W and K only when a dense consumer first reads
+    them, so a chain costs O(1) memory until then.
     """
 
     n_particles: int
     mass: float
-    w_matrix: np.ndarray
-    k_matrix: np.ndarray
+    w_matrix: np.ndarray = field(repr=False)
+    k_matrix: np.ndarray = field(repr=False)
     hbar: float = 1.0
-    omega0: float | None = None
+    _chain: _Chain | None = field(default=None, init=False)
 
     def __post_init__(self):
         _freeze(self, "w_matrix", "k_matrix")
+
+    def __getattr__(self, name):
+        # Reached only for attributes missing from the instance: on a
+        # chain model, W or K before their first read.
+        if self._chain is None or name not in ("w_matrix", "k_matrix"):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, _chain_matrix(self, name))
+        _freeze(self, name)
+        return self.__dict__[name]
+
+    @property
+    def omega0(self):
+        """Bare next-neighbor frequency of a chain model; None for a
+        general one."""
+        return None if self._chain is None else self._chain.omega0
 
     @property
     def row_coupling_sums(self):
@@ -226,6 +261,8 @@ def build_next_neighbor_model(n_particles, mass=1.0, omega0=1.0, alpha=0.0, hbar
     standing waves with frequencies 2 omega0 |sin(pi (k-1) / 2N)|.  The
     coupling matrix has the single entry K_11 = alpha / 2.  The output
     is valid by construction, so only the scalar inputs are checked.
+    The model keeps (N, m, omega0, alpha) and forms W and K on their
+    first read.
     """
     n = int(n_particles)
     if n < 2:
@@ -236,22 +273,29 @@ def build_next_neighbor_model(n_particles, mass=1.0, omega0=1.0, alpha=0.0, hbar
     if not (alpha >= 0 and np.isfinite(alpha)):
         raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
 
-    c = mass * omega0**2 / 2.0
+    model = SystemModel.__new__(SystemModel)
+    for name, value in (("n_particles", n), ("mass", float(mass)),
+                        ("hbar", float(hbar)),
+                        ("_chain", _Chain(float(omega0), float(alpha)))):
+        object.__setattr__(model, name, value)
+    return model
+
+
+def _chain_matrix(model: SystemModel, name):
+    """A chain model's dense W (name "w_matrix") or K ("k_matrix")."""
+    n = model.n_particles
+    omega0, alpha = model._chain
+    if name == "k_matrix":
+        k = np.zeros((n, n))
+        k[0, 0] = alpha / 2.0
+        return k
     lap = np.zeros((n, n))
     idx = np.arange(n - 1)
     lap[idx, idx] += 1.0
     lap[idx + 1, idx + 1] += 1.0
     lap[idx, idx + 1] -= 1.0
     lap[idx + 1, idx] -= 1.0
-    w = c * lap
-
-    k = np.zeros((n, n))
-    k[0, 0] = alpha / 2.0
-
-    return SystemModel(
-        n_particles=n, mass=float(mass), w_matrix=w, k_matrix=k,
-        hbar=float(hbar), omega0=float(omega0),
-    )
+    return (model.mass * omega0**2 / 2.0) * lap
 
 
 def next_neighbor_frequencies(n_particles, omega0):

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    OscillatorParams, _check_uniform_grid, gamma_transform, omega0_squared,
+    OscillatorParams, _check_uniform_grid, _grid_rows, gamma_transform,
+    omega0_squared,
 )
 from .mapping import (
     CollectiveForm, QuantumModes, decoupling_indicator,
@@ -127,11 +128,12 @@ def correlator_S(modes: QuantumModes, t):
     w = modes.frequencies
     if (w <= 0).any():
         raise ValueError("correlator needs strictly positive mode frequencies")
-    t_arr = np.asarray(t, dtype=float)
     coeff = modes.hbar / (2.0 * modes.mass) * modes.x_coefficients**2 / w
-    phase = np.multiply.outer(t_arr, w)
-    out = np.cos(phase) @ coeff - 1j * (np.sin(phase) @ coeff)
-    return complex(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+
+    def row_values(t):
+        phase = np.multiply.outer(t, w)
+        return np.cos(phase) @ coeff - 1j * (np.sin(phase) @ coeff)
+    return _grid_rows(row_values, t, w.size)
 
 
 def smoothed_spectrum(comb: DeltaComb, epsilon, omegas) -> SpectrumTable:
@@ -158,8 +160,11 @@ def smoothed_spectrum(comb: DeltaComb, epsilon, omegas) -> SpectrumTable:
                 stacklevel=2,
             )
     w = np.asarray(omegas, dtype=float)
-    lorentz = (epsilon / np.pi) / ((w[:, None] - f[None, :]) ** 2 + epsilon**2)
-    return SpectrumTable(omegas=w, values=lorentz @ comb.weights)
+
+    def row_values(x):
+        lorentz = (epsilon / np.pi) / ((x[:, None] - f[None, :]) ** 2 + epsilon**2)
+        return lorentz @ comb.weights
+    return SpectrumTable(omegas=w, values=_grid_rows(row_values, w, f.size))
 
 
 def ohmic_spectrum(params: OscillatorParams, omegas, hbar=1.0, mass=1.0) -> SpectrumTable:

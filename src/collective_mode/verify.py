@@ -164,7 +164,7 @@ def run_checks(model, p0, t_max, steps, epsilon=None, sector_eigs=None):
     exact = dyn.evolve_exact(modes, p0, t)
     try:
         volt = dyn.solve_volterra(form, p0, t)
-    except ValueError as exc:
+    except dyn.StepSizeError as exc:
         checks.append(CheckResult(
             name="dynamics.volterra_vs_exact", measured=None, tolerance=None,
             passed=False, detail=str(exc)))

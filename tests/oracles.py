@@ -1,14 +1,32 @@
 """Reference constructions the tests check the package against.
 
 None of these is on the package's runtime path: each builds a quantity
-from its definition or from a basis the package no longer uses, so it
-stays independent of the code under test.  disordered_model is the
-seeded general model these references are checked on.
+from its definition, from a basis the package no longer uses, or as
+the package built it before (the eager chain arrays, the grid x lines
+kernels in one product instead of row chunks), so it stays independent
+of the code under test.  disordered_model is the seeded general model
+these references are checked on.
 """
 
 import numpy as np
 
 from collective_mode import SystemModel, build_general_model, phonon_spectrum
+
+
+def eager_chain_matrices(n, mass, omega0, alpha):
+    """(W, K) of a next-neighbor chain pair as the factory built them
+    before it kept only the chain's recipe: a free-ended chain Laplacian
+    scaled by m omega0^2 / 2, and K_11 = alpha / 2 alone."""
+    c = mass * omega0**2 / 2.0
+    lap = np.zeros((n, n))
+    idx = np.arange(n - 1)
+    lap[idx, idx] += 1.0
+    lap[idx + 1, idx + 1] += 1.0
+    lap[idx, idx + 1] -= 1.0
+    lap[idx + 1, idx] -= 1.0
+    k = np.zeros((n, n))
+    k[0, 0] = alpha / 2.0
+    return c * lap, k
 
 
 def full_potential_matrix(model: SystemModel):
@@ -80,6 +98,46 @@ def correlator_exp(modes, t):
     coeff = modes.hbar / (2.0 * modes.mass) * modes.x_coefficients**2 / modes.frequencies
     out = np.exp(-1j * np.multiply.outer(t_arr, modes.frequencies)) @ coeff
     return complex(out) if t_arr.ndim == 0 else out
+
+
+def _one_shot(out, grid, complex_out=False):
+    """The kernels' scalar convention: a Python number for a scalar grid."""
+    if np.ndim(grid) == 0:
+        return complex(out) if complex_out else float(out)
+    return out
+
+
+def one_shot_damping_kernel(form, t):
+    """damping_kernel as one (grid x lines) product."""
+    t_arr = np.asarray(t, dtype=float)
+    weights = (2.0 * form.couplings_l) ** 2 / (form.mass**2 * form.bath_freqs**2)
+    return _one_shot(np.cos(np.multiply.outer(t_arr, form.bath_freqs)) @ weights, t)
+
+
+def one_shot_gamma_transform(form, omega, epsilon):
+    """gamma_transform as one (grid x lines) product."""
+    omega_arr = np.asarray(omega, dtype=float)
+    weights = (2.0 * form.couplings_l) ** 2 / (form.mass**2 * form.bath_freqs**2)
+    s = epsilon - 1j * omega_arr[..., None]
+    terms = s**2 + form.bath_freqs**2
+    return _one_shot(np.divide(s, terms, out=terms) @ weights, omega, True)
+
+
+def one_shot_correlator_S(modes, t):
+    """correlator_S as one (grid x lines) product of each part."""
+    t_arr = np.asarray(t, dtype=float)
+    w = modes.frequencies
+    coeff = modes.hbar / (2.0 * modes.mass) * modes.x_coefficients**2 / w
+    phase = np.multiply.outer(t_arr, w)
+    return _one_shot(np.cos(phase) @ coeff - 1j * (np.sin(phase) @ coeff), t, True)
+
+
+def one_shot_smoothed_values(comb, epsilon, omegas):
+    """smoothed_spectrum's values as one (grid x lines) product."""
+    w = np.asarray(omegas, dtype=float)
+    f = comb.frequencies
+    lorentz = (epsilon / np.pi) / ((w[:, None] - f[None, :]) ** 2 + epsilon**2)
+    return lorentz @ comb.weights
 
 
 def disordered_model(n, seed, mass=1.0):

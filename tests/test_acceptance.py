@@ -34,7 +34,7 @@ from collective_mode import (
     solve_volterra,
     strength_comb,
 )
-from collective_mode.dynamics import OscillatorParams
+from collective_mode.dynamics import OscillatorParams, omega0_squared
 from collective_mode.spectra import SpectrumTable
 from oracles import full_potential_matrix
 
@@ -277,3 +277,34 @@ def test_criterion_10_convergence_order():
     ratio = errs[0] / errs[1]
     assert 3.5 < ratio < 4.5
     report(10, "second-order convergence", f"error ratio {ratio:.2f} in [3.5, 4.5]")
+
+
+def test_criterion_11_clamped_end_limit():
+    # At fixed alpha, rho' N = 2 alpha N / (m omega0^2) grows without bound
+    # and clamps the coupled end of the antisymmetric block: its lines tend
+    # to those of a chain with one clamped and one free end, (k + 1/2) pi
+    # omega0 / N, X's weights c_k^2 to 8 / (pi^2 (2k + 1)^2), and
+    # Omega0^2 N^2 / omega0^2 to 3.  Each relative error is fitted as
+    # a / N + b / N^2 through N = 1e3 and 1e4; at N = 1e5, which only the
+    # O(N) mapping of the recipe-only chain reaches, it must follow the fit.
+    k = np.arange(5)
+    sizes = (10**3, 10**4, 10**5)
+    worst = 0.0
+    for alpha in (0.5, 10.0):
+        errs = []
+        for n in sizes:
+            form, modes = collective_mapping(build_next_neighbor_model(n, 1.0, 1.0, alpha))
+            errs.append(np.concatenate([
+                modes.frequencies[:5] / ((k + 0.5) * np.pi / n),
+                modes.x_coefficients[:5] ** 2 / (8.0 / (np.pi**2 * (2 * k + 1) ** 2)),
+                [omega0_squared(form) * n**2 / 3.0],
+            ]) - 1.0)
+        powers = np.array([[1.0 / n, 1.0 / n**2] for n in sizes])
+        coeffs = np.linalg.solve(powers[:2], np.array(errs[:2]))
+        fitted = powers[2] @ coeffs
+        assert (np.abs(errs[2]) < 1e-4).all()
+        miss = np.abs(errs[2] - fitted) / np.abs(fitted)
+        assert (miss < 1e-3).all(), f"alpha={alpha}: {miss.max():.2e} >= 1e-3"
+        worst = max(worst, miss.max())
+    report(11, "clamped-end limit",
+           f"N=1e5 remainders within {worst:.1e} of the 1e3/1e4 fit (< 1e-3)")

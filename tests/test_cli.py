@@ -8,6 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from collective_mode import ConvergenceError, UnstableModelError
+from collective_mode import mapping
+from collective_mode import model as model_mod
 from collective_mode.cli import main
 
 
@@ -392,6 +395,44 @@ def test_too_large_step_is_numerical_failure(tmp_path, capsys):
     write_config(cfg, n=16, alpha=0.5, t_max=100.0, steps=100)  # h = 1.0
     assert main(["run", str(cfg), "--quiet"]) == 3
     assert "too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, code", [
+    (UnstableModelError("collective sector has a negative mode"), 3),
+    (ConvergenceError("secular roots not converged"), 3),
+    (ValueError("an internal bug"), 4),
+    (RuntimeError("an internal bug"), 4),
+    (KeyError("an internal bug"), 4),
+])
+def test_exit_code_separates_numerical_failures_from_bugs(
+        tmp_path, monkeypatch, capsys, error, code):
+    # only the package's numerical errors exit 3; anything else is a bug,
+    # which exits 4 with its traceback on stderr
+    def fail(model):
+        raise error
+    monkeypatch.setattr(mapping, "collective_mapping", fail)
+    cfg = tmp_path / "demo.ini"
+    write_config(cfg)
+    assert main(["run", str(cfg), "--quiet"]) == code
+    err = capsys.readouterr().err
+    assert str(error) in err
+    assert ("numerical failure" in err) == (code == 3)
+    assert ("Traceback" in err) == (code == 4)
+
+
+def test_chain_run_forms_no_dense_array(tmp_path, monkeypatch):
+    # a point-coupled chain runs from the factory's recipe alone; verify
+    # is a dense consumer and forms W and K
+    formed = []
+    build = model_mod._chain_matrix
+    monkeypatch.setattr(model_mod, "_chain_matrix",
+                        lambda model, name: formed.append(name) or build(model, name))
+    cfg = tmp_path / "demo.ini"
+    write_config(cfg, n=64)
+    assert main(["run", str(cfg), "--quiet"]) == 0
+    assert formed == []
+    assert main(["verify", str(cfg), "--quiet"]) == 0
+    assert sorted(formed) == ["k_matrix", "w_matrix"]
 
 
 def test_verify_default_config_passes(tmp_path):

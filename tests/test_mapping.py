@@ -388,6 +388,30 @@ def test_dense_route_for_other_models():
                               collective_sector_modes(dense).frequencies)
 
 
+@pytest.mark.parametrize("change", [
+    lambda m: {"w_matrix": 2.0 * m.w_matrix},
+    lambda m: {"mass": 2.0},
+    lambda m: {},
+], ids=["stiffer_w", "heavier", "plain_copy"])
+def test_copied_chain_model_is_general(change):
+    # a copy can change W, K or m behind the chain recipe's back, so only
+    # the factory's own model takes the secular route
+    model = point_model(16, 0.5)
+    copy = dataclasses.replace(model, **change(model))
+    assert copy.omega0 is None and not is_point_coupling(copy)
+    form, modes = collective_mapping(copy)
+    dense = caldeira_leggett_form(copy)[0]
+    assert np.array_equal(form.bath_freqs, dense.bath_freqs)
+    assert np.array_equal(modes.frequencies,
+                          collective_sector_modes(dense).frequencies)
+    # and it maps like the chain it really is
+    omega0 = np.sqrt(2.0 * copy.w_matrix[0, 0] / copy.mass)
+    chain = collective_mapping(point_model(16, 0.5, copy.mass, omega0))[0]
+    assert np.abs(chain.bath_freqs - form.bath_freqs).max() < 1e-12 * omega0
+    assert np.abs(np.abs(chain.couplings_l)
+                  - np.abs(form.couplings_l)).max() < 1e-12 * omega0**2
+
+
 def test_sector_modes_n2_hand_values():
     # frequency-squared matrix [[1, 1], [1, 3]] (coupling row 2 l / m):
     # eigenvalues 2 +- sqrt(2); cross-checked by the full 4-coordinate

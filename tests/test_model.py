@@ -16,7 +16,8 @@ from collective_mode import (
 )
 from collective_mode.model import (_build_general_model, _fix_signs,
                                    _sector_blocks, _validate)
-from oracles import (disordered_model, full_potential_matrix, potential_energy,
+from oracles import (disordered_model, eager_chain_matrices,
+                     full_potential_matrix, potential_energy,
                      standing_wave_basis)
 
 
@@ -275,6 +276,34 @@ def test_full_potential_positive_semidefinite():
         model = build_next_neighbor_model(n, 1.0, 1.0, alpha)
         eigs = scipy.linalg.eigvalsh(full_potential_matrix(model))
         assert eigs[0] >= -1e-10 * eigs[-1]
+
+
+@pytest.mark.parametrize("n, mass, omega0, alpha", [
+    (2, 1.0, 1.0, 1.0), (5, 2.0, 3.0, 0.7), (33, 0.5, 1.3, 0.0),
+    (64, 1.0, 1.0, 0.5), (7, 3, 2, 1),
+])
+def test_chain_arrays_match_eager_construction(n, mass, omega0, alpha):
+    # the factory keeps the recipe; W and K appear on first read, bit for
+    # bit the arrays it used to build, read-only and formed once
+    model = build_next_neighbor_model(n, mass, omega0, alpha)
+    for name, ref in zip(("w_matrix", "k_matrix"),
+                         eager_chain_matrices(n, mass, omega0, alpha)):
+        assert name not in vars(model)
+        arr = getattr(model, name)
+        assert arr.dtype == ref.dtype and arr.shape == ref.shape
+        assert arr.tobytes() == ref.tobytes()
+        assert not arr.flags.writeable
+        assert getattr(model, name) is arr
+
+
+def test_chain_model_holds_only_its_recipe():
+    # at N = 10^5 each dense array would take 80 GB
+    model = build_next_neighbor_model(10**5, 2.0, 1.5, 0.5)
+    assert (model.n_particles, model.mass, model.omega0) == (10**5, 2.0, 1.5)
+    assert "n_particles=100000" in repr(model)
+    assert {"w_matrix", "k_matrix"}.isdisjoint(vars(model))
+    with pytest.raises(AttributeError):
+        model.no_such_field
 
 
 def test_model_arrays_read_only():

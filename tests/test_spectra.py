@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +16,14 @@ from collective_mode import (
     build_next_neighbor_model,
     caldeira_leggett_form,
     collective_frequency,
+    collective_mapping,
     collective_sector_modes,
     convolution_power_spectrum,
     correlator_S,
     damping_kernel,
     evolve_exact,
     fdt_spectrum,
+    gamma_transform,
     mean_bath_spacing,
     next_neighbor_frequencies,
     observable_spectrum,
@@ -27,9 +34,12 @@ from collective_mode import (
     smoothed_spectrum,
     strength_comb,
 )
+from collective_mode import dynamics
 from collective_mode.dynamics import OscillatorParams
 from collective_mode.verify import run_checks
 from oracles import (correlator_exp, disordered_model, full_potential_matrix,
+                     one_shot_correlator_S, one_shot_damping_kernel,
+                     one_shot_gamma_transform, one_shot_smoothed_values,
                      phonon_coupling_row, standing_wave_basis)
 
 
@@ -48,6 +58,88 @@ def shifted_form(model, target_omega0=1.0):
     gz = damping_kernel(form, 0.0)
     k0 = (target_omega0**2 + gz) / 2.0 * form.mass - form.k_tilde_11
     return shift_collective_potential(form, k0)
+
+
+def kernel_pairs(form, modes, epsilon):
+    """(chunked kernel, one-shot oracle) pairs, each taking the grid."""
+    comb = strength_comb(modes)
+    return [
+        (lambda x: damping_kernel(form, x),
+         lambda x: one_shot_damping_kernel(form, x)),
+        (lambda x: gamma_transform(form, x, epsilon),
+         lambda x: one_shot_gamma_transform(form, x, epsilon)),
+        (lambda x: correlator_S(modes, x),
+         lambda x: one_shot_correlator_S(modes, x)),
+        (lambda x: smoothed_spectrum(comb, epsilon, np.atleast_1d(x)).values,
+         lambda x: one_shot_smoothed_values(comb, epsilon, np.atleast_1d(x))),
+    ]
+
+
+# ------------------------------------------------------- grid x lines kernels
+
+@pytest.mark.parametrize("grid_points", [199, 193, 16, 1, 0])
+def test_chunked_kernels_match_one_shot_bitwise(monkeypatch, grid_points):
+    # 16-row chunks over 20 or 21 lines: 199 rows end in a ragged chunk of
+    # 7, and the single row left over from 193 joins the last chunk.  Each
+    # product stays below OpenBLAS's threading threshold, so BLAS threads
+    # cannot regroup its rows.
+    monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", 16 * 21)
+    form, modes = collective_mapping(point_model(21, 0.5))
+    grid = np.linspace(0.0, 4.0, grid_points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for chunked, one_shot in kernel_pairs(form, modes, 0.3):
+            for x in (grid, 1.7, np.float64(1.7), np.array(1.7)):
+                got, ref = chunked(x), one_shot(x)
+                assert type(got) is type(ref)
+                assert np.shape(got) == np.shape(ref)
+                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+
+def test_chunked_kernels_match_one_shot_at_benchmark_size():
+    # with one BLAS thread, as the benchmark runs, chain-large's 1023 bath
+    # lines split the grid into 256-row chunks, bit for bit the one-shot
+    # products; 2049 points leave one row over, which must not go to dot
+    code = """
+import warnings
+import numpy as np
+from collective_mode import build_next_neighbor_model, collective_mapping
+from test_spectra import kernel_pairs
+form, modes = collective_mapping(build_next_neighbor_model(1024, 1.0, 1.0, 0.5))
+warnings.simplefilter("ignore")
+for n_grid in (2000, 2049, 3201):
+    grid = np.linspace(0.0, 4.0, n_grid)
+    for chunked, one_shot in kernel_pairs(form, modes, 0.01):
+        assert chunked(grid).tobytes() == one_shot(grid).tobytes()
+"""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env)
+    assert result.returncode == 0, result.stderr
+
+
+def test_spectral_kernels_stay_within_the_chunk_budget():
+    # at N = 2e4 one 2000 x N complex array is 640 MB and W alone 3.2 GB;
+    # the mapping and both kernels peak at a few complex chunks
+    n = 20_000
+    tracemalloc.start()
+    try:
+        model = build_next_neighbor_model(n, 1.0, 1.0, 0.5)
+        form, modes = collective_mapping(model)
+        grid = np.linspace(0.0, 4.0, 2000)
+        eps = dynamics.default_epsilon(form)
+        gamma_transform(form, grid, eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            smoothed_spectrum(strength_comb(modes), eps, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 16 * dynamics._CHUNK_ELEMENTS
+    assert {"w_matrix", "k_matrix"}.isdisjoint(vars(model))
 
 
 # ---------------------------------------------------------------- sigma
