@@ -33,23 +33,27 @@ class StepSizeError(NumericalError, ValueError):
     """Raised when the time step is too large for the memory-kernel stepper."""
 
 
-def _grid_rows(row_values, grid, n_lines):
-    """row_values(x) at every point of ``grid``, evaluated on chunks of rows.
+def _grid_rows(row_values, grid, n_lines, dtype=float):
+    """row_values(x, work) at every point of ``grid``, evaluated on chunks of rows.
 
     row_values maps a 1-d slice x of the flattened grid to its values,
-    each a sum over n_lines lines.  A chunk holds the largest power of
-    two rows, at least 4, within _CHUNK_ELEMENTS terms, and a single row
-    left over joins the last chunk.  OpenBLAS's gemv sums rows in groups
-    of four and numpy hands a one-row product to dot, so with one BLAS
-    thread each row meets the same kernel as in one product over the
-    whole grid and every value is bitwise that product's.  Returns the
-    grid's shape, or a Python scalar for a 0-d grid.
+    each a sum over n_lines lines, writing its terms into work, a
+    C-contiguous (len(x), n_lines) view of the one ``dtype`` array all
+    chunks reuse.  A chunk holds the largest power of two rows, at least
+    4, within _CHUNK_ELEMENTS terms, and a single row left over joins
+    the last chunk.  OpenBLAS's gemv sums rows in groups of four and
+    numpy hands a one-row product to dot, so with one BLAS thread each
+    row meets the same kernel as in one product over the whole grid and
+    every value is bitwise that product's.  Returns the grid's shape, or
+    a Python scalar for a 0-d grid.
     """
     x = np.asarray(grid, dtype=float)
     flat = x.reshape(-1)
     rows = 1 << max(2, (_CHUNK_ELEMENTS // max(n_lines, 1)).bit_length() - 1)
     edges = [*range(0, max(flat.size - 1, 1), rows), flat.size]
-    out = np.concatenate([row_values(flat[a:b]) for a, b in zip(edges, edges[1:])])
+    work = np.empty((min(rows + 1, flat.size), n_lines), dtype)
+    out = np.concatenate([row_values(flat[a:b], work[:b - a])
+                          for a, b in zip(edges, edges[1:])])
     return out.item() if x.ndim == 0 else out.reshape(x.shape)
 
 
@@ -150,8 +154,8 @@ def damping_kernel(form: CollectiveForm, t):
     Exact cosine sum over the bath lines; accepts scalars or arrays.
     """
     w, weights = form.bath_freqs, _line_weights(form)
-    return _grid_rows(lambda t: np.cos(np.multiply.outer(t, w)) @ weights,
-                      t, w.size)
+    return _grid_rows(lambda t, work: np.cos(np.multiply.outer(
+        t, w, out=work), out=work) @ weights, t, w.size)
 
 
 def gamma_transform(form: CollectiveForm, omega, epsilon):
@@ -164,11 +168,11 @@ def gamma_transform(form: CollectiveForm, omega, epsilon):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     w_sq, weights = form.bath_freqs**2, _line_weights(form)
 
-    def row_values(omega):
+    def row_values(omega, terms):
         s = epsilon - 1j * omega[:, None]
-        terms = s**2 + w_sq
+        np.add(s**2, w_sq, out=terms)
         return np.divide(s, terms, out=terms) @ weights
-    return _grid_rows(row_values, omega, w_sq.size)
+    return _grid_rows(row_values, omega, w_sq.size, complex)
 
 
 def omega0_squared(form: CollectiveForm) -> float:
@@ -226,9 +230,17 @@ def _mode_trajectory(modes, p0, h, n_points):
     c = (scale * c_sq)[:, None]
     fine = np.multiply.outer(w, np.arange(BLOCK) * h)
     c_b, s_b = np.cos(fine), np.sin(fine)
-    right = np.block([[g * c_b, -c * s_b], [g * s_b, c * c_b]])
+    n = w.size
+    right = np.empty((2 * n, 2 * BLOCK))
+    np.multiply(g, c_b, out=right[:n, :BLOCK])
+    np.multiply(-c, s_b, out=right[:n, BLOCK:])
+    np.multiply(g, s_b, out=right[n:, :BLOCK])
+    np.multiply(c, c_b, out=right[n:, BLOCK:])
     phase = np.multiply.outer(np.arange(-(-n_points // BLOCK)) * (BLOCK * h), w)
-    xv = np.hstack([np.sin(phase), np.cos(phase)]) @ right
+    left = np.empty((phase.shape[0], 2 * n))
+    np.sin(phase, out=left[:, :n])
+    np.cos(phase, out=left[:, n:])
+    xv = left @ right
     x = xv[:, :BLOCK].ravel()[:n_points]
     v = xv[:, BLOCK:].ravel()[:n_points]
     return x + (scale * c_sq[free].sum() * h) * np.arange(n_points), v
@@ -365,14 +377,19 @@ def total_energy(model: SystemModel, sector, basis, p0, times):
     amp = p0 / m * v_modes[0, :]
     phase = np.multiply.outer(t, w)
     free = w == 0.0
-    q = np.sin(phase) * (amp / np.where(free, 1.0, w))
+    q = np.sin(phase)
+    q *= amp / np.where(free, 1.0, w)
     q[:, free] = np.outer(t, amp[free])
-    qdot = np.cos(phase) * amp
+    qdot = np.cos(phase, out=phase)
+    qdot *= amp
 
     # M: q -> (X, xi) through the sector modes, then the basis takes
     # (X, xi) to the site coordinates a.
     to_anti = v_modes.T @ basis.T
     anti = antisymmetric_block(model)
-    kinetic = 0.5 * m * ((qdot @ (to_anti @ to_anti.T)) * qdot).sum(axis=-1)
-    potential = ((q @ (to_anti @ anti @ to_anti.T)) * q).sum(axis=-1)
-    return kinetic + potential
+    prod = np.matmul(qdot, to_anti @ to_anti.T)
+    prod *= qdot
+    kinetic = 0.5 * m * prod.sum(axis=-1)
+    np.matmul(q, to_anti @ anti @ to_anti.T, out=prod)
+    prod *= q
+    return kinetic + prod.sum(axis=-1)

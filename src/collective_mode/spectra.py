@@ -130,9 +130,10 @@ def correlator_S(modes: QuantumModes, t):
         raise ValueError("correlator needs strictly positive mode frequencies")
     coeff = modes.hbar / (2.0 * modes.mass) * modes.x_coefficients**2 / w
 
-    def row_values(t):
-        phase = np.multiply.outer(t, w)
-        return np.cos(phase) @ coeff - 1j * (np.sin(phase) @ coeff)
+    def row_values(t, work):
+        # the phases are formed again for sin, so cos can take their place
+        re = np.cos(np.multiply.outer(t, w, out=work), out=work) @ coeff
+        return re - 1j * (np.sin(np.multiply.outer(t, w, out=work), out=work) @ coeff)
     return _grid_rows(row_values, t, w.size)
 
 
@@ -161,9 +162,10 @@ def smoothed_spectrum(comb: DeltaComb, epsilon, omegas) -> SpectrumTable:
             )
     w = np.asarray(omegas, dtype=float)
 
-    def row_values(x):
-        lorentz = (epsilon / np.pi) / ((x[:, None] - f[None, :]) ** 2 + epsilon**2)
-        return lorentz @ comb.weights
+    def row_values(x, lorentz):
+        np.square(np.subtract(x[:, None], f, out=lorentz), out=lorentz)
+        lorentz += epsilon**2
+        return np.divide(epsilon / np.pi, lorentz, out=lorentz) @ comb.weights
     return SpectrumTable(omegas=w, values=_grid_rows(row_values, w, f.size))
 
 

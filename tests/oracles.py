@@ -3,14 +3,17 @@
 None of these is on the package's runtime path: each builds a quantity
 from its definition, from a basis the package no longer uses, or as
 the package built it before (the eager chain arrays, the grid x lines
-kernels in one product instead of row chunks), so it stays independent
+kernels in one product instead of row chunks, the mode sum and the
+energy check from freshly allocated arrays), so it stays independent
 of the code under test.  disordered_model is the seeded general model
 these references are checked on.
 """
 
 import numpy as np
 
-from collective_mode import SystemModel, build_general_model, phonon_spectrum
+from collective_mode import (SystemModel, antisymmetric_block, build_general_model,
+                             phonon_spectrum)
+from collective_mode._kernels import BLOCK
 
 
 def eager_chain_matrices(n, mass, omega0, alpha):
@@ -138,6 +141,43 @@ def one_shot_smoothed_values(comb, epsilon, omegas):
     f = comb.frequencies
     lorentz = (epsilon / np.pi) / ((w[:, None] - f[None, :]) ** 2 + epsilon**2)
     return lorentz @ comb.weights
+
+
+def one_shot_mode_trajectory(modes, p0, h, n_points):
+    """dynamics._mode_trajectory with its factors assembled by np.block
+    and np.hstack from fresh arrays."""
+    w = modes.frequencies
+    c_sq = modes.x_coefficients**2
+    free = w == 0.0
+    scale = p0 / modes.mass
+    g = (scale * c_sq / np.where(free, 1.0, w))[:, None]
+    c = (scale * c_sq)[:, None]
+    fine = np.multiply.outer(w, np.arange(BLOCK) * h)
+    c_b, s_b = np.cos(fine), np.sin(fine)
+    right = np.block([[g * c_b, -c * s_b], [g * s_b, c * c_b]])
+    phase = np.multiply.outer(np.arange(-(-n_points // BLOCK)) * (BLOCK * h), w)
+    xv = np.hstack([np.sin(phase), np.cos(phase)]) @ right
+    x = xv[:, :BLOCK].ravel()[:n_points]
+    v = xv[:, BLOCK:].ravel()[:n_points]
+    return x + (scale * c_sq[free].sum() * h) * np.arange(n_points), v
+
+
+def one_shot_total_energy(model, sector, basis, p0, times):
+    """dynamics.total_energy with a fresh array for every product."""
+    t = np.asarray(times, dtype=float)
+    m = model.mass
+    w, v_modes = sector
+    amp = p0 / m * v_modes[0, :]
+    phase = np.multiply.outer(t, w)
+    free = w == 0.0
+    q = np.sin(phase) * (amp / np.where(free, 1.0, w))
+    q[:, free] = np.outer(t, amp[free])
+    qdot = np.cos(phase) * amp
+    to_anti = v_modes.T @ basis.T
+    anti = antisymmetric_block(model)
+    kinetic = 0.5 * m * ((qdot @ (to_anti @ to_anti.T)) * qdot).sum(axis=-1)
+    potential = ((q @ (to_anti @ anti @ to_anti.T)) * q).sum(axis=-1)
+    return kinetic + potential
 
 
 def disordered_model(n, seed, mass=1.0):

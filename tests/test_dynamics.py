@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -225,6 +230,39 @@ def test_total_energy_detects_a_wrong_bath_map():
     flipped[:, 2] *= -1.0   # column 0 is X's uniform mode
     e = total_energy(model, sector, flipped, 1.0, t)
     assert np.abs(e - e[0]).max() > 1e-6 * e[0]
+
+
+def test_mode_sum_and_energy_match_one_shot_bitwise():
+    # with one BLAS thread, as the benchmark runs, the mode sum and the
+    # energy check written into reused buffers are bit for bit the bodies
+    # that took a fresh array for every factor and product
+    code = """
+import numpy as np
+from collective_mode import (build_next_neighbor_model, caldeira_leggett_form,
+                             collective_sector_eigensystem, collective_sector_modes,
+                             total_energy)
+from collective_mode.dynamics import _mode_trajectory
+from oracles import disordered_model, one_shot_mode_trajectory, one_shot_total_energy
+t = np.linspace(0.0, 32.0, 3201)
+h = t[1] - t[0]
+for model in (build_next_neighbor_model(256, 1.3, 1.0, 0.5), disordered_model(200, 3, 1.3)):
+    form, basis = caldeira_leggett_form(model)
+    modes = collective_sector_modes(form)
+    for n_points in (3201, 64, 1):
+        got = _mode_trajectory(modes, 0.7, h, n_points)
+        ref = one_shot_mode_trajectory(modes, 0.7, h, n_points)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in ref]
+    sector = collective_sector_eigensystem(form)
+    got = total_energy(model, sector, basis, 0.7, t[:2001])
+    assert got.tobytes() == one_shot_total_energy(model, sector, basis, 0.7, t[:2001]).tobytes()
+"""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env)
+    assert result.returncode == 0, result.stderr
 
 
 def test_volterra_matches_exact():

@@ -121,6 +121,32 @@ for n_grid in (2000, 2049, 3201):
     assert result.returncode == 0, result.stderr
 
 
+def test_grid_rows_reuses_one_work_buffer(monkeypatch):
+    # 16-row chunks over 21 lines: 193 points make eleven chunks of 16
+    # rows and a last one of 17, which takes the single row left over
+    monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", 16 * 21)
+    seen = []
+
+    def row_values(x, work):
+        seen.append((x.size, work))
+        return 2.0 * x
+
+    grid = np.linspace(0.0, 4.0, 193)
+    assert dynamics._grid_rows(row_values, grid, 21).tobytes() == (2.0 * grid).tobytes()
+    assert [rows for rows, _ in seen] == [16] * 11 + [17]
+    for rows, work in seen:
+        assert work.shape == (rows, 21) and work.dtype == float
+        assert work.flags.c_contiguous
+        assert np.shares_memory(work, seen[0][1])
+    seen.clear()
+    assert dynamics._grid_rows(row_values, grid[:40], 21, complex).shape == (40,)
+    assert all(work.dtype == complex for _, work in seen)
+    assert all(np.shares_memory(work, seen[0][1]) for _, work in seen)
+    for grid, shape in ((np.empty(0), (0,)), (np.array([1.5]), (1,))):
+        assert dynamics._grid_rows(row_values, grid, 21).shape == shape
+    assert type(dynamics._grid_rows(row_values, np.array(1.5), 21)) is float
+
+
 def test_spectral_kernels_stay_within_the_chunk_budget():
     # at N = 2e4 one 2000 x N complex array is 640 MB and W alone 3.2 GB;
     # the mapping and both kernels peak at a few complex chunks
