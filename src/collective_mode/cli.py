@@ -22,7 +22,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import mapping, spectra
 from .model import (ModelValidationError, NumericalError,
-                    _build_general_model, build_next_neighbor_model)
+                    build_general_model, build_next_neighbor_model)
 from .verify import run_checks
 
 EXIT_OK = 0
@@ -153,18 +153,16 @@ class Scenario:
             raise ConfigError(f"[{section}] {field} must be an integer, got {raw!r}") from exc
 
     def build_model(self):
-        """(model, sector eigenvalues from its validation, or None for the
-        chain factory, which skips validation)."""
         if self.kind == "next_neighbor":
             try:
                 return build_next_neighbor_model(
-                    self.n, self.mass, self.omega0, self.alpha, self.hbar), None
+                    self.n, self.mass, self.omega0, self.alpha, self.hbar)
             except ValueError as exc:  # the factory checks only the scalars
                 raise ConfigError(f"[model] {exc}") from exc
         w = _load_matrix(self.w_file)
         k = _load_matrix(self.k_file)
         try:
-            return _build_general_model(w, k, self.mass, self.hbar)
+            return build_general_model(w, k, self.mass, self.hbar)
         except ModelValidationError as exc:
             raise ConfigError(f"[model] {exc}") from exc
 
@@ -211,7 +209,7 @@ def _spectra_tables(form, modes, params, scenario):
 
 
 def run_scenario(scenario, quiet=False):
-    model, _ = scenario.build_model()
+    model = scenario.build_model()
     out = Path(scenario.directory)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -293,13 +291,12 @@ def run_scenario(scenario, quiet=False):
 
 
 def run_verify(scenario, quiet=False):
-    model, sector_eigs = scenario.build_model()
+    model = scenario.build_model()
     out = Path(scenario.directory)
     out.mkdir(parents=True, exist_ok=True)
     eps = scenario.epsilon if scenario.epsilon > 0 else None
     checks = run_checks(model, p0=scenario.p0, t_max=scenario.t_max,
-                        steps=scenario.steps, epsilon=eps,
-                        sector_eigs=sector_eigs)
+                        steps=scenario.steps, epsilon=eps)
     report = {
         "checks": [c.to_json() for c in checks],
         "all_passed": all(c.passed for c in checks),

@@ -25,10 +25,9 @@ from .model import (
     NumericalError,
     SystemModel,
     UnstableModelError,
-    _fix_signs,
+    _deflate,
     _freeze,
     _psd_eigh,
-    _reflect,
     antisymmetric_block,
 )
 
@@ -85,32 +84,23 @@ def caldeira_leggett_form(model: SystemModel):
     """Map a validated model onto the collective + internal-bath form by
     dense eigensolves: (form, basis).
 
-    The reflector H of the phonon deflation sends e_0 to -u, so in
-    H anti H (anti the antisymmetric block) the corner is Ktilde_11 =
-    u^T anti u and the lower block is the bath block B = C^T anti C,
-    with C the last N-1 columns of H.  B is diagonalized once; its
-    eigenmodes U give the orthogonal site-space map basis = [u | C U]
-    from (X, bath modes) onto the antisymmetric coordinates, with each
-    column's first nonzero entry positive, and the couplings are the
-    coupling row (C U)^T anti u.  None of this depends on which
-    orthonormal basis of the complement of u is used.  The energy
-    reconstruction needs the basis.
+    _deflate splits the uniform mode u off the antisymmetric block anti:
+    Ktilde_11 = u^T anti u, the bath block's eigenvalues, and the site
+    basis [u | C U] from (X, bath modes) onto the antisymmetric
+    coordinates, which the energy reconstruction needs.  The couplings
+    are (C U)^T anti u; none of this depends on the basis C chosen for
+    the complement of u.
     """
-    n, m = model.n_particles, model.mass
+    m = model.mass
     anti = antisymmetric_block(model)
-    reflected = _reflect(_reflect(anti).T)
-    evals, u = _psd_eigh(reflected[1:, 1:], "bath block")
+    k_tilde_11, evals, basis = _deflate(anti, "bath block")
     if (evals == 0.0).any():
         raise UnstableModelError(
             "bath block has a zero mode; bath frequencies must be positive"
         )
-    lift = np.zeros((n, n))
-    lift[0, 0] = -1.0
-    lift[1:, 1:] = u
-    basis = _fix_signs(_reflect(lift))
 
     form = CollectiveForm(
-        k_tilde_11=float(reflected[0, 0]),
+        k_tilde_11=float(k_tilde_11),
         bath_freqs=np.sqrt(2.0 * evals / m),
         couplings_l=basis[:, 1:].T @ (anti @ basis[:, 0]),
         mass=m,

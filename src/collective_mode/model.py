@@ -85,12 +85,17 @@ class SystemModel:
         _freeze(self, "w_matrix", "k_matrix")
 
     def __getattr__(self, name):
-        # Reached only for attributes missing from the instance: on a
-        # chain model, W or K before their first read.
-        if self._chain is None or name not in ("w_matrix", "k_matrix"):
+        # Reached only for attributes missing from the instance: the
+        # sector eigenvalues before their first solve and, on a chain
+        # model, W or K before their first read.
+        if name == "_sector_eigs":
+            value = np.linalg.eigvalsh(_sector_blocks(self.w_matrix, self.k_matrix))
+        elif self._chain is not None and name in ("w_matrix", "k_matrix"):
+            value = _chain_matrix(self, name)
+        else:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, name, _chain_matrix(self, name))
+        object.__setattr__(self, name, value)
         _freeze(self, name)
         return self.__dict__[name]
 
@@ -146,9 +151,10 @@ def sector_eigenvalues(model: SystemModel):
 
     Row 0 is the symmetric and row 1 the antisymmetric block; together
     they are the spectrum of the full 2N quadratic form, and 2/m times
-    them are the squared frequencies.
+    them are the squared frequencies.  Solved at most once per model;
+    the result is read-only.
     """
-    return np.linalg.eigvalsh(_sector_blocks(model.w_matrix, model.k_matrix))
+    return model._sector_eigs
 
 
 def validate_model(w_matrix, k_matrix, mass, hbar=1.0):
@@ -227,18 +233,12 @@ def _validate(w_matrix, k_matrix, mass, hbar):
 
 
 def build_general_model(w_matrix, k_matrix, mass, hbar=1.0):
-    """Validate user-supplied (W, K) and wrap them in a SystemModel.
+    """Validate user-supplied (W, K) and wrap them in a SystemModel, which
+    keeps the sector eigenvalues validation computed.
 
     Raises ModelValidationError carrying the full violation list when an
     invariant fails.
     """
-    return _build_general_model(w_matrix, k_matrix, mass, hbar)[0]
-
-
-def _build_general_model(w_matrix, k_matrix, mass, hbar):
-    """build_general_model's (model, eigs), eigs being the sector
-    eigenvalues validation computed, so a caller that needs them does
-    not solve again."""
     violations, eigs = _validate(w_matrix, k_matrix, mass, hbar)
     if violations:
         raise ModelValidationError(violations)
@@ -250,7 +250,9 @@ def _build_general_model(w_matrix, k_matrix, mass, hbar):
         k_matrix=np.asarray(k_matrix, dtype=float),
         hbar=float(hbar),
     )
-    return model, eigs
+    object.__setattr__(model, "_sector_eigs", eigs)
+    _freeze(model, "_sector_eigs")
+    return model
 
 
 def build_next_neighbor_model(n_particles, mass=1.0, omega0=1.0, alpha=0.0, hbar=1.0):
@@ -345,23 +347,29 @@ def _reflect(x):
     return x - np.multiply.outer(v, v @ x / v[0])
 
 
-def phonon_spectrum(model: SystemModel) -> PhononSpectrum:
-    """Diagonalize the chain: frequencies and the orthogonal mode basis.
+def _deflate(block, what):
+    """Split the uniform mode u off a symmetric block: (u^T block u, the
+    eigenvalues of C^T block C, the orthogonal site basis [u | C U]).
 
-    The uniform zero mode is deflated analytically (W has vanishing row
-    sums, so the uniform vector is an exact null vector); the remaining
-    modes come from a dense symmetric eigensolve on its orthogonal
-    complement.  Frequencies are sorted ascending with the zero mode
-    first and mode signs are fixed for reproducibility.
+    H = _reflect sends e_0 to -u and C is its last N-1 columns, so these
+    are the corner and the lower block of H block H; _psd_eigh solves
+    the latter (naming it ``what``), and its modes U are lifted back
+    with each column's first nonzero entry positive.
     """
-    n = model.n_particles
-    evals, evecs = _psd_eigh(_reflect(_reflect(model.w_matrix).T)[1:, 1:],
-                             "chain potential W")
+    n = block.shape[0]
+    reflected = _reflect(_reflect(block).T)
+    evals, modes = _psd_eigh(reflected[1:, 1:], what)
+    lift = np.zeros((n, n))
+    lift[0, 0] = -1.0
+    lift[1:, 1:] = modes
+    return reflected[0, 0], evals, _fix_signs(_reflect(lift))
 
-    freqs = np.empty(n)
-    freqs[0] = 0.0
-    freqs[1:] = np.sqrt(2.0 * evals / model.mass)
-    modes = np.zeros((n, n))
-    modes[0, 0] = -1.0
-    modes[1:, 1:] = evecs   # H maps the columns to u and the complement modes
-    return PhononSpectrum(frequencies=freqs, basis=_fix_signs(_reflect(modes)).T)
+
+def phonon_spectrum(model: SystemModel) -> PhononSpectrum:
+    """Diagonalize the chain: frequencies, ascending with the uniform
+    zero mode first, and the orthogonal basis of sign-fixed modes.  W
+    has vanishing row sums, so the uniform vector is an exact null
+    vector, and _deflate solves the rest on its complement."""
+    _, evals, basis = _deflate(model.w_matrix, "chain potential W")
+    return PhononSpectrum(frequencies=np.sqrt(2.0 * np.append(0.0, evals) / model.mass),
+                          basis=basis.T)

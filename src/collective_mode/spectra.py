@@ -125,10 +125,8 @@ def strength_comb(modes: QuantumModes) -> DeltaComb:
 def correlator_S(modes: QuantumModes, t):
     """Ground-state time correlator of X:
     (hbar / 2 m) sum_n c_n^2 / w_n exp(-i w_n t)."""
-    w = modes.frequencies
-    if (w <= 0).any():
-        raise ValueError("correlator needs strictly positive mode frequencies")
-    coeff = modes.hbar / (2.0 * modes.mass) * modes.x_coefficients**2 / w
+    comb = strength_comb(modes)   # the weights and their positivity guard
+    w, coeff = comb.frequencies, comb.weights
 
     def row_values(t, work):
         # the phases are formed again for sin, so cos can take their place

@@ -42,20 +42,20 @@ def _bounded(checks, name, measured, tolerance, detail):
                               passed=measured <= tolerance, detail=detail))
 
 
-def run_checks(model, p0, t_max, steps, epsilon=None, sector_eigs=None):
+def run_checks(model, p0, t_max, steps, epsilon=None):
     """Run every applicable invariant against the model.
 
     The trajectory comparisons kick X with p0 and sample [0, t_max] at
-    steps + 1 points; epsilon is the spectral smoothing width (default
-    five mean bath spacings).  sector_eigs are the model's
-    sector_eigenvalues when validation has already computed them.
+    steps + 1 points, the energy, correlator and link checks at 2001;
+    epsilon is the spectral smoothing width (default five mean bath
+    spacings).
     """
     checks = []
     n = model.n_particles
     m = model.mass
 
     # --- model structure
-    eigs = model_mod.sector_eigenvalues(model) if sector_eigs is None else sector_eigs
+    eigs = model_mod.sector_eigenvalues(model)
     top = max(eigs.max(), 1e-300)
     checks.append(CheckResult(
         name="model.full_potential_psd",
@@ -171,15 +171,16 @@ def run_checks(model, p0, t_max, steps, epsilon=None, sector_eigs=None):
         volt = None
     if volt is not None:
         if params.omega0 > 0:
-            scale = abs(p0) / (m * params.omega0)
+            scale, what = abs(p0) / (m * params.omega0), "kick scale |P0|/(m W0)"
         else:
             scale = max(float(np.abs(exact.positions).max()), 1e-300)
+            what = "scale max|X|"
         err = np.abs(volt.positions - exact.positions).max() / scale
         _bounded(checks, "dynamics.volterra_vs_exact", err, 1e-4,
-                 f"L-inf over [0, {t_max:g}] at {steps} steps, kick scale |P0|/(m W0)")
+                 f"L-inf over [0, {t_max:g}] at {steps} steps, {what}")
 
-    t_e = np.linspace(0.0, t_max, min(steps + 1, 2001))
-    energy = dyn.total_energy(model, sector, site_basis, p0, t_e)
+    ts = np.linspace(0.0, t_max, 2001)
+    energy = dyn.total_energy(model, sector, site_basis, p0, ts)
     err = np.abs(energy - energy[0]).max() / max(energy[0], 1e-300)
     _bounded(checks, "dynamics.energy_conservation", err, 1e-10,
              "total energy drift along the exact trajectory")
@@ -191,11 +192,11 @@ def run_checks(model, p0, t_max, steps, epsilon=None, sector_eigs=None):
         omega_x = np.sqrt(max(form.bare_omega_sq, 0.0))
         if omega_x > 0:
             ref = p0 / (m * omega_x) * np.sin(omega_x * t)
+            what = "X stays sinusoidal at sqrt(2 Kt11/m)"
         else:
-            ref = p0 / m * t
+            ref, what = p0 / m * t, "X moves freely as P0 t/m"
         sin_err = np.abs(exact.positions - ref).max() / max(np.abs(ref).max(), 1e-300)
-        _bounded(checks, "dynamics.decoupled_harmonic", sin_err, 1e-8,
-                 "X stays sinusoidal at sqrt(2 Kt11/m)")
+        _bounded(checks, "dynamics.decoupled_harmonic", sin_err, 1e-8, what)
     else:
         for name in ("dynamics.decoupled_kernel", "dynamics.decoupled_harmonic"):
             checks.append(_skip(name, "model is not decoupled"))
@@ -216,7 +217,9 @@ def run_checks(model, p0, t_max, steps, epsilon=None, sector_eigs=None):
                    "Ohmic bath)",
         ))
     else:
-        checks.append(_skip("dynamics.kernel_flatness", "no bound resonance"))
+        checks.append(_skip("dynamics.kernel_flatness",
+                            "collective coordinate is unbound" if params.omega0 <= 0
+                            else "smoothing width is not positive"))
 
     # --- spectra
     if (modes.frequencies > 0).all():
@@ -229,7 +232,6 @@ def run_checks(model, p0, t_max, steps, epsilon=None, sector_eigs=None):
         _bounded(checks, "spectra.strength_sum_rule", sum_rule, 1e-12,
                  "sum of weight * frequency vs hbar / 2m")
 
-        ts = np.linspace(0.0, t_max, 2001)
         s_t = spectra.correlator_S(modes, ts)
         x = dyn.evolve_exact(modes, p0, ts).positions
         link = np.abs(s_t.imag + model.hbar / (2.0 * p0) * x).max()

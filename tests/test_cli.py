@@ -581,6 +581,55 @@ def test_verify_coarse_step_fails_with_error_norm(tmp_path):
     assert measured[1] == pytest.approx(measured[0], rel=1e-12)
 
 
+def test_verify_unbound_chain_names_the_scales_it_uses(tmp_path):
+    # alpha = 0: X is a free, decoupled coordinate (W0 = 0), so the error
+    # scale is max|X| and the reference is P0 t/m, and every check that
+    # needs a bound resonance or positive sector frequencies is skipped
+    cfg = tmp_path / "free.ini"
+    out = write_config(cfg, n=16, alpha=0.0, t_max=16.0, steps=1600)
+    assert main(["verify", str(cfg), "--quiet"]) == 0
+    checks = json.loads((out / "verification.json").read_text())["checks"]
+    assert [c["name"] for c in checks] == VERIFY_CHECKS
+    by_name = {c["name"]: c for c in checks}
+    for name in ["dynamics.kernel_flatness"] + VERIFY_CHECKS[-5:]:
+        assert by_name[name]["detail"] == "skipped: collective coordinate is unbound"
+    volterra = by_name["dynamics.volterra_vs_exact"]
+    assert volterra["detail"] == "L-inf over [0, 16] at 1600 steps, scale max|X|"
+    assert volterra["passed"] and volterra["measured"] <= 1e-4
+    harmonic = by_name["dynamics.decoupled_harmonic"]
+    assert harmonic["detail"] == "X moves freely as P0 t/m"
+    assert harmonic["passed"] and harmonic["measured"] <= 1e-8
+
+
+def test_verify_reports_every_check_when_the_step_is_too_large(tmp_path):
+    # h = 1.6 is above the stepper's limit: the Volterra check fails with
+    # the StepSizeError text and every other check still runs
+    cfg = tmp_path / "coarse.ini"
+    out = write_config(cfg, n=16, alpha=0.5, t_max=160.0, steps=100)
+    assert main(["verify", str(cfg), "--quiet"]) == 1
+    report = json.loads((out / "verification.json").read_text())
+    assert [c["name"] for c in report["checks"]] == VERIFY_CHECKS
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["dynamics.volterra_vs_exact"]
+    assert failed[0]["measured"] is None
+    assert failed[0]["detail"].startswith("time step 1.6 too large; need h <= 0.0502")
+
+
+def test_verify_stops_at_an_indefinite_model():
+    # an unvalidated model whose antisymmetric block is indefinite: the
+    # full form and the bath fail, and no check after the mapping runs
+    from collective_mode import SystemModel, build_next_neighbor_model
+    from collective_mode.verify import run_checks
+
+    w = build_next_neighbor_model(3, 1.0, 1.0, 0.0).w_matrix
+    model = SystemModel(3, 1.0, w, np.diag([-0.6, 0.0, 0.0]))
+    checks = run_checks(model, p0=1.0, t_max=1.0, steps=10)
+    assert [c.name for c in checks] == VERIFY_CHECKS[:5]
+    assert [c.name for c in checks if not c.passed] == [
+        "model.full_potential_psd", "mapping.bath_stability"]
+    assert "negative mode" in checks[-1].detail
+
+
 def test_figure1_outputs(tmp_path):
     out = tmp_path / "fig"
     assert main(["figure1", str(out), "--quiet"]) == 0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,8 +16,7 @@ from collective_mode import (
     sector_eigenvalues,
     validate_model,
 )
-from collective_mode.model import (_build_general_model, _fix_signs,
-                                   _sector_blocks, _validate)
+from collective_mode.model import _fix_signs, _sector_blocks, _validate
 from oracles import (disordered_model, eager_chain_matrices,
                      full_potential_matrix, potential_energy,
                      standing_wave_basis)
@@ -243,18 +244,65 @@ def test_antisymmetric_block_is_the_split_block():
     assert np.abs(v.T @ full_potential_matrix(model) @ v - anti).max() < 1e-14
 
 
-def test_build_path_hands_over_validation_eigenvalues():
-    # the CLI's build path reuses validation's eigensolve, which must be
-    # sector_eigenvalues(model) bit for bit; checks that stop before the
-    # eigensolve hand over none
+def count_eigvalsh(monkeypatch):
+    """Record the input shape of every np.linalg.eigvalsh call."""
+    shapes = []
+
+    def recorded(a, *args, _fn=np.linalg.eigvalsh, **kwargs):
+        shapes.append(np.shape(a))
+        return _fn(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    return shapes
+
+
+def test_build_path_hands_over_validation_eigenvalues(monkeypatch):
+    # build_general_model keeps validation's eigensolve, the only one,
+    # which must be the sector blocks' eigenvalues bit for bit; checks
+    # that stop before the eigensolve hand over none
     model = disordered_model(12, seed=5, mass=1.3)
-    built, eigs = _build_general_model(model.w_matrix, model.k_matrix, 1.3, 1.0)
+    expected = np.linalg.eigvalsh(_sector_blocks(model.w_matrix, model.k_matrix))
+    shapes = count_eigvalsh(monkeypatch)
+    built = build_general_model(model.w_matrix, model.k_matrix, 1.3, 1.0)
     assert np.array_equal(built.w_matrix, model.w_matrix)
-    assert np.array_equal(eigs, sector_eigenvalues(built))
+    assert np.array_equal(sector_eigenvalues(built), expected)
+    assert shapes == [(2, 12, 12)]
     violations, eigs = _validate(np.ones((2, 3)), np.ones((2, 3)), 1.0, 1.0)
     assert [name for name, _ in violations] == ["shape"] and eigs is None
     violations, eigs = _validate(model.w_matrix, -model.k_matrix, 1.0, 1.0)
     assert "k_negative" in [name for name, _ in violations] and eigs is None
+
+
+@pytest.mark.parametrize("build, solves", [
+    (lambda: build_next_neighbor_model(12, 1.3, 0.8, 0.5), 1),
+    (lambda: SystemModel(12, 1.3, *eager_chain_matrices(12, 1.3, 0.8, 0.5)), 1),
+    (lambda: disordered_model(12, seed=5, mass=1.3), 0),
+], ids=["chain", "from-arrays", "general"])
+def test_sector_eigenvalues_are_solved_once_per_model(monkeypatch, build, solves):
+    # the model keeps its sector eigenvalues read-only; one built by
+    # build_general_model keeps validation's and solves none itself
+    model = build()
+    shapes = count_eigvalsh(monkeypatch)
+    eigs = sector_eigenvalues(model)
+    assert sector_eigenvalues(model) is eigs
+    assert shapes == [(2, 12, 12)] * solves
+    assert not eigs.flags.writeable
+    with pytest.raises(ValueError):
+        eigs[0, 0] = 1.0
+    assert np.array_equal(
+        eigs, np.linalg.eigvalsh(_sector_blocks(model.w_matrix, model.k_matrix)))
+
+
+def test_replaced_model_solves_its_own_sector_eigenvalues():
+    # dataclasses.replace builds a new model, which must not inherit the
+    # eigenvalues of the one it came from
+    model = disordered_model(12, seed=5, mass=1.3)
+    old = sector_eigenvalues(model)
+    k2 = 2.0 * model.k_matrix
+    changed = dataclasses.replace(model, k_matrix=k2)
+    eigs = sector_eigenvalues(changed)
+    assert not np.array_equal(eigs, old)
+    assert np.array_equal(eigs, np.linalg.eigvalsh(_sector_blocks(model.w_matrix, k2)))
+    assert np.array_equal(sector_eigenvalues(model), old)
 
 
 def test_full_potential_point_coupling_cross_entry():
