@@ -212,55 +212,87 @@ def collective_frequency(form: CollectiveForm) -> OscillatorParams:
     return OscillatorParams(omega0_sq=float(omega0_sq), gamma0=gamma0)
 
 
-def _mode_trajectory(modes, p0, h, n_points):
-    """X(t) = (P0/m) sum_n c_n^2 sin(w_n t)/w_n, with the w -> 0 limit t,
-    and its velocity, on the grid t = k h, k < n_points.
+def _split_trig(w, h, n_points):
+    """sin and cos of w t on the grid t = k h, k < n_points, by angle addition.
 
-    With k = a BLOCK + b, angle addition splits each phase into a coarse
-    and a fine part, so trig runs on (n_points / BLOCK + BLOCK) N phases
-    and both sums are one product of (S_a | C_a) with
-    X = S_a diag(c^2/w) C_b^T + C_a diag(c^2/w) S_b^T,
-    V = C_a diag(c^2) C_b^T - S_a diag(c^2) S_b^T.
+    With k = a BLOCK + b, each phase splits into a coarse part a BLOCK h w
+    and a fine part b h w, so trig runs on (n_points / BLOCK + BLOCK) N
+    phases only.  Returns left = (S_a | C_a), the (ceil(n_points / BLOCK),
+    2N) sines and cosines of the coarse phases, and the (N, BLOCK) cosines
+    c_b and sines s_b of the fine ones:
+    sin(w t) = S_a c_b + C_a s_b and cos(w t) = C_a c_b - S_a s_b.
     """
-    w = modes.frequencies
-    c_sq = modes.x_coefficients**2
-    free = w == 0.0
-    scale = p0 / modes.mass
-    g = (scale * c_sq / np.where(free, 1.0, w))[:, None]
-    c = (scale * c_sq)[:, None]
+    n = w.size
     fine = np.multiply.outer(w, np.arange(BLOCK) * h)
-    c_b, s_b = np.cos(fine), np.sin(fine)
+    phase = np.multiply.outer(np.arange(-(-n_points // BLOCK)) * (BLOCK * h), w)
+    left = np.empty((phase.shape[0], 2 * n))
+    np.sin(phase, out=left[:, :n])
+    np.cos(phase, out=left[:, n:])
+    return left, np.cos(fine), np.sin(fine)
+
+
+def _split_sums(w, h, n_points, sin_weights, cos_weights):
+    """(sum_n sin_weights_n sin(w_n t), sum_n cos_weights_n cos(w_n t)) on
+    the grid t = k h, k < n_points, as one product of (S_a | C_a) with the
+    weights folded into the fine factor (see _split_trig)."""
+    left, c_b, s_b = _split_trig(w, h, n_points)
+    g, c = sin_weights[:, None], cos_weights[:, None]
     n = w.size
     right = np.empty((2 * n, 2 * BLOCK))
     np.multiply(g, c_b, out=right[:n, :BLOCK])
     np.multiply(-c, s_b, out=right[:n, BLOCK:])
     np.multiply(g, s_b, out=right[n:, :BLOCK])
     np.multiply(c, c_b, out=right[n:, BLOCK:])
-    phase = np.multiply.outer(np.arange(-(-n_points // BLOCK)) * (BLOCK * h), w)
-    left = np.empty((phase.shape[0], 2 * n))
-    np.sin(phase, out=left[:, :n])
-    np.cos(phase, out=left[:, n:])
-    xv = left @ right
-    x = xv[:, :BLOCK].ravel()[:n_points]
-    v = xv[:, BLOCK:].ravel()[:n_points]
+    sc = left @ right
+    return sc[:, :BLOCK].ravel()[:n_points], sc[:, BLOCK:].ravel()[:n_points]
+
+
+def _mode_trajectory(modes, p0, h, n_points):
+    """X(t) = (P0/m) sum_n c_n^2 sin(w_n t)/w_n, with the w -> 0 limit t,
+    and its velocity V(t) = (P0/m) sum_n c_n^2 cos(w_n t), on the grid
+    t = k h, k < n_points, from the blocked split of _split_sums.
+    """
+    w = modes.frequencies
+    c_sq = modes.x_coefficients**2
+    free = w == 0.0
+    scale = p0 / modes.mass
+    x, v = _split_sums(w, h, n_points, scale * c_sq / np.where(free, 1.0, w),
+                       scale * c_sq)
     return x + (scale * c_sq[free].sum() * h) * np.arange(n_points), v
+
+
+def _grid_step(x):
+    """Step h of a 1-d grid x_k = k h from 0, or None if x is not one.
+
+    Every point must lie within 1e-9 h plus 4 eps |x_k| (four to eight
+    ulps) of k h, so a grid whose steps drift slowly is refused even
+    when each step is close to the first; linspace and arange grids stay
+    within one ulp.
+    """
+    if x.ndim != 1 or x.size < 2:
+        return None
+    h = x[1] - x[0]
+    drift = np.abs(x - np.arange(x.size) * h)
+    if h > 0 and (drift <= 1e-9 * h + 4.0 * np.finfo(float).eps * np.abs(x)).all():
+        return float(h)
+    return None
 
 
 def _check_uniform_grid(grid, name):
     """(grid, step) of a uniform, increasing grid from 0.
 
-    The start may miss 0 by round-off only: |grid[0]| <= 1e-9 step.
+    Every point may miss k h by round-off only (see _grid_step), the
+    start 0 included.
     """
     x = np.asarray(grid, dtype=float)
     if x.size < 2:
         raise ValueError(f"{name} grid needs at least two points")
-    steps = np.diff(x)
-    h = steps[0]
-    if not (h > 0 and np.allclose(steps, h, rtol=1e-9, atol=0.0)):
+    h = _grid_step(x)
+    if h is None:
+        if abs(x[0]) > 1e-9 * abs(x[1] - x[0]):
+            raise ValueError(f"{name} grid must start at 0, got {x[0]}")
         raise ValueError(f"{name} grid must be uniform and increasing")
-    if abs(x[0]) > 1e-9 * h:
-        raise ValueError(f"{name} grid must start at 0, got {x[0]}")
-    return x, float(h)
+    return x, h
 
 
 def evolve_exact(modes: QuantumModes, p0, times) -> TrajectoryTable:
@@ -361,35 +393,60 @@ def total_energy(model: SystemModel, sector, basis, p0, times):
 
     Takes the sector eigensystem (frequencies, mode_matrix) from
     collective_sector_eigensystem and the orthogonal site-space basis
-    [u | C U] that caldeira_leggett_form returns with the form.  The kick
-    excites only the antisymmetric sector a = (x - xbar)/sqrt(2); the
-    symmetric sector stays at rest and carries no energy.  The normal
-    coordinates q(t) map to a = q M, so the energy is
-    (m/2) qdot (M M^T) qdot + q (M anti M^T) q with the antisymmetric
-    block of the full quadratic form.  Used to check energy conservation
-    along the exact route.
+    [u | C U] that caldeira_leggett_form returns with the form, on a
+    uniform grid from 0.  The kick excites only the antisymmetric sector
+    a = (x - xbar)/sqrt(2); the symmetric sector stays at rest and
+    carries no energy.  The normal coordinates q(t) map to a = q M, so
+    the energy is (m/2) qdot (M M^T) qdot + q (M anti M^T) q with the
+    antisymmetric block of the full quadratic form.  q and qdot are
+    built a few blocks of BLOCK grid points at a time from the
+    angle-addition split of the mode sum (_split_trig), so no grid x
+    modes array is held.  Used to check energy conservation along the
+    exact route.
     """
-    t = np.asarray(times, dtype=float)
+    t, h = _check_uniform_grid(times, "time")
     m = model.mass
 
-    # Normal coordinates q_n(t) = (P0 c_n / m) sin(w_n t)/w_n.
+    # Normal coordinates q_n(t) = (P0 c_n / m) sin(w_n t)/w_n, and
+    # q_n = (P0 c_n / m) t for a free mode.
     w, v_modes = sector
     amp = p0 / m * v_modes[0, :]
-    phase = np.multiply.outer(t, w)
     free = w == 0.0
-    q = np.sin(phase)
-    q *= amp / np.where(free, 1.0, w)
-    q[:, free] = np.outer(t, amp[free])
-    qdot = np.cos(phase, out=phase)
-    qdot *= amp
+    left, c_b, s_b = _split_trig(w, h, t.size)
+    n = w.size
+    # (BLOCK, N) fine factors with the amplitudes folded in
+    c_b, s_b = np.ascontiguousarray(c_b.T), np.ascontiguousarray(s_b.T)
+    g = amp / np.where(free, 1.0, w)
+    q_c, q_s = g * c_b, g * s_b
+    v_c, v_s = amp * c_b, amp * s_b
 
     # M: q -> (X, xi) through the sector modes, then the basis takes
     # (X, xi) to the site coordinates a.
     to_anti = v_modes.T @ basis.T
-    anti = antisymmetric_block(model)
-    prod = np.matmul(qdot, to_anti @ to_anti.T)
-    prod *= qdot
-    kinetic = 0.5 * m * prod.sum(axis=-1)
-    np.matmul(q, to_anti @ anti @ to_anti.T, out=prod)
-    prod *= q
-    return kinetic + prod.sum(axis=-1)
+    kinetic_form = (0.5 * m) * (to_anti @ to_anti.T)
+    potential_form = to_anti @ antisymmetric_block(model) @ to_anti.T
+
+    # passes of whole coarse blocks, half the chunk budget per buffer: one
+    # product over a few hundred rows runs faster than one per block
+    blocks = left.shape[0]
+    group = max(1, _CHUNK_ELEMENTS // (2 * BLOCK * n))
+    energy = np.empty(blocks * BLOCK)
+    coords, prod, work = (np.empty((group * BLOCK, n)) for _ in range(3))
+    for lo in range(0, blocks, group):
+        hi = min(lo + group, blocks)
+        rows = slice(lo * BLOCK, hi * BLOCK)
+        sin_a, cos_a = left[lo:hi, None, :n], left[lo:hi, None, n:]
+        c, p, wk = (x[:(hi - lo) * BLOCK] for x in (coords, prod, work))
+        c3, w3 = (x.reshape(hi - lo, BLOCK, n) for x in (c, wk))
+        np.multiply(v_c, cos_a, out=c3)   # qdot
+        c3 -= np.multiply(v_s, sin_a, out=w3)
+        np.matmul(c, kinetic_form, out=p)
+        p *= c
+        p.sum(axis=-1, out=energy[rows])
+        np.multiply(q_c, sin_a, out=c3)   # q
+        c3 += np.multiply(q_s, cos_a, out=w3)
+        c[:, free] = np.multiply.outer(np.arange(rows.start, rows.stop) * h, amp[free])
+        np.matmul(c, potential_form, out=p)
+        p *= c
+        energy[rows] += p.sum(axis=-1)
+    return energy[:t.size]

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    OscillatorParams, _check_uniform_grid, _grid_rows, gamma_transform,
-    omega0_squared,
+    OscillatorParams, _check_uniform_grid, _grid_rows, _grid_step, _split_sums,
+    gamma_transform, omega0_squared,
 )
 from .mapping import (
     CollectiveForm, QuantumModes, decoupling_indicator,
@@ -124,9 +124,20 @@ def strength_comb(modes: QuantumModes) -> DeltaComb:
 
 def correlator_S(modes: QuantumModes, t):
     """Ground-state time correlator of X:
-    (hbar / 2 m) sum_n c_n^2 / w_n exp(-i w_n t)."""
+    (hbar / 2 m) sum_n c_n^2 / w_n exp(-i w_n t).
+
+    On a uniform 1-d grid from 0 both parts come from one product of the
+    blocked angle-addition split (trig on (T / 64 + 64) N phases for T
+    points); a scalar or any other grid sums the phases directly, a chunk
+    of rows at a time.
+    """
     comb = strength_comb(modes)   # the weights and their positivity guard
     w, coeff = comb.frequencies, comb.weights
+    x = np.asarray(t, dtype=float)
+    h = _grid_step(x)
+    if h is not None:
+        sin_sum, cos_sum = _split_sums(w, h, x.size, coeff, coeff)
+        return cos_sum - 1j * sin_sum
 
     def row_values(t, work):
         # the phases are formed again for sin, so cos can take their place

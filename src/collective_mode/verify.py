@@ -48,7 +48,10 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
     The trajectory comparisons kick X with p0 and sample [0, t_max] at
     steps + 1 points, the energy, correlator and link checks at 2001;
     epsilon is the spectral smoothing width (default five mean bath
-    spacings).
+    spacings).  On that uniform 2001-point grid the energy, S(t) and
+    X(t) all sum the modes from the blocked angle-addition split of
+    dynamics._split_trig, so Im S(t) and X(t) share one rounding route;
+    S(0) sums direct phases.
     """
     checks = []
     n = model.n_particles

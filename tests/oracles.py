@@ -3,10 +3,10 @@
 None of these is on the package's runtime path: each builds a quantity
 from its definition, from a basis the package no longer uses, or as
 the package built it before (the eager chain arrays, the grid x lines
-kernels in one product instead of row chunks, the mode sum and the
-energy check from freshly allocated arrays), so it stays independent
-of the code under test.  disordered_model is the seeded general model
-these references are checked on.
+kernels in one product instead of row chunks, the mode sum from
+freshly allocated arrays, the energy check from direct phases), so it
+stays independent of the code under test.  disordered_model is the
+seeded general model these references are checked on.
 """
 
 import numpy as np
@@ -163,7 +163,8 @@ def one_shot_mode_trajectory(modes, p0, h, n_points):
 
 
 def one_shot_total_energy(model, sector, basis, p0, times):
-    """dynamics.total_energy with a fresh array for every product."""
+    """dynamics.total_energy from direct phases on the whole grid, with a
+    fresh array for every product."""
     t = np.asarray(times, dtype=float)
     m = model.mass
     w, v_modes = sector

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,8 @@ from collective_mode import (
     underdamped_closed_form,
 )
 from collective_mode._kernels import volterra_path
-from collective_mode.dynamics import _line_weights
-from oracles import potential_energy
+from collective_mode.dynamics import _check_uniform_grid, _line_weights
+from oracles import one_shot_total_energy, potential_energy
 
 
 def point_form(n, alpha):
@@ -232,10 +233,60 @@ def test_total_energy_detects_a_wrong_bath_map():
     assert np.abs(e - e[0]).max() > 1e-6 * e[0]
 
 
+def test_total_energy_refuses_grids_it_cannot_split():
+    model, sector, basis = disordered_energy_inputs()
+    t = np.linspace(0.0, 12.0, 101)
+    with pytest.raises(ValueError, match="uniform"):
+        total_energy(model, sector, basis, 1.0, t**2 / 12.0)
+    with pytest.raises(ValueError, match="start at 0"):
+        total_energy(model, sector, basis, 1.0, t + 0.5)
+    with pytest.raises(ValueError, match="two points"):
+        total_energy(model, sector, basis, 1.0, t[:1])
+
+
+@pytest.mark.parametrize("n_points", [2, 63, 64, 65, 2001])
+@pytest.mark.parametrize("inputs", ["disordered", "free"])
+def test_total_energy_matches_direct_phases(inputs, n_points):
+    # the blocked split against the energy summed from direct phases, on
+    # grids ending inside, at and just past a block, and on the alpha = 0
+    # chain, whose X is a free mode (frequency 0, q = amp t)
+    if inputs == "disordered":
+        model, sector, basis = disordered_energy_inputs()
+    else:
+        model = build_next_neighbor_model(16, 1.3, 1.0, 0.0)
+        form, basis = caldeira_leggett_form(model)
+        sector = collective_sector_eigensystem(form)
+        assert (sector[0] == 0.0).sum() == 1
+    t = np.linspace(0.0, 30.0, n_points)
+    got = total_energy(model, sector, basis, 0.8, t)
+    ref = one_shot_total_energy(model, sector, basis, 0.8, t)
+    assert got.shape == (n_points,)
+    assert np.abs(got - ref).max() <= 1e-13 * ref[0]
+
+
+def test_total_energy_holds_no_grid_by_modes_array():
+    # one 20001 x 256 float64 array is 41 MB; the split keeps the coarse
+    # factor and a few passes of rows
+    model = build_next_neighbor_model(256, 1.0, 1.0, 0.5)
+    form, basis = caldeira_leggett_form(model)
+    sector = collective_sector_eigensystem(form)
+    t = np.linspace(0.0, 200.0, 20001)
+    tracemalloc.start()
+    try:
+        energy = total_energy(model, sector, basis, 1.0, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < t.size * 256 * 8 / 4
+    assert np.abs(energy - energy[0]).max() < 1e-10 * energy[0]
+
+
 def test_mode_sum_and_energy_match_one_shot_bitwise():
-    # with one BLAS thread, as the benchmark runs, the mode sum and the
-    # energy check written into reused buffers are bit for bit the bodies
-    # that took a fresh array for every factor and product
+    # with one BLAS thread, as the benchmark runs, the mode sum written
+    # into reused buffers is bit for bit the body that took a fresh array
+    # for every factor and product; the energy check sums from the same
+    # split instead of direct phases, so it matches its direct-phase
+    # reference to round-off
     code = """
 import numpy as np
 from collective_mode import (build_next_neighbor_model, caldeira_leggett_form,
@@ -254,7 +305,8 @@ for model in (build_next_neighbor_model(256, 1.3, 1.0, 0.5), disordered_model(20
         assert [a.tobytes() for a in got] == [b.tobytes() for b in ref]
     sector = collective_sector_eigensystem(form)
     got = total_energy(model, sector, basis, 0.7, t[:2001])
-    assert got.tobytes() == one_shot_total_energy(model, sector, basis, 0.7, t[:2001]).tobytes()
+    ref = one_shot_total_energy(model, sector, basis, 0.7, t[:2001])
+    assert np.abs(got - ref).max() <= 1e-13 * ref[0]
 """
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
@@ -595,6 +647,31 @@ def test_factorised_mode_sum_matches_direct_sum(n, t_max, steps):
     assert np.abs(traj.positions - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
     v = traj.momenta / modes.mass
     assert np.abs(v - v_ref).max() <= 1e-12 * np.abs(v_ref).max()
+
+
+def test_grid_check_refuses_a_drifting_grid():
+    # each step is within a relative 1e-9 of the first, but the points drift to
+    # 4.5e-5 h away from k h by the end; evolve_exact would return X(k h)
+    h = 0.01
+    k = np.arange(50001)
+    t = k * h + 9e-10 * h * np.maximum(k - 1, 0)
+    assert np.allclose(np.diff(t), h, rtol=1e-9, atol=0.0)
+    with pytest.raises(ValueError, match="uniform"):
+        _check_uniform_grid(t, "time")
+    modes = collective_sector_modes(point_form(8, 1.0))
+    with pytest.raises(ValueError, match="uniform"):
+        evolve_exact(modes, 1.0, t)
+
+
+@pytest.mark.parametrize("t_max", [32.0, 500.0, 1000.0 / 3.0, 7.1])
+def test_grid_check_accepts_long_linspace_and_arange_grids(t_max):
+    for n_points in (2, 2001, 50001, 1_000_001):
+        t = np.linspace(0.0, t_max, n_points)
+        x, h = _check_uniform_grid(t, "time")
+        assert x is t and h == t[1]
+    h = t_max / 3e5
+    for t in (np.arange(300001) * h, np.arange(0.0, t_max, h)):
+        assert _check_uniform_grid(t, "time")[1] == h
 
 
 def test_evolve_exact_refuses_nonuniform_grid():

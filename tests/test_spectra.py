@@ -60,16 +60,26 @@ def shifted_form(model, target_omega0=1.0):
     return shift_collective_potential(form, k0)
 
 
+def nonuniform(x):
+    """A 1-d grid squared (x^2 / 4), so from three points on it is no
+    longer uniform; scalars pass through."""
+    return np.square(x) / 4.0 if np.ndim(x) == 1 else x
+
+
 def kernel_pairs(form, modes, epsilon):
-    """(chunked kernel, one-shot oracle) pairs, each taking the grid."""
+    """(chunked kernel, one-shot oracle) pairs, each taking the grid.
+
+    correlator_S sums a uniform grid from 0 by the blocked split, so it
+    gets the grid squared, which takes its chunked direct-phase route.
+    """
     comb = strength_comb(modes)
     return [
         (lambda x: damping_kernel(form, x),
          lambda x: one_shot_damping_kernel(form, x)),
         (lambda x: gamma_transform(form, x, epsilon),
          lambda x: one_shot_gamma_transform(form, x, epsilon)),
-        (lambda x: correlator_S(modes, x),
-         lambda x: one_shot_correlator_S(modes, x)),
+        (lambda x: correlator_S(modes, nonuniform(x)),
+         lambda x: one_shot_correlator_S(modes, nonuniform(x))),
         (lambda x: smoothed_spectrum(comb, epsilon, np.atleast_1d(x)).values,
          lambda x: one_shot_smoothed_values(comb, epsilon, np.atleast_1d(x))),
     ]
@@ -314,6 +324,21 @@ def test_correlator_matches_complex_exponential_oracle(seed):
         s0 = correlator_S(modes, t0)
         assert type(s0) is complex
         assert abs(s0 - correlator_exp(modes, t0)) <= 1e-13 * abs(ref[0])
+
+
+@pytest.mark.parametrize("n_points", [2, 63, 64, 65, 2001])
+@pytest.mark.parametrize("kind", ["chain", "disordered"])
+def test_correlator_split_route_matches_direct_phases(kind, n_points):
+    # a uniform grid from 0 takes the blocked angle-addition split; on
+    # grids ending inside, at and just past a block it matches the
+    # direct-phase sums to round-off
+    model = point_model(64, 0.5) if kind == "chain" else disordered_model(64, 3)
+    modes = collective_sector_modes(caldeira_leggett_form(model)[0])
+    t = np.linspace(0.0, 32.0, n_points)
+    s = correlator_S(modes, t)
+    ref = one_shot_correlator_S(modes, t)
+    assert s.shape == (n_points,) and s.dtype == complex
+    assert np.abs(s - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
