@@ -6,8 +6,11 @@ Subcommands:
   figure1 <outdir>  emit the dimensionless strength-spectrum curves
 
 Config files are flat INI: [model], [dynamics], [spectra], [output]
-sections with key = value lines.  All numeric output uses 17 significant
-digits so reruns are byte-identical.
+sections with key = value lines.  CSV tables print each value exactly as
+Python's '%.17g' does: 17 significant digits with trailing zeros and a
+bare point stripped, exponent notation (1e-05, 1.5e+17) below 1e-4 and
+from 1e17 on, and nan, inf, -inf and -0 as such; values are separated by
+commas and lines end in LF on every platform.  Reruns are byte-identical.
 """
 
 import argparse
@@ -37,11 +40,19 @@ class ConfigError(Exception):
 
 
 def write_table(path, header, columns):
-    table = np.column_stack(columns)
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write((row * len(table)) % tuple(table.ravel().tolist()))
+    """Write equal-length float columns as CSV: a header line, then one
+    line per row with each value as '%.17g' prints it, LF line endings.
+    The rows are formatted a chunk at a time, so memory stays flat."""
+    from ._g17 import csv_chunks  # imported on first use: verify writes no table
+
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    n = len(columns[0])
+    if any(len(c) != n for c in columns):
+        raise ValueError(f"columns of unequal length for {path}")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for chunk in csv_chunks(columns):
+            fh.write(chunk)
 
 
 def _strict(value):

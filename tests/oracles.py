@@ -4,9 +4,10 @@ None of these is on the package's runtime path: each builds a quantity
 from its definition, from a basis the package no longer uses, or as
 the package built it before (the eager chain arrays, the grid x lines
 kernels in one product instead of row chunks, the mode sum from
-freshly allocated arrays, the energy check from direct phases), so it
-stays independent of the code under test.  disordered_model is the
-seeded general model these references are checked on.
+freshly allocated arrays, the energy check from direct phases, the CSV
+table from one '%' format), so it stays independent of the code under
+test.  disordered_model is the seeded general model these references
+are checked on.
 """
 
 import numpy as np
@@ -201,3 +202,13 @@ def disordered_model(n, seed, mass=1.0):
         k[i, j] += v
         k[j, i] += v * (i != j)
     return build_general_model(w, k, mass)
+
+
+def percent_table(header, columns):
+    """CSV bytes of a table as `cli.write_table` formed them before its
+    vectorised formatter: one '%.17g' %-format over the whole table.
+    Python's '%.17g' is the spec of the number format."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    text = ",".join(header) + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
+    return text.encode()
