@@ -358,8 +358,9 @@ def underdamped_closed_form(params: OscillatorParams, p0, times, mass) -> Trajec
     wb = params.omega_bar
     gb = params.gamma_bar
     envelope = np.exp(-gb * t)
-    x = (p0 / mass) * envelope * t * np.sinc(wb * t / np.pi)
-    v = (p0 / mass) * envelope * (np.cos(wb * t) - gb * t * np.sinc(wb * t / np.pi))
+    sinc = np.sinc(wb * t / np.pi)
+    x = (p0 / mass) * envelope * t * sinc
+    v = (p0 / mass) * envelope * (np.cos(wb * t) - gb * t * sinc)
     return TrajectoryTable(times=t, positions=x, momenta=mass * v)
 
 

@@ -87,17 +87,16 @@ def sigma_comb(form: CollectiveForm) -> DeltaComb:
     )
 
 
-def sigma_phonon_approximation(model: SystemModel, kappa=None) -> DeltaComb:
+def sigma_phonon_approximation(model: SystemModel) -> DeltaComb:
     """Weak-fluctuation approximation of the spectral density.
 
     Places weight k_n^2 / (2 m w) at the shifted chain frequencies
-    sqrt(w_{n+1}^2 + 2 N kappa / m), where kappa is the constant part of
-    the coupling (mean entry by default) and the k_n are set by the
+    sqrt(w_{n+1}^2 + 2 N kappa / m), where kappa, the constant part of
+    the coupling, is the mean entry of K, and the k_n are set by the
     fluctuating part alone.  Diagnostic companion to sigma_comb, valid
     when the fluctuations are small against the level spacing.
     """
-    if kappa is None:
-        kappa = float(model.k_matrix.mean())
+    kappa = float(model.k_matrix.mean())
     phonons = phonon_spectrum(model)
     n = model.n_particles
     m = model.mass

@@ -30,16 +30,18 @@ class CheckResult:
         return d
 
 
-def _skip(name, why):
-    return CheckResult(name=name, measured=None, tolerance=None,
-                       passed=True, detail=f"skipped: {why}")
+def _record(checks, name, measured=None, tolerance=None, detail="", passed=None):
+    """Record a check; it passes when measured <= tolerance unless passed
+    is given."""
+    measured = None if measured is None else float(measured)
+    passed = measured <= tolerance if passed is None else passed
+    checks.append(CheckResult(name, measured, tolerance, bool(passed), detail))
 
 
-def _bounded(checks, name, measured, tolerance, detail):
-    """Record a check that passes when measured <= tolerance."""
-    measured = float(measured)
-    checks.append(CheckResult(name=name, measured=measured, tolerance=tolerance,
-                              passed=measured <= tolerance, detail=detail))
+def _skip(checks, names, why):
+    """Record each named check as skipped, which counts as passed."""
+    for name in names:
+        _record(checks, name, detail=f"skipped: {why}", passed=True)
 
 
 def run_checks(model, p0, t_max, steps, epsilon=None):
@@ -60,13 +62,9 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
     # --- model structure
     eigs = model_mod.sector_eigenvalues(model)
     top = max(eigs.max(), 1e-300)
-    checks.append(CheckResult(
-        name="model.full_potential_psd",
-        measured=float(eigs.min() / top),
-        tolerance=-model_mod._TOL_PSD,
-        passed=bool(eigs.min() >= -model_mod._TOL_PSD * top),
-        detail="min eigenvalue of the full quadratic form, relative to max",
-    ))
+    _record(checks, "model.full_potential_psd", eigs.min() / top, -model_mod._TOL_PSD,
+            "min eigenvalue of the full quadratic form, relative to max",
+            passed=eigs.min() >= -model_mod._TOL_PSD * top)
 
     # the mapping never uses the phonons; only the chain checks do
     if model.omega0 is not None:
@@ -75,43 +73,31 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
         r = (2.0 / m) * basis @ model.w_matrix - phonons.frequencies[:, None] ** 2 * basis
         resid = float(np.linalg.norm(r, axis=1).max())
         scale = phonons.frequencies[-1] ** 2
-        _bounded(checks, "model.phonon_residual", resid / max(scale, 1e-300), 1e-10,
-                 "worst eigenpair residual, relative to the top frequency squared")
+        _record(checks, "model.phonon_residual", resid / max(scale, 1e-300), 1e-10,
+                "worst eigenpair residual, relative to the top frequency squared")
         ref = model_mod.next_neighbor_frequencies(n, model.omega0)
         err = np.abs(phonons.frequencies - ref).max() / max(ref[-1], 1e-300)
-        _bounded(checks, "model.closed_form_frequencies", err, 1e-12,
-                 "dense eigensolve vs closed-form chain frequencies")
+        _record(checks, "model.closed_form_frequencies", err, 1e-12,
+                "dense eigensolve vs closed-form chain frequencies")
     else:
-        checks.append(_skip("model.phonon_residual",
-                            "a general model maps without its phonons"))
-        checks.append(_skip("model.closed_form_frequencies",
-                            "no closed form for a general chain matrix"))
+        _skip(checks, ["model.phonon_residual"],
+              "a general model maps without its phonons")
+        _skip(checks, ["model.closed_form_frequencies"],
+              "no closed form for a general chain matrix")
 
     # --- mapping
     k_vec, decoupled = mapping.decoupling_indicator(model)
     khat_scale = max(float(model.row_coupling_sums.max()), 1e-300)
-    checks.append(CheckResult(
-        name="mapping.decoupling_indicator",
-        measured=float(np.abs(k_vec).max() / khat_scale),
-        tolerance=None,
-        passed=True,
-        detail="decoupled" if decoupled else "coupled",
-    ))
+    _record(checks, "mapping.decoupling_indicator", np.abs(k_vec).max() / khat_scale,
+            detail="decoupled" if decoupled else "coupled", passed=True)
 
     try:
         form, site_basis = mapping.caldeira_leggett_form(model)
     except model_mod.UnstableModelError as exc:
-        checks.append(CheckResult(
-            name="mapping.bath_stability", measured=None, tolerance=None,
-            passed=False, detail=str(exc)))
+        _record(checks, "mapping.bath_stability", detail=str(exc), passed=False)
         return checks
-    checks.append(CheckResult(
-        name="mapping.bath_stability",
-        measured=float(form.bath_freqs.min()),
-        tolerance=0.0,
-        passed=bool(form.bath_freqs.min() > 0),
-        detail="smallest bath frequency",
-    ))
+    _record(checks, "mapping.bath_stability", form.bath_freqs.min(), 0.0,
+            "smallest bath frequency", passed=form.bath_freqs.min() > 0)
 
     # the bath eigenpairs, couplings and site basis that total_energy reads:
     # anti B = B diag((m/2) w^2) + u l^T column by column, B = C U
@@ -120,10 +106,10 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
     anti = model_mod.antisymmetric_block(model)
     r = anti @ bath - bath * bath_evals - np.multiply.outer(site_basis[:, 0],
                                                              form.couplings_l)
-    _bounded(checks, "mapping.bath_residual",
-             np.linalg.norm(r, axis=0).max() / max(bath_evals[-1], 1e-300), 1e-10,
-             "worst bath eigenpair residual in site space, relative to the "
-             "top bath eigenvalue")
+    _record(checks, "mapping.bath_residual",
+            np.linalg.norm(r, axis=0).max() / max(bath_evals[-1], 1e-300), 1e-10,
+            "worst bath eigenpair residual in site space, relative to the "
+            "top bath eigenvalue")
 
     sector = mapping.collective_sector_eigensystem(form)
     modes = mapping.QuantumModes(frequencies=sector[0],
@@ -138,27 +124,24 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
             np.abs(s_modes.frequencies - modes.frequencies).max(),
             np.abs(s_modes.x_coefficients**2 - modes.x_coefficients**2).max(),
         )
-        _bounded(checks, "mapping.secular_cross_check", err, 1e-8,
-                 "analytic rank-one route (bath and sector modes) vs "
-                 "dense eigensolves")
+        _record(checks, "mapping.secular_cross_check", err, 1e-8,
+                "analytic rank-one route (bath and sector modes) vs "
+                "dense eigensolves")
         chain = phonons.frequencies
         ok = all(chain[j + 1] < freqs[j] < chain[j + 2] for j in range(n - 2))
         ok = ok and freqs[-1] > chain[-1]
-        checks.append(CheckResult(
-            name="mapping.interlacing",
-            measured=None, tolerance=None, passed=bool(ok),
-            detail="bath frequencies interlace the chain frequencies",
-        ))
+        _record(checks, "mapping.interlacing",
+                detail="bath frequencies interlace the chain frequencies", passed=ok)
     else:
-        checks.append(_skip("mapping.secular_cross_check", "not a point coupling"))
-        checks.append(_skip("mapping.interlacing", "not a point coupling"))
+        _skip(checks, ["mapping.secular_cross_check", "mapping.interlacing"],
+              "not a point coupling")
 
     # the antisymmetric block is in the site basis, so its eigensolve
     # stays independent of the mapping
     err = np.abs(modes.frequencies**2 - 2.0 * eigs[1] / m).max() / (2.0 * top / m)
-    _bounded(checks, "mapping.spectrum_preservation", err, 1e-8,
-             "mapped squared sector frequencies vs the antisymmetric "
-             "block's eigensolve")
+    _record(checks, "mapping.spectrum_preservation", err, 1e-8,
+            "mapped squared sector frequencies vs the antisymmetric "
+            "block's eigensolve")
 
     # --- dynamics
     params = dyn.collective_frequency(form)
@@ -168,9 +151,7 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
     try:
         volt = dyn.solve_volterra(form, p0, t)
     except dyn.StepSizeError as exc:
-        checks.append(CheckResult(
-            name="dynamics.volterra_vs_exact", measured=None, tolerance=None,
-            passed=False, detail=str(exc)))
+        _record(checks, "dynamics.volterra_vs_exact", detail=str(exc), passed=False)
         volt = None
     if volt is not None:
         if params.omega0 > 0:
@@ -179,19 +160,19 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
             scale = max(float(np.abs(exact.positions).max()), 1e-300)
             what = "scale max|X|"
         err = np.abs(volt.positions - exact.positions).max() / scale
-        _bounded(checks, "dynamics.volterra_vs_exact", err, 1e-4,
-                 f"L-inf over [0, {t_max:g}] at {steps} steps, {what}")
+        _record(checks, "dynamics.volterra_vs_exact", err, 1e-4,
+                f"L-inf over [0, {t_max:g}] at {steps} steps, {what}")
 
     ts = np.linspace(0.0, t_max, 2001)
     energy = dyn.total_energy(model, sector, site_basis, p0, ts)
     err = np.abs(energy - energy[0]).max() / max(energy[0], 1e-300)
-    _bounded(checks, "dynamics.energy_conservation", err, 1e-10,
-             "total energy drift along the exact trajectory")
+    _record(checks, "dynamics.energy_conservation", err, 1e-10,
+            "total energy drift along the exact trajectory")
 
     if decoupled:
         gmax = np.abs(dyn.damping_kernel(form, t)).max()
-        _bounded(checks, "dynamics.decoupled_kernel", gmax / khat_scale, 1e-12,
-                 "max |gamma(t)| relative to max khat: the kernel vanishes")
+        _record(checks, "dynamics.decoupled_kernel", gmax / khat_scale, 1e-12,
+                "max |gamma(t)| relative to max khat: the kernel vanishes")
         omega_x = np.sqrt(max(form.bare_omega_sq, 0.0))
         if omega_x > 0:
             ref = p0 / (m * omega_x) * np.sin(omega_x * t)
@@ -199,10 +180,10 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
         else:
             ref, what = p0 / m * t, "X moves freely as P0 t/m"
         sin_err = np.abs(exact.positions - ref).max() / max(np.abs(ref).max(), 1e-300)
-        _bounded(checks, "dynamics.decoupled_harmonic", sin_err, 1e-8, what)
+        _record(checks, "dynamics.decoupled_harmonic", sin_err, 1e-8, what)
     else:
-        for name in ("dynamics.decoupled_kernel", "dynamics.decoupled_harmonic"):
-            checks.append(_skip(name, "model is not decoupled"))
+        _skip(checks, ["dynamics.decoupled_kernel", "dynamics.decoupled_harmonic"],
+              "model is not decoupled")
 
     if epsilon is None:
         epsilon = dyn.default_epsilon(form)
@@ -212,34 +193,31 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
         prof = dyn.gamma_transform(form, wgrid, epsilon).real
         mean = prof.mean()
         flat = float((prof.max() - prof.min()) / max(mean, 1e-300)) if mean > 0 else 0.0
-        checks.append(CheckResult(
-            name="dynamics.kernel_flatness",
-            measured=flat, tolerance=None, passed=True,
-            detail="relative spread of Re gamma~ over [W0/2, 2 W0]; "
-                   "reported, not asserted (constant only for a truly "
-                   "Ohmic bath)",
-        ))
+        _record(checks, "dynamics.kernel_flatness", flat,
+                detail="relative spread of Re gamma~ over [W0/2, 2 W0]; "
+                       "reported, not asserted (constant only for a truly "
+                       "Ohmic bath)", passed=True)
     else:
-        checks.append(_skip("dynamics.kernel_flatness",
-                            "collective coordinate is unbound" if params.omega0 <= 0
-                            else "smoothing width is not positive"))
+        _skip(checks, ["dynamics.kernel_flatness"],
+              "collective coordinate is unbound" if params.omega0 <= 0
+              else "smoothing width is not positive")
 
     # --- spectra
     if (modes.frequencies > 0).all():
         comb = spectra.strength_comb(modes)
         s0 = spectra.correlator_S(modes, 0.0)
-        _bounded(checks, "spectra.comb_total_equals_correlator_at_zero",
-                 abs(comb.total_weight - s0.real), 1e-12,
-                 "strength comb mass vs S(0)")
+        _record(checks, "spectra.comb_total_equals_correlator_at_zero",
+                abs(comb.total_weight - s0.real), 1e-12,
+                "strength comb mass vs S(0)")
         sum_rule = abs((comb.weights * comb.frequencies).sum() - model.hbar / (2.0 * m))
-        _bounded(checks, "spectra.strength_sum_rule", sum_rule, 1e-12,
-                 "sum of weight * frequency vs hbar / 2m")
+        _record(checks, "spectra.strength_sum_rule", sum_rule, 1e-12,
+                "sum of weight * frequency vs hbar / 2m")
 
         s_t = spectra.correlator_S(modes, ts)
         x = dyn.evolve_exact(modes, p0, ts).positions
         link = np.abs(s_t.imag + model.hbar / (2.0 * p0) * x).max()
-        _bounded(checks, "spectra.classical_quantum_link", link, 1e-12,
-                 "Im S(t) vs -(hbar / 2 P0) X(t), pointwise")
+        _record(checks, "spectra.classical_quantum_link", link, 1e-12,
+                "Im S(t) vs -(hbar / 2 P0) X(t), pointwise")
 
         wmax = 2.0 * max(comb.frequencies.max(), params.omega0)
         wgrid = np.linspace(0.0, wmax, 4001)
@@ -248,27 +226,22 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
             sm = spectra.smoothed_spectrum(comb, epsilon, wgrid)
         fd = spectra.fdt_spectrum(form, wgrid, epsilon)
         if not spectra.fdt_comparison_in_window(epsilon, params):
-            checks.append(_skip(
-                "spectra.route_equivalence",
-                f"smoothing width {epsilon:.3g} is not small against the "
-                f"resonance {params.omega0:.3g}; the broadened-comb comparison "
-                "needs W0 >> eps"))
+            _skip(checks, ["spectra.route_equivalence"],
+                  f"smoothing width {epsilon:.3g} is not small against the "
+                  f"resonance {params.omega0:.3g}; the broadened-comb comparison "
+                  "needs W0 >> eps")
         else:
             err = np.abs(fd.values - sm.values).max() / max(sm.values.max(), 1e-300)
-            _bounded(checks, "spectra.route_equivalence", err, 0.12,
-                     "resolvent route vs broadened strength comb, relative L-inf")
+            _record(checks, "spectra.route_equivalence", err, 0.12,
+                    "resolvent route vs broadened strength comb, relative L-inf")
         neg = min(float(sm.values.min()), float(fd.values.min()))
-        checks.append(CheckResult(
-            name="spectra.positivity",
-            measured=neg, tolerance=-1e-12 * float(sm.values.max()),
-            passed=bool(neg >= -1e-12 * sm.values.max()),
-            detail="smoothed spectra stay nonnegative",
-        ))
+        floor = -1e-12 * float(sm.values.max())
+        _record(checks, "spectra.positivity", neg, floor,
+                "smoothed spectra stay nonnegative", passed=neg >= floor)
     else:
-        for name in ("spectra.comb_total_equals_correlator_at_zero",
-                     "spectra.strength_sum_rule",
-                     "spectra.classical_quantum_link",
-                     "spectra.route_equivalence", "spectra.positivity"):
-            checks.append(_skip(name, "collective coordinate is unbound"))
+        _skip(checks, ["spectra.comb_total_equals_correlator_at_zero",
+                       "spectra.strength_sum_rule", "spectra.classical_quantum_link",
+                       "spectra.route_equivalence", "spectra.positivity"],
+              "collective coordinate is unbound")
 
     return checks

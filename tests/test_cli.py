@@ -171,6 +171,11 @@ def test_unparseable_value(tmp_path, capsys):
     # non-finite numbers and a zero kick, [dynamics] keys included
     ("t_max", "nan"), ("t_max", "inf"), ("p0", "nan"), ("p0", "0"),
     ("omega_max", "inf"), ("epsilon", "inf"),
+    ("t_max", "0"), ("t_max", "-1"), ("steps", "1"), ("steps", "2.5"),
+    ("powers", "two"), ("powers", "2, 1.5"), ("powers", "0"), ("powers", "2,-1"),
+    # [model] and [output] keys that no model check sees
+    ("kind", "ring"), ("n", "16.5"), ("formats", "xml"), ("formats", "csv, txt"),
+    ("formats", ""),
 ])
 def test_bad_spectra_value(tmp_path, capsys, key, value):
     cfg = tmp_path / "bad.ini"
@@ -198,6 +203,87 @@ def test_bad_model_value(tmp_path, capsys, command, key, value):
     err = capsys.readouterr().err
     assert err.startswith("config error: [model] ") and key in err
     assert not out.exists()
+
+
+def _without_dynamics(text):
+    head, tail = text.split("[dynamics]")
+    return head + tail[tail.index("["):]
+
+
+def _latin1_comment(cfg):
+    cfg.write_bytes(b"; caf\xe9\n" + cfg.read_bytes())
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda cfg: cfg.write_text(cfg.read_text().replace("grid_points", "grid_point")),
+     "[spectra] unknown key 'grid_point'"),
+    (lambda cfg: cfg.write_text(cfg.read_text() + "\n[plot]\ncolor = red\n"),
+     "unknown section [plot]"),
+    (lambda cfg: cfg.write_text("[DEFAULT]\nmass = 2.0\n" + cfg.read_text()),
+     "unknown section [DEFAULT]"),
+    (lambda cfg: cfg.write_text(_without_dynamics(cfg.read_text())),
+     "missing field 't_max' in [dynamics]"),
+    (lambda cfg: cfg.write_text("p0 = 1.0\n" + cfg.read_text()), "bad.ini"),
+    (_latin1_comment, "bad.ini"),
+    (lambda cfg: cfg.with_suffix(".w.csv").unlink(), "bad.w.csv"),
+    (lambda cfg: cfg.with_suffix(".k.csv").write_text("0,1\nx,0\n"), "bad.k.csv"),
+], ids=["unknown-key", "unknown-section", "default-section", "missing-section",
+        "no-section-header", "not-utf8", "missing-matrix-file",
+        "unparseable-matrix-file"])
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_malformed_config_file_is_config_error(tmp_path, capsys, edit, named, command):
+    # every fault of the file itself is a config error that names the key
+    # or the file, before any output is written
+    cfg = tmp_path / "bad.ini"
+    out = write_general_config(cfg, n=8)
+    edit(cfg)
+    assert main([command, str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+    assert not out.exists()
+
+
+def test_config_path_that_is_a_directory(tmp_path, capsys):
+    assert main(["run", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read {str(tmp_path)!r}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_percent_sign_and_inline_comments_are_literal_text(tmp_path):
+    # no interpolation: a % in a value is a character; ; and # after
+    # whitespace start a comment
+    cfg = tmp_path / "demo.ini"
+    out = write_config(cfg, n=8, t_max=8.0, steps=800, outdir=tmp_path / "out%(n)s%")
+    cfg.write_text(cfg.read_text().replace("formats = csv", "formats = csv  # or json")
+                   .replace("powers = 2", "powers = 2  ; squared"))
+    assert main(["run", str(cfg), "--quiet"]) == 0
+    assert (out / "summary.json").exists()
+    assert "s_power_2" in (out / "spectrum.csv").read_text().splitlines()[0]
+
+
+def test_readme_config_runs(tmp_path):
+    # README's example config, verbatim, through both config commands
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = tmp_path / "scenario.ini"
+    cfg.write_text(block)
+    for command in ("run", "verify"):
+        assert main([command, str(cfg), "--quiet", "--output",
+                     str(tmp_path / command)]) == 0
+
+
+def test_cli_import_leaves_configparser_unloaded():
+    # configparser is imported by the first load_scenario call, so a
+    # command's start does not pay for it before it reads a config
+    import collective_mode
+    src = str(Path(collective_mode.__file__).resolve().parents[1])
+    code = ("import sys, collective_mode.cli\n"
+            "print('configparser' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src},
+                            check=True)
+    assert result.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])
