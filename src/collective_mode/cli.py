@@ -20,7 +20,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +165,8 @@ class Scenario:
             raise ConfigError("[spectra] powers must be >= 1")
 
         self.directory = _value(parser, "output", "directory", default="out")
+        if not self.directory:
+            raise ConfigError("[output] directory must not be empty")
         formats = _value(parser, "output", "formats", default="csv")
         self.formats = [f.strip() for f in formats.split(",") if f.strip()]
         if not self.formats:
@@ -204,30 +205,51 @@ def load_scenario(path):
     return Scenario(parser)
 
 
-def _spectra_tables(form, modes, params, scenario):
-    """Strength comb, smoothing width, spectrum table on the configured
-    grid, and the resolvent route's relative L-inf gap to the broadened comb."""
+def _add_spectra(form, modes, params, scenario, tables, summary):
+    """Add the strength and spectrum tables and their summary entries.
+    An unbound coordinate gets header-only tables and spectra_skipped; a
+    grid too narrow for the powers loses their columns, to powers_skipped."""
+    try:
+        strengths = spectra.strength_comb(modes)
+    except ValueError as exc:
+        tables["strengths"] = (["omega", "weight"], [np.empty(0), np.empty(0)])
+        tables["spectrum"] = (["omega"], [np.empty(0)])
+        summary["spectra_skipped"] = str(exc)
+        return
     eps = dyn.default_epsilon(form) if scenario.epsilon is None else scenario.epsilon
     w = np.linspace(0.0, scenario.omega_max, scenario.grid_points)
-
-    strengths = spectra.strength_comb(modes)      # raises if unbound
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        smoothed = spectra.smoothed_spectrum(strengths, eps, w)
+    smoothed = spectra.smoothed_spectrum(strengths, eps, w)
     fdt = spectra.fdt_spectrum(form, w, eps)
     ohmic = spectra.ohmic_spectrum(params, w, form.hbar, form.mass)
 
     header = ["omega", "s_smoothed", "s_fdt", "s_ohmic"]
     columns = [w, smoothed.values, fdt.values, ohmic.values]
-    for p in scenario.powers:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            conv = spectra.convolution_power_spectrum(smoothed, p)
-        header.append(f"s_power_{p}")
-        columns.append(conv.values)
-    fdt_gap = float(np.abs(fdt.values - smoothed.values).max()
-                    / max(smoothed.values.max(), 1e-300))
-    return strengths, eps, (header, columns), fdt_gap
+    try:
+        powers = [spectra.convolution_power_spectrum(smoothed, p).values
+                  for p in scenario.powers]
+    except ValueError as exc:
+        summary["powers_skipped"] = str(exc)
+    else:
+        header += [f"s_power_{p}" for p in scenario.powers]
+        columns += powers
+    tables["strengths"] = (["omega", "weight"],
+                           [strengths.frequencies, strengths.weights])
+    tables["spectrum"] = (header, columns)
+
+    summary["epsilon"] = float(eps)
+    summary["smoothing_in_window"] = spectra.smoothing_in_window(strengths, eps)
+    summary["smoothed_tail_fraction"] = spectra.tail_fraction(smoothed)
+    summary["sum_rules"] = {
+        "strength_total_weight": float(strengths.total_weight),
+        "strength_weight_times_freq": float(
+            (strengths.weights * strengths.frequencies).sum()),
+        "hbar_over_2m": float(form.hbar / (2.0 * form.mass)),
+    }
+    summary["cross_route_error"]["fdt_vs_smoothed_linf_rel"] = float(
+        np.abs(fdt.values - smoothed.values).max()
+        / max(smoothed.values.max(), 1e-300))
+    summary["cross_route_error"]["fdt_vs_smoothed_in_window"] = (
+        spectra.fdt_comparison_in_window(eps, params))
 
 
 def run_scenario(scenario, quiet=False):
@@ -274,27 +296,7 @@ def run_scenario(scenario, quiet=False):
 
     sigma = spectra.sigma_comb(form)
     tables["sigma"] = (["omega", "weight"], [sigma.frequencies, sigma.weights])
-    try:
-        strengths, eps, spectrum_table, fdt_gap = _spectra_tables(
-            form, modes, params, scenario)
-    except ValueError as exc:
-        tables["strengths"] = (["omega", "weight"], [np.empty(0), np.empty(0)])
-        tables["spectrum"] = (["omega"], [np.empty(0)])
-        summary["spectra_skipped"] = str(exc)
-    else:
-        tables["strengths"] = (["omega", "weight"],
-                               [strengths.frequencies, strengths.weights])
-        tables["spectrum"] = spectrum_table
-        summary["epsilon"] = float(eps)
-        summary["sum_rules"] = {
-            "strength_total_weight": float(strengths.total_weight),
-            "strength_weight_times_freq": float(
-                (strengths.weights * strengths.frequencies).sum()),
-            "hbar_over_2m": float(form.hbar / (2.0 * form.mass)),
-        }
-        summary["cross_route_error"]["fdt_vs_smoothed_linf_rel"] = fdt_gap
-        summary["cross_route_error"]["fdt_vs_smoothed_in_window"] = (
-            spectra.fdt_comparison_in_window(eps, params))
+    _add_spectra(form, modes, params, scenario, tables, summary)
 
     for name, (header, columns) in tables.items():
         if "csv" in scenario.formats:
@@ -339,9 +341,7 @@ def run_figure1(outdir, quiet=False):
     params = dyn.OscillatorParams(omega_bar**2 + gamma0**2 / 4.0, gamma0)
     w = np.linspace(0.0, 4.0, 2000)
     s = spectra.ohmic_spectrum(params, w, 1.0, 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        s2 = spectra.convolution_power_spectrum(s, 2)
+    s2 = spectra.convolution_power_spectrum(s, 2)
     # dimensionless scalings: pi m Wbar^2 / hbar and (pi m Wbar^(3/2) / hbar sqrt(2))^2
     scale1 = np.pi * omega_bar**2
     scale2 = (np.pi * omega_bar**1.5 / np.sqrt(2.0)) ** 2

@@ -8,7 +8,6 @@ convolution powers describing observables X^n.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,8 @@ __all__ = [
     "sigma_comb", "sigma_phonon_approximation",
     "strength_comb", "correlator_S", "smoothed_spectrum",
     "ohmic_spectrum", "convolution_power_spectrum", "observable_spectrum",
-    "fdt_spectrum", "fdt_comparison_in_window",
+    "fdt_spectrum", "fdt_comparison_in_window", "smoothing_in_window",
+    "tail_fraction",
 ]
 
 
@@ -148,26 +148,12 @@ def correlator_S(modes: QuantumModes, t):
 def smoothed_spectrum(comb: DeltaComb, epsilon, omegas) -> SpectrumTable:
     """Lorentzian broadening of a line spectrum, termwise and exact.
 
-    Warns when epsilon falls outside the resolution window (it should be
-    large against the line spacing and small against the band).
+    Any positive epsilon is accepted; smoothing_in_window says whether
+    it resolves the comb's shape.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     f = comb.frequencies
-    if f.size >= 2:
-        spacing = (f[-1] - f[0]) / (f.size - 1)
-        if epsilon < 2.0 * spacing:
-            warnings.warn(
-                f"epsilon = {epsilon:.3g} is not large against the mean line "
-                f"spacing {spacing:.3g}; the smoothed spectrum will stay spiky",
-                stacklevel=2,
-            )
-        if epsilon > 0.5 * f[-1]:
-            warnings.warn(
-                f"epsilon = {epsilon:.3g} is not small against the band "
-                f"{f[-1]:.3g}; features will be washed out",
-                stacklevel=2,
-            )
     w = np.asarray(omegas, dtype=float)
 
     def row_values(x, lorentz):
@@ -201,8 +187,10 @@ def convolution_power_spectrum(base: SpectrumTable, n: int) -> SpectrumTable:
 
     The factorial counts the fully crossed pairings of n identical
     factors (2 for n = 2).  The convolution is observable_spectrum's
-    n-fold term; the grid must start at 0 and carry essentially all the
-    spectral mass.
+    n-fold term; the grid must start at 0, and for n >= 2 a tail_fraction
+    above 1e-2 is refused.  For spectra supported on w >= 0 the
+    convolution below a grid point never reaches past the grid, so a
+    lighter tail only makes the far end of the result approximate.
     """
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
@@ -211,27 +199,15 @@ def convolution_power_spectrum(base: SpectrumTable, n: int) -> SpectrumTable:
     if n == 1:
         return SpectrumTable(omegas=w, values=values.copy())
 
-    total = float(values.sum() * h)
-    tail_bins = max(w.size // 100, 2)
-    tail = float(values[-tail_bins:].sum() * h)
-    if total <= 0:
-        raise ValueError("spectrum carries no mass to convolve")
-    if tail > 1e-2 * total:
+    tail = tail_fraction(base)
+    if tail > 1e-2:
         # A 1/w^2 tail falls below budget around c / (budget * total).
+        total = float(values.sum() * h)
         c = values[-1] * w[-1] ** 2
         required = c / (1e-6 * total) if c > 0 else 2 * w[-1]
         raise ValueError(
-            f"grid too narrow: tail mass fraction {tail / total:.2e} exceeds 1e-2; "
+            f"grid too narrow: tail mass fraction {tail:.2e} exceeds 1e-2; "
             f"extend the grid to about omega_max = {required:.3g}"
-        )
-    if tail > 1e-6 * total:
-        # For spectra supported on w >= 0 the convolution below any grid
-        # point never reaches past the grid, so a light tail only means
-        # the far end of the result is approximate.
-        warnings.warn(
-            f"spectral tail carries {tail / total:.2e} of the total mass; "
-            "convolution values near the end of the grid underestimate the truth",
-            stacklevel=2,
         )
 
     out = observable_spectrum(base, {n: 1.0})
@@ -289,3 +265,28 @@ def fdt_comparison_in_window(epsilon, params: OscillatorParams) -> bool:
     strength comb: the smoothing width must be small against the
     resonance, eps <= W0 / 2."""
     return bool(epsilon <= 0.5 * params.omega0)
+
+
+def smoothing_in_window(comb: DeltaComb, epsilon) -> bool:
+    """Whether a Lorentzian width resolves the comb's shape: large
+    against the mean line spacing and small against the band,
+    2 x spacing <= eps <= top line / 2.  Below the window the smoothed
+    spectrum stays spiky, above it features are washed out.  A single
+    line has no spacing; an empty comb has no shape to resolve."""
+    f = comb.frequencies
+    if f.size == 0:
+        return False
+    spacing = (f[-1] - f[0]) / (f.size - 1) if f.size >= 2 else 0.0
+    return bool(2.0 * spacing <= epsilon <= 0.5 * f[-1])
+
+
+def tail_fraction(spectrum: SpectrumTable) -> float:
+    """Share of the spectral mass in the last max(G // 100, 2) points of
+    a G-point uniform grid from 0, the gauge of what the grid's cut-off
+    misses."""
+    _check_uniform_grid(spectrum.omegas, "frequency")  # equal bins, equal weight
+    values = spectrum.values
+    total = float(values.sum())
+    if total <= 0:
+        raise ValueError("spectrum carries no mass")
+    return float(values[-max(values.size // 100, 2):].sum()) / total

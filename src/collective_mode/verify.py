@@ -6,7 +6,6 @@ the configured model (e.g. the analytic point-coupling cross-check for
 a general coupling matrix) report as skipped and count as passed.
 """
 
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -221,9 +220,7 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
 
         wmax = 2.0 * max(comb.frequencies.max(), params.omega0)
         wgrid = np.linspace(0.0, wmax, 4001)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            sm = spectra.smoothed_spectrum(comb, epsilon, wgrid)
+        sm = spectra.smoothed_spectrum(comb, epsilon, wgrid)
         fd = spectra.fdt_spectrum(form, wgrid, epsilon)
         if not spectra.fdt_comparison_in_window(epsilon, params):
             _skip(checks, ["spectra.route_equivalence"],

@@ -94,6 +94,8 @@ def test_run_decoupled_scenario(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["gamma0"] == 0.0
     assert "spectra_skipped" in summary
+    assert not {"epsilon", "smoothing_in_window", "smoothed_tail_fraction",
+                "powers_skipped"} & set(summary)
     _, data = read_csv(out / "trajectory.csv")
     x_exact, x_volt, x_closed = data[:, 1], data[:, 2], data[:, 3]
     scale = np.abs(x_exact).max()
@@ -175,7 +177,7 @@ def test_unparseable_value(tmp_path, capsys):
     ("powers", "two"), ("powers", "2, 1.5"), ("powers", "0"), ("powers", "2,-1"),
     # [model] and [output] keys that no model check sees
     ("kind", "ring"), ("n", "16.5"), ("formats", "xml"), ("formats", "csv, txt"),
-    ("formats", ""),
+    ("formats", ""), ("directory", ""),
 ])
 def test_bad_spectra_value(tmp_path, capsys, key, value):
     cfg = tmp_path / "bad.ini"
@@ -262,15 +264,50 @@ def test_percent_sign_and_inline_comments_are_literal_text(tmp_path):
     assert "s_power_2" in (out / "spectrum.csv").read_text().splitlines()[0]
 
 
+def readme_config():
+    """README's example config, verbatim."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
 def test_readme_config_runs(tmp_path):
     # README's example config, verbatim, through both config commands
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     cfg = tmp_path / "scenario.ini"
-    cfg.write_text(block)
+    cfg.write_text(readme_config())
     for command in ("run", "verify"):
         assert main([command, str(cfg), "--quiet", "--output",
                      str(tmp_path / command)]) == 0
+
+
+@pytest.mark.parametrize("n, in_window", [(4, False), (32, True)])
+def test_readme_config_reports_the_smoothing_window(tmp_path, n, in_window):
+    # at N = 4 the default width, 2.29, is above half the top line (0.94)
+    cfg = tmp_path / "scenario.ini"
+    cfg.write_text(readme_config().replace("n = 32", f"n = {n}"))
+    assert main(["run", str(cfg), "--quiet", "--output", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["smoothing_in_window"] is in_window
+    assert 0.0 < summary["smoothed_tail_fraction"] < 1e-2
+
+
+def test_narrow_grid_skips_only_the_powers(tmp_path):
+    # the strength comb does not depend on the grid, and the smoothed,
+    # resolvent and constant-friction columns hold on any grid; only the
+    # convolution powers need the grid to carry the spectral mass
+    cfg = tmp_path / "scenario.ini"
+    cfg.write_text(readme_config().replace("omega_max = 4.0", "omega_max = 0.04"))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--quiet", "--output", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["powers_skipped"].startswith("grid too narrow")
+    assert "spectra_skipped" not in summary
+    assert {"epsilon", "sum_rules", "smoothing_in_window"} <= set(summary)
+    assert summary["smoothed_tail_fraction"] > 1e-2
+    _, strengths = read_csv(out / "strengths.csv")
+    assert strengths.shape == (32, 2)
+    header, spectrum = read_csv(out / "spectrum.csv")
+    assert header == ["omega", "s_smoothed", "s_fdt", "s_ohmic"]
+    assert spectrum.shape == (2000, 4)
 
 
 def test_cli_import_leaves_configparser_unloaded():

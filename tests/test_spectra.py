@@ -36,6 +36,7 @@ from collective_mode import (
 )
 from collective_mode import dynamics
 from collective_mode.dynamics import OscillatorParams
+from collective_mode.spectra import smoothing_in_window, tail_fraction
 from collective_mode.verify import run_checks
 from oracles import (correlator_exp, disordered_model, full_potential_matrix,
                      one_shot_correlator_S, one_shot_damping_kernel,
@@ -96,14 +97,12 @@ def test_chunked_kernels_match_one_shot_bitwise(monkeypatch, grid_points):
     monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", 16 * 21)
     form, modes = collective_mapping(point_model(21, 0.5))
     grid = np.linspace(0.0, 4.0, grid_points)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for chunked, one_shot in kernel_pairs(form, modes, 0.3):
-            for x in (grid, 1.7, np.float64(1.7), np.array(1.7)):
-                got, ref = chunked(x), one_shot(x)
-                assert type(got) is type(ref)
-                assert np.shape(got) == np.shape(ref)
-                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+    for chunked, one_shot in kernel_pairs(form, modes, 0.3):
+        for x in (grid, 1.7, np.float64(1.7), np.array(1.7)):
+            got, ref = chunked(x), one_shot(x)
+            assert type(got) is type(ref)
+            assert np.shape(got) == np.shape(ref)
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
 
 def test_chunked_kernels_match_one_shot_at_benchmark_size():
@@ -111,12 +110,10 @@ def test_chunked_kernels_match_one_shot_at_benchmark_size():
     # lines split the grid into 256-row chunks, bit for bit the one-shot
     # products; 2049 points leave one row over, which must not go to dot
     code = """
-import warnings
 import numpy as np
 from collective_mode import build_next_neighbor_model, collective_mapping
 from test_spectra import kernel_pairs
 form, modes = collective_mapping(build_next_neighbor_model(1024, 1.0, 1.0, 0.5))
-warnings.simplefilter("ignore")
 for n_grid in (2000, 2049, 3201):
     grid = np.linspace(0.0, 4.0, n_grid)
     for chunked, one_shot in kernel_pairs(form, modes, 0.01):
@@ -168,9 +165,7 @@ def test_spectral_kernels_stay_within_the_chunk_budget():
         grid = np.linspace(0.0, 4.0, 2000)
         eps = dynamics.default_epsilon(form)
         gamma_transform(form, grid, eps)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            smoothed_spectrum(strength_comb(modes), eps, grid)
+        smoothed_spectrum(strength_comb(modes), eps, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -358,9 +353,7 @@ def test_verify_correlator_checks_on_disordered_model(seed):
 def test_smoothed_spectrum_single_line_peak():
     comb = DeltaComb(frequencies=np.array([1.3]), weights=np.array([0.7]))
     w = np.linspace(0.0, 3.0, 3001)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        table = smoothed_spectrum(comb, 0.02, w)
+    table = smoothed_spectrum(comb, 0.02, w)
     i = np.argmax(table.values)
     assert w[i] == pytest.approx(1.3, abs=2e-3)
     assert table.values[i] == pytest.approx(0.7 / (np.pi * 0.02), rel=1e-3)
@@ -379,24 +372,29 @@ def test_smoothed_spectrum_integral_preserves_weight():
 def test_smoothed_spectrum_resolves_separated_lines():
     comb = DeltaComb(frequencies=np.array([1.0, 2.0]), weights=np.array([1.0, 1.0]))
     w = np.linspace(0.0, 3.0, 3001)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        table = smoothed_spectrum(comb, 0.2, w)   # eps < separation / 4
+    table = smoothed_spectrum(comb, 0.2, w)   # eps < separation / 4
     v = table.values
     maxima = np.where((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:]))[0]
     assert maxima.size == 2
 
 
-def test_smoothed_spectrum_window_warnings():
+def test_smoothing_in_window():
+    # eleven lines 0.1 apart up to 2.0: the window is 0.2 <= eps <= 1.0
     comb = DeltaComb(frequencies=np.linspace(1.0, 2.0, 11),
                      weights=np.ones(11))
-    w = np.linspace(0.0, 3.0, 301)
-    with pytest.warns(UserWarning, match="spiky"):
-        smoothed_spectrum(comb, 0.05, w)
-    with pytest.warns(UserWarning, match="washed out"):
-        smoothed_spectrum(comb, 1.5, w)
+    assert not smoothing_in_window(comb, 0.05)   # spiky
+    assert not smoothing_in_window(comb, 1.5)    # washed out
+    assert smoothing_in_window(comb, 0.3)
+    # both ends are inclusive
+    assert smoothing_in_window(comb, 0.2) and smoothing_in_window(comb, 1.0)
+    assert not smoothing_in_window(comb, np.nextafter(0.2, 0.0))
+    assert not smoothing_in_window(comb, np.nextafter(1.0, 2.0))
+    # a single line has no spacing, an empty comb no shape
+    line = DeltaComb(frequencies=np.array([1.3]), weights=np.array([0.7]))
+    assert smoothing_in_window(line, 0.02) and not smoothing_in_window(line, 1.0)
+    assert not smoothing_in_window(DeltaComb(np.empty(0), np.empty(0)), 0.3)
     with pytest.raises(ValueError):
-        smoothed_spectrum(comb, 0.0, w)
+        smoothed_spectrum(comb, 0.0, np.linspace(0.0, 3.0, 301))
 
 
 # ------------------------------------------------------------- ohmic
@@ -469,9 +467,7 @@ def test_convolution_power_double_frequency_peak():
     params = ohmic_params()
     w = np.linspace(0.0, 4.0, 2000)
     base = ohmic_spectrum(params, w, 1.0, 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        out = convolution_power_spectrum(base, 2)
+    out = convolution_power_spectrum(base, 2)
     assert abs(w[np.argmax(out.values)] - 2.0) < 0.05
 
 
@@ -479,9 +475,7 @@ def test_convolution_power_width_doubles():
     params = ohmic_params()
     w = np.linspace(0.0, 4.0, 2000)
     base = ohmic_spectrum(params, w, 1.0, 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        out = convolution_power_spectrum(base, 2)
+    out = convolution_power_spectrum(base, 2)
 
     def fwhm(vals):
         i = np.argmax(vals)
@@ -520,9 +514,7 @@ def test_convolution_power_wick_time_domain_cross_check():
     w = np.arange(0.0, 2.4 * comb.frequencies.max(), dw)
     gauss = np.exp(-0.5 * ((w[:, None] - comb.frequencies[None, :]) / sig) ** 2)
     sm = SpectrumTable(omegas=w, values=gauss @ comb.weights / (sig * np.sqrt(2 * np.pi)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        conv = convolution_power_spectrum(sm, 2)
+    conv = convolution_power_spectrum(sm, 2)
 
     t = np.arange(0.0, np.sqrt(72.0) / sig, 0.003)
     s_t = correlator_S(modes, t)
@@ -541,6 +533,42 @@ def test_convolution_power_refuses_heavy_tail():
     w = np.linspace(0.0, 4.0, 1000)
     base = SpectrumTable(omegas=w, values=w.copy())  # growing toward the end
     with pytest.raises(ValueError, match="grid too narrow"):
+        convolution_power_spectrum(base, 2)
+
+
+@pytest.mark.parametrize("grid_points, heavy", [(2000, False), (1000, True)])
+def test_tail_fraction_is_the_share_of_the_last_bins(grid_points, heavy):
+    # the ohmic spectrum on the default grid, and the growing spectrum
+    # that convolution refuses
+    w = np.linspace(0.0, 4.0, grid_points)
+    base = SpectrumTable(omegas=w, values=w.copy() if heavy
+                         else ohmic_spectrum(ohmic_params(), w).values)
+    h = w[1] - w[0]
+    bins = max(grid_points // 100, 2)
+    ratio = float(base.values[-bins:].sum() * h) / float(base.values.sum() * h)
+    assert tail_fraction(base) == pytest.approx(ratio, rel=1e-15)
+    assert (tail_fraction(base) > 1e-2) is heavy
+
+
+def test_tail_fraction_needs_mass_on_a_uniform_grid():
+    w = np.linspace(0.0, 4.0, 100)
+    with pytest.raises(ValueError, match="no mass"):
+        tail_fraction(SpectrumTable(omegas=w, values=np.zeros_like(w)))
+    with pytest.raises(ValueError, match="uniform"):
+        tail_fraction(SpectrumTable(omegas=w**2, values=np.ones_like(w)))
+
+
+def test_spectra_functions_do_not_warn():
+    # outside the smoothing window and with a tail between 1e-6 and 1e-2
+    # both functions return quietly; the predicates are the check
+    comb = DeltaComb(frequencies=np.linspace(1.0, 2.0, 11), weights=np.ones(11))
+    w = np.linspace(0.0, 4.0, 2000)
+    base = ohmic_spectrum(ohmic_params(), w)
+    assert 1e-6 < tail_fraction(base) < 1e-2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps in (0.05, 1.5):
+            smoothed_spectrum(comb, eps, w)
         convolution_power_spectrum(base, 2)
 
 
