@@ -74,6 +74,17 @@ def write_json(path, payload):
         fh.write("\n")
 
 
+def _output_dir(path):
+    """path as a Path, made with its parents if it is missing; a path
+    that cannot be a directory is a ConfigError naming it."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {path!r} as the output directory: {exc}") from exc
+    return out
+
+
 def _load_matrix(path):
     try:
         return np.loadtxt(path, delimiter=",", dtype=float)
@@ -254,8 +265,7 @@ def _add_spectra(form, modes, params, scenario, tables, summary):
 
 def run_scenario(scenario, quiet=False):
     model = scenario.build_model()
-    out = Path(scenario.directory)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(scenario.directory)
 
     form, modes = mapping.collective_mapping(model)
     params = dyn.collective_frequency(form)
@@ -316,8 +326,7 @@ def run_scenario(scenario, quiet=False):
 
 def run_verify(scenario, quiet=False):
     model = scenario.build_model()
-    out = Path(scenario.directory)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(scenario.directory)
     checks = run_checks(model, p0=scenario.p0, t_max=scenario.t_max,
                         steps=scenario.steps, epsilon=scenario.epsilon)
     report = {
@@ -334,8 +343,7 @@ def run_verify(scenario, quiet=False):
 
 
 def run_figure1(outdir, quiet=False):
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(outdir)
     omega_bar, gamma_bar = 1.0, 0.1
     gamma0 = 2.0 * gamma_bar
     params = dyn.OscillatorParams(omega_bar**2 + gamma0**2 / 4.0, gamma0)

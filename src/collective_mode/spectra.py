@@ -194,17 +194,15 @@ def convolution_power_spectrum(base: SpectrumTable, n: int) -> SpectrumTable:
     """
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
-    w, h = _check_uniform_grid(base.omegas, "frequency")
-    values = base.values
+    w, _ = _check_uniform_grid(base.omegas, "frequency")
     if n == 1:
-        return SpectrumTable(omegas=w, values=values.copy())
+        return SpectrumTable(omegas=w, values=base.values.copy())
 
     tail = tail_fraction(base)
     if tail > 1e-2:
-        # A 1/w^2 tail falls below budget around c / (budget * total).
-        total = float(values.sum() * h)
-        c = values[-1] * w[-1] ** 2
-        required = c / (1e-6 * total) if c > 0 else 2 * w[-1]
+        # The share of a 1/w^2 tail in the last 1 % falls as 1/omega_max:
+        # aim at 1e-3, a tenth of the refusal bound.
+        required = w[-1] * tail / 1e-3
         raise ValueError(
             f"grid too narrow: tail mass fraction {tail:.2e} exceeds 1e-2; "
             f"extend the grid to about omega_max = {required:.3g}"

@@ -252,6 +252,25 @@ def test_config_path_that_is_a_directory(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+@pytest.mark.parametrize("command", ["run", "verify", "figure1"])
+def test_output_path_that_cannot_be_a_directory(tmp_path, capsys, command, below):
+    # an existing file, or a path under one, is bad input that names the
+    # path (exit 2), not an internal error with a traceback
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    target = blocker / "out" if below else blocker
+    cfg = tmp_path / "demo.ini"
+    write_config(cfg, n=8, t_max=8.0, steps=800)
+    argv = ([command, str(target)] if command == "figure1"
+            else [command, str(cfg), "--output", str(target)])
+    assert main(argv + ["--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot use {str(target)!r} as the output")
+    assert "Traceback" not in err
+    assert blocker.read_text() == "keep\n"
+
+
 def test_percent_sign_and_inline_comments_are_literal_text(tmp_path):
     # no interpolation: a % in a value is a character; ; and # after
     # whitespace start a comment
@@ -308,6 +327,14 @@ def test_narrow_grid_skips_only_the_powers(tmp_path):
     header, spectrum = read_csv(out / "spectrum.csv")
     assert header == ["omega", "s_smoothed", "s_fdt", "s_ohmic"]
     assert spectrum.shape == (2000, 4)
+    # the refusal names a grid that is wide enough, and not far wider
+    hint = float(summary["powers_skipped"].rsplit("omega_max = ", 1)[1])
+    assert 0.04 < hint <= 1.0
+    cfg.write_text(readme_config().replace("omega_max = 4.0", f"omega_max = {hint!r}"))
+    assert main(["run", str(cfg), "--quiet", "--output", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert "powers_skipped" not in summary
+    assert read_csv(out / "spectrum.csv")[0][-1] == "s_power_2"
 
 
 def test_cli_import_leaves_configparser_unloaded():
@@ -391,16 +418,16 @@ def decomposition_counts(tmp_path, monkeypatch, command, write=write_config):
                          "collective_sector_eigensystem": 0},
                  write_config, {"eigvalsh": [], "eigh": []},
                  id="run-expected0"),
-    # verify's phonons feed its chain checks alone (residual, closed-form
-    # frequencies, interlacing); its dense form (which also returns the
-    # site basis) and one sector eigensystem, shared by its sector modes
-    # and the energy reconstruction; the factory skips validation, so
-    # verify solves the sector eigenvalues itself
-    pytest.param("verify", {"phonon_spectrum": 1, "caldeira_leggett_form": 1,
+    # verify checks the chain against its closed form through the
+    # symmetric sector's eigenvalues, so it makes no phonon eigensolve;
+    # its dense form (which also returns the site basis) and one sector
+    # eigensystem, shared by its sector modes and the energy
+    # reconstruction; the factory skips validation, so verify solves
+    # the sector eigenvalues itself
+    pytest.param("verify", {"phonon_spectrum": 0, "caldeira_leggett_form": 1,
                             "collective_sector_eigensystem": 1},
                  write_config,
-                 {"eigvalsh": [(2, 16, 16)],
-                  "eigh": [(15, 15), (15, 15), (16, 16)]},
+                 {"eigvalsh": [(2, 16, 16)], "eigh": [(15, 15), (16, 16)]},
                  id="verify-expected1"),
     # a general model maps without its phonons, and verify takes the
     # sector eigenvalues that validation computed
@@ -570,9 +597,9 @@ def test_verify_default_config_passes(tmp_path):
 
 
 VERIFY_CHECKS = [
-    "model.full_potential_psd", "model.phonon_residual",
-    "model.closed_form_frequencies", "mapping.decoupling_indicator",
-    "mapping.bath_stability", "mapping.bath_residual",
+    "model.full_potential_psd", "model.closed_form_frequencies",
+    "mapping.decoupling_indicator", "mapping.bath_stability",
+    "mapping.bath_residual",
     "mapping.secular_cross_check", "mapping.interlacing",
     "mapping.spectrum_preservation", "dynamics.volterra_vs_exact",
     "dynamics.energy_conservation", "dynamics.decoupled_kernel",
@@ -586,8 +613,8 @@ VERIFY_CHECKS = [
 @pytest.mark.parametrize("write, skipped", [
     (write_config, {"dynamics.decoupled_kernel", "dynamics.decoupled_harmonic",
                     "spectra.route_equivalence"}),
-    # the general model has no phonon checks and no secular route
-    (write_general_config, {"model.phonon_residual", "model.closed_form_frequencies",
+    # the general model has no closed form and no secular route
+    (write_general_config, {"model.closed_form_frequencies",
                             "mapping.secular_cross_check", "mapping.interlacing",
                             "dynamics.decoupled_kernel", "dynamics.decoupled_harmonic",
                             "spectra.route_equivalence"}),
@@ -605,6 +632,37 @@ def test_verify_check_names_are_pinned(tmp_path, write, skipped):
     (bath,) = [c for c in checks if c["name"] == "mapping.bath_residual"]
     assert bath["passed"] and bath["tolerance"] == 1e-10
     assert bath["measured"] <= 1e-10
+
+
+@pytest.mark.parametrize("n, alpha", [(2, 0.5), (16, 0.0), (16, 0.37), (33, 1000.0),
+                                      (257, 0.5)])
+def test_verify_closed_form_frequencies_read_the_symmetric_sector(n, alpha):
+    # the symmetric block of a point-coupled chain is the free chain W,
+    # so its eigenvalues are the squared standing-wave frequencies
+    from collective_mode import build_next_neighbor_model
+    from collective_mode.verify import run_checks
+
+    model = build_next_neighbor_model(n, 1.0, 1.0, alpha)
+    checks = run_checks(model, p0=1.0, t_max=4.0, steps=400)
+    (check,) = [c for c in checks if c.name == "model.closed_form_frequencies"]
+    assert check.passed and check.tolerance == 1e-12
+    assert check.measured <= 1e-12
+
+
+def test_verify_catches_a_perturbed_closed_form(tmp_path, monkeypatch):
+    # the closed-form chain frequencies off by a relative 1e-9: the
+    # symmetric sector no longer matches them, and verify fails
+    exact = model_mod.next_neighbor_frequencies
+    monkeypatch.setattr(model_mod, "next_neighbor_frequencies",
+                        lambda n, omega0: exact(n, omega0) * (1.0 + 1e-9))
+    cfg = tmp_path / "demo.ini"
+    out = write_config(cfg, n=16, alpha=0.5, t_max=16.0, steps=1600)
+    assert main(["verify", str(cfg), "--quiet"]) == 1
+    checks = json.loads((out / "verification.json").read_text())["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == [
+        "model.closed_form_frequencies"]
+    (check,) = [c for c in checks if c["name"] == "model.closed_form_frequencies"]
+    assert check["measured"] > 1e-9
 
 
 def test_verify_bath_residual_catches_a_perturbed_basis(tmp_path, monkeypatch):
@@ -747,7 +805,7 @@ def test_verify_stops_at_an_indefinite_model():
     w = build_next_neighbor_model(3, 1.0, 1.0, 0.0).w_matrix
     model = SystemModel(3, 1.0, w, np.diag([-0.6, 0.0, 0.0]))
     checks = run_checks(model, p0=1.0, t_max=1.0, steps=10)
-    assert [c.name for c in checks] == VERIFY_CHECKS[:5]
+    assert [c.name for c in checks] == VERIFY_CHECKS[:4]
     assert [c.name for c in checks if not c.passed] == [
         "model.full_potential_psd", "mapping.bath_stability"]
     assert "negative mode" in checks[-1].detail
