@@ -397,7 +397,9 @@ def main(argv=None):
             return run_scenario(scenario, quiet=args.quiet)
         return run_verify(scenario, quiet=args.quiet)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        # figure1 reads no config: its one input is the output path
+        what = "argument error" if args.command == "figure1" else "config error"
+        print(f"{what}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -17,7 +17,8 @@ the same data follows in O(N); the dense route serves general models
 and stays the oracle of the structured one.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +39,16 @@ class ConvergenceError(NumericalError, RuntimeError):
     """Raised when the secular root solve does not converge."""
 
 
+class _PointChain(NamedTuple):
+    """Recipe of a point-coupled chain's collective sector: N, rho =
+    2 alpha / (m omega0^2) and omega0^2, the units of its secular
+    equations."""
+
+    n: int
+    rho: float
+    w0_sq: float
+
+
 @dataclass(frozen=True)
 class CollectiveForm:
     """Collective coordinate + internal bath data.
@@ -45,6 +56,11 @@ class CollectiveForm:
     k_tilde_11     : stiffness of the bare collective coordinate
     bath_freqs     : (N-1,) bath frequencies, ascending, > 0
     couplings_l    : (N-1,) couplings of X to the diagonal bath modes
+
+    The form of a point-coupled chain also keeps its chain's recipe,
+    from which the spectra take the resolvent of X in closed form.  A
+    form built from arrays, dataclasses.replace included, has none and
+    is read through its lines.
     """
 
     k_tilde_11: float
@@ -52,6 +68,7 @@ class CollectiveForm:
     couplings_l: np.ndarray
     mass: float
     hbar: float
+    _chain: _PointChain | None = field(default=None, init=False)
 
     def __post_init__(self):
         _freeze(self, "bath_freqs", "couplings_l")
@@ -216,6 +233,22 @@ def _secular_roots(n, rho, beta):
     return lam, np.append(s2[:k.size - 1], rho * np.sum(v / dist**2))
 
 
+def _bath_pole_sum(n, half):
+    """G1(zeta) = sum_{k>=1} v_k / (zeta - d_k), the pole sum of the bath
+    equation rho G1 = 1 (_secular_roots at beta = rho/N), off the real
+    axis at zeta = 4 half^2, Im half > 0.  With theta = 2 arcsin(half)
+    and q = e^{i theta}, |q| < 1, the sum over all N poles is the
+    tight-binding chain's G = -(q^{2N} + q) / ((q^{2N} - 1)(q - 1)); the
+    uniform pole 1/(N zeta) is taken off.  q and q - 1 = 2i half
+    e^{i theta/2} are each formed directly, so neither cancels where q
+    is near 0 (far above the band) or near 1 (near zeta = 0).
+    """
+    half_theta = np.arcsin(half)
+    g = -(np.exp(4j * n * half_theta) + np.exp(2j * half_theta)) / (
+        np.expm1(4j * n * half_theta) * (2j * half * np.exp(1j * half_theta)))
+    return g - 1.0 / (4.0 * n * half**2)
+
+
 def is_point_coupling(model: SystemModel) -> bool:
     """True for a next-neighbor chain pair coupled only by K_11 > 0,
     read from the recipe build_next_neighbor_model keeps: no array is
@@ -284,6 +317,7 @@ def _point_coupled_mapping(model: SystemModel):
     form = CollectiveForm(k_tilde_11=alpha / n, bath_freqs=np.sqrt(w0_sq * lam),
                           couplings_l=m * w0_sq / (2.0 * np.sqrt(n * s2 / rho)),
                           mass=m, hbar=model.hbar)
+    object.__setattr__(form, "_chain", _PointChain(n, rho, w0_sq))
     lam, s2 = _secular_roots(n, rho, 0.0)
     modes = QuantumModes(frequencies=np.sqrt(w0_sq * lam),
                          x_coefficients=np.sqrt(rho / (n * lam**2 * s2)),

@@ -17,7 +17,7 @@ from .dynamics import (
     gamma_transform, omega0_squared,
 )
 from .mapping import (
-    CollectiveForm, QuantumModes, decoupling_indicator,
+    CollectiveForm, QuantumModes, _bath_pole_sum, decoupling_indicator,
 )
 from .model import SystemModel, phonon_spectrum
 
@@ -244,16 +244,31 @@ def observable_spectrum(base: SpectrumTable, coefficients) -> SpectrumTable:
 def fdt_spectrum(form: CollectiveForm, omegas, epsilon) -> SpectrumTable:
     """Smoothed strength spectrum via the linear-response resolvent.
 
-    (hbar / m pi) theta(w) Im 1 / (W0^2 - z^2 - i z g_eps(w)) with
-    z = w + i eps, the half-plane continuation consistent with the
-    e^{+i w t} transform of the causal kernel (this is what makes the
-    result a positive Lorentzian broadening).
+    (hbar / m pi) theta(w) Im R(z) with z = w + i eps, the half-plane
+    continuation consistent with the e^{+i w t} transform of the causal
+    kernel (this is what makes the result a positive Lorentzian
+    broadening).  R = 1 / (W0^2 - z^2 - i z g_eps(w)) sums the kernel
+    over the bath lines.  A point-coupled chain's form keeps its recipe,
+    and there R is X's entry of the resolvent of diag(d) + rho a a^T,
+    the Schur complement over the bath in closed form:
+    (1 - rho G1) / (rho/N - zeta (1 - rho G1)) / omega0^2 at zeta =
+    z^2 / omega0^2, with G1 = mapping._bath_pole_sum, O(1) per point
+    instead of O(N).
     """
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     w = np.asarray(omegas, dtype=float)
     m = form.mass
     z = w + 1j * epsilon
-    denom = omega0_squared(form) - z**2 - 1j * z * gamma_transform(form, w, epsilon)
-    values = form.hbar / (m * np.pi) * (1.0 / denom).imag
+    if form._chain is None:
+        denom = omega0_squared(form) - z**2 - 1j * z * gamma_transform(form, w, epsilon)
+        resolvent = 1.0 / denom
+    else:
+        n, rho, w0_sq = form._chain
+        half = z / (2.0 * np.sqrt(w0_sq))
+        one = 1.0 - rho * _bath_pole_sum(n, half)
+        resolvent = one / (rho / n - 4.0 * half**2 * one) / w0_sq
+    values = form.hbar / (m * np.pi) * resolvent.imag
     values = np.where(w > 0, values, 0.0)
     return SpectrumTable(omegas=w, values=values)
 

@@ -6,7 +6,7 @@ the configured model (e.g. the analytic point-coupling cross-check for
 a general coupling matrix) report as skipped and count as passed.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -228,10 +228,22 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
         floor = -1e-12 * float(sm.values.max())
         _record(checks, "spectra.positivity", neg, floor,
                 "smoothed spectra stay nonnegative", passed=neg >= floor)
+
+        if mapping.is_point_coupling(model):
+            # replace drops the chain recipe: the same form's line sum
+            lines = spectra.fdt_spectrum(replace(s_form), wgrid, epsilon).values
+            closed = spectra.fdt_spectrum(s_form, wgrid, epsilon).values
+            err = np.abs(closed - lines).max() / max(np.abs(lines).max(), 1e-300)
+            _record(checks, "spectra.closed_form_resolvent", err, 1e-12,
+                    "closed-form chain resolvent vs the sum over the secular "
+                    "bath lines, relative L-inf")
+        else:
+            _skip(checks, ["spectra.closed_form_resolvent"], "not a point coupling")
     else:
         _skip(checks, ["spectra.comb_total_equals_correlator_at_zero",
                        "spectra.strength_sum_rule", "spectra.classical_quantum_link",
-                       "spectra.route_equivalence", "spectra.positivity"],
+                       "spectra.route_equivalence", "spectra.positivity",
+                       "spectra.closed_form_resolvent"],
               "collective coordinate is unbound")
 
     return checks

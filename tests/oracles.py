@@ -5,8 +5,8 @@ from its definition, from a basis the package no longer uses, or as
 the package built it before (the eager chain arrays, the grid x lines
 kernels in one product instead of row chunks, the mode sum from
 freshly allocated arrays, the energy check from direct phases, the CSV
-table from one '%' format), so it stays independent of the code under
-test.  disordered_model is the seeded general model these references
+table from one '%' format, a chain's resolvent as a pole sum in long
+double), so it stays independent of the code under test.  disordered_model is the seeded general model these references
 are checked on.
 """
 
@@ -180,6 +180,30 @@ def one_shot_total_energy(model, sector, basis, p0, times):
     kinetic = 0.5 * m * ((qdot @ (to_anti @ to_anti.T)) * qdot).sum(axis=-1)
     potential = ((q @ (to_anti @ anti @ to_anti.T)) * q).sum(axis=-1)
     return kinetic + potential
+
+
+def long_double_chain_fdt(n, rho, w0_sq, mass, hbar, omegas, epsilon):
+    """fdt_spectrum of a point-coupled chain, summed pole by pole in
+    np.longdouble (80-bit on x86-64 Linux): with zeta = (w + i eps)^2 /
+    omega0^2, X's resolvent entry (1 - rho G1) / (rho/N - zeta (1 - rho
+    G1)) / omega0^2, where G1 = sum_{k>=1} v_k / (zeta - d_k) over the
+    chain's poles d_k = 4 sin^2(pi k / 2N) with weights v_k = (1 + cos(pi
+    k / N)) / N.  A chunk of 64 grid points is summed at a time."""
+    ld = np.longdouble
+    k = np.arange(1, n, dtype=ld)
+    theta = np.arccos(ld(-1)) * k / n
+    poles = 4 * np.sin(theta / 2) ** 2
+    v = (1 + np.cos(theta)) / n
+    w0 = np.sqrt(ld(w0_sq))
+    omegas = np.asarray(omegas, dtype=float)
+    out = np.zeros(omegas.size)
+    for i in range(0, omegas.size, 64):
+        zeta = ((omegas[i:i + 64].astype(ld) + 1j * ld(epsilon)) / w0) ** 2
+        g1 = (v / (zeta[:, None] - poles)).sum(axis=1)
+        one = 1 - ld(rho) * g1
+        r = one / (ld(rho) / n - zeta * one) / ld(w0_sq)
+        out[i:i + 64] = ld(hbar) / (ld(mass) * np.arccos(ld(-1))) * r.imag
+    return np.where(omegas > 0, out, 0.0)
 
 
 def disordered_model(n, seed, mass=1.0):

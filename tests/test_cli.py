@@ -266,7 +266,8 @@ def test_output_path_that_cannot_be_a_directory(tmp_path, capsys, command, below
             else [command, str(cfg), "--output", str(target)])
     assert main(argv + ["--quiet"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: cannot use {str(target)!r} as the output")
+    prefix = "argument error" if command == "figure1" else "config error"
+    assert err.startswith(f"{prefix}: cannot use {str(target)!r} as the output")
     assert "Traceback" not in err
     assert blocker.read_text() == "keep\n"
 
@@ -606,7 +607,7 @@ VERIFY_CHECKS = [
     "dynamics.decoupled_harmonic", "dynamics.kernel_flatness",
     "spectra.comb_total_equals_correlator_at_zero", "spectra.strength_sum_rule",
     "spectra.classical_quantum_link", "spectra.route_equivalence",
-    "spectra.positivity",
+    "spectra.positivity", "spectra.closed_form_resolvent",
 ]
 
 
@@ -617,7 +618,8 @@ VERIFY_CHECKS = [
     (write_general_config, {"model.closed_form_frequencies",
                             "mapping.secular_cross_check", "mapping.interlacing",
                             "dynamics.decoupled_kernel", "dynamics.decoupled_harmonic",
-                            "spectra.route_equivalence"}),
+                            "spectra.route_equivalence",
+                            "spectra.closed_form_resolvent"}),
 ])
 def test_verify_check_names_are_pinned(tmp_path, write, skipped):
     # a check can neither appear nor vanish unnoticed: both routes report
@@ -663,6 +665,26 @@ def test_verify_catches_a_perturbed_closed_form(tmp_path, monkeypatch):
         "model.closed_form_frequencies"]
     (check,) = [c for c in checks if c["name"] == "model.closed_form_frequencies"]
     assert check["measured"] > 1e-9
+
+
+@pytest.mark.parametrize("perturb, exit_code", [(0.0, 0), (1e-9, 1)])
+def test_verify_closed_form_resolvent_against_the_line_sum(tmp_path, monkeypatch,
+                                                           perturb, exit_code):
+    # the chain's bath pole sum off by a relative 1e-9 moves its
+    # closed-form spectrum away from the line sum, and verify fails
+    from collective_mode import spectra
+
+    exact = spectra._bath_pole_sum
+    monkeypatch.setattr(spectra, "_bath_pole_sum",
+                        lambda n, half: exact(n, half) * (1.0 + perturb))
+    cfg = tmp_path / "demo.ini"
+    out = write_config(cfg, n=16, alpha=0.5, t_max=16.0, steps=1600)
+    assert main(["verify", str(cfg), "--quiet"]) == exit_code
+    checks = json.loads((out / "verification.json").read_text())["checks"]
+    (check,) = [c for c in checks if c["name"] == "spectra.closed_form_resolvent"]
+    assert check["tolerance"] == 1e-12 and check["measured"] is not None
+    assert [c["name"] for c in checks if not c["passed"]] == (
+        ["spectra.closed_form_resolvent"] if perturb else [])
 
 
 def test_verify_bath_residual_catches_a_perturbed_basis(tmp_path, monkeypatch):
@@ -772,7 +794,7 @@ def test_verify_unbound_chain_names_the_scales_it_uses(tmp_path):
     checks = json.loads((out / "verification.json").read_text())["checks"]
     assert [c["name"] for c in checks] == VERIFY_CHECKS
     by_name = {c["name"]: c for c in checks}
-    for name in ["dynamics.kernel_flatness"] + VERIFY_CHECKS[-5:]:
+    for name in ["dynamics.kernel_flatness"] + VERIFY_CHECKS[-6:]:
         assert by_name[name]["detail"] == "skipped: collective coordinate is unbound"
     volterra = by_name["dynamics.volterra_vs_exact"]
     assert volterra["detail"] == "L-inf over [0, 16] at 1600 steps, scale max|X|"

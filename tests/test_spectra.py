@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,14 +35,15 @@ from collective_mode import (
     smoothed_spectrum,
     strength_comb,
 )
-from collective_mode import dynamics
-from collective_mode.dynamics import OscillatorParams
+from collective_mode import dynamics, spectra
+from collective_mode.dynamics import OscillatorParams, omega0_squared
 from collective_mode.spectra import smoothing_in_window, tail_fraction
 from collective_mode.verify import run_checks
 from oracles import (correlator_exp, disordered_model, full_potential_matrix,
-                     one_shot_correlator_S, one_shot_damping_kernel,
-                     one_shot_gamma_transform, one_shot_smoothed_values,
-                     phonon_coupling_row, standing_wave_basis)
+                     long_double_chain_fdt, one_shot_correlator_S,
+                     one_shot_damping_kernel, one_shot_gamma_transform,
+                     one_shot_smoothed_values, phonon_coupling_row,
+                     standing_wave_basis)
 
 
 def point_model(n, alpha):
@@ -653,6 +655,77 @@ def test_fdt_positive_and_zero_below_cutoff():
     table = fdt_spectrum(form, w, 0.3)
     assert (table.values[w <= 0] == 0.0).all()
     assert table.values.min() >= -1e-12 * table.values.max()
+
+
+def chain_resolvent_case(n, alpha, spacings, mass, omega0):
+    """(form, grid, eps, oracle values) of a point-coupled chain: eps in
+    mean bath spacings, 401 points from 0 to 1.5 x the top sector line,
+    which covers the band edge 2 omega0 and an isolated top line."""
+    form, modes = collective_mapping(build_next_neighbor_model(n, mass, omega0, alpha))
+    eps = spacings * mean_bath_spacing(form)
+    w = np.linspace(0.0, 1.5 * modes.frequencies[-1], 401)
+    n_, rho, w0_sq = form._chain
+    return form, w, eps, long_double_chain_fdt(n_, rho, w0_sq, mass, form.hbar, w, eps)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="the oracle needs an extended-precision long double")
+@pytest.mark.parametrize("mass, omega0", [(1.0, 1.0), (1.3, 0.8)])
+@pytest.mark.parametrize("spacings", [0.2, 5.0, 50.0])
+@pytest.mark.parametrize("alpha", [0.01, 0.5, 1000.0])
+@pytest.mark.parametrize("n", [2, 3, 16, 64, 257, 1024, 4096])
+def test_chain_resolvent_matches_long_double_pole_sum(n, alpha, spacings, mass, omega0):
+    # the closed form of a chain form's recipe against the resolvent
+    # summed over the chain's poles in extended precision
+    form, w, eps, ref = chain_resolvent_case(n, alpha, spacings, mass, omega0)
+    err = np.abs(fdt_spectrum(form, w, eps).values - ref).max()
+    assert err <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="the oracle needs an extended-precision long double")
+@pytest.mark.parametrize("n, alpha", [(3, 1000.0), (64, 0.01), (257, 0.5)])
+def test_chain_resolvent_bound_catches_a_perturbed_rho(n, alpha):
+    # rho off by a relative 1e-9 moves these spectra by 1e-11 to 1e-9 of
+    # the maximum (at N = 1024, alpha = 1000 by only 2e-13: there the
+    # resolvent barely depends on rho)
+    form, w, eps, ref = chain_resolvent_case(n, alpha, 0.2, 1.3, 0.8)
+    bad = replace(form)
+    object.__setattr__(bad, "_chain", form._chain._replace(rho=form._chain.rho * (1 + 1e-9)))
+    err = np.abs(fdt_spectrum(bad, w, eps).values - ref).max()
+    assert err > 1e-12 * np.abs(ref).max()
+
+
+def line_sum_fdt(form, w, eps):
+    """fdt_spectrum as the sum over the form's bath lines."""
+    z = w + 1j * eps
+    denom = omega0_squared(form) - z**2 - 1j * z * gamma_transform(form, w, eps)
+    return np.where(w > 0, form.hbar / (form.mass * np.pi) * (1.0 / denom).imag, 0.0)
+
+
+def test_copied_chain_form_keeps_the_line_sum(monkeypatch):
+    form, _ = collective_mapping(build_next_neighbor_model(64, 1.3, 0.8, 0.5))
+    w = np.linspace(0.0, 3.0, 777)
+    eps = 5.0 * mean_bath_spacing(form)
+    for copy in (replace(form), shift_collective_potential(form, 0.3)):
+        assert copy._chain is None
+        assert np.array_equal(fdt_spectrum(copy, w, eps).values,
+                              line_sum_fdt(copy, w, eps))
+    lines = line_sum_fdt(form, w, eps)
+    # the mapped form itself sums no line
+    monkeypatch.setattr(spectra, "gamma_transform", None)
+    values = fdt_spectrum(form, w, eps).values
+    assert 0 < np.abs(values - lines).max() <= 1e-12 * values.max()
+
+
+def test_chain_resolvent_rejects_nonpositive_width_and_is_zero_below():
+    form, _ = collective_mapping(build_next_neighbor_model(16, 1.0, 1.0, 0.5))
+    w = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])
+    for eps in (0.0, -0.1, np.nan):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            fdt_spectrum(form, w, eps)
+    values = fdt_spectrum(form, w, 0.2).values
+    assert (values[:3] == 0.0).all() and (values[3:] > 0).all()
 
 
 # ------------------------------------------------------------- sparsity
