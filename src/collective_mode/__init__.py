@@ -10,16 +10,13 @@ from ._kernels import BACKEND_NAME
 from .model import (
     ModelValidationError,
     NumericalError,
-    PhononSpectrum,
     SystemModel,
     UnstableModelError,
     antisymmetric_block,
     build_general_model,
     build_next_neighbor_model,
     next_neighbor_frequencies,
-    phonon_spectrum,
     sector_eigenvalues,
-    validate_model,
 )
 from .mapping import (
     CollectiveForm,
@@ -31,7 +28,6 @@ from .mapping import (
     collective_sector_modes,
     decoupling_indicator,
     is_point_coupling,
-    shift_collective_potential,
 )
 from .dynamics import (
     OscillatorParams,
@@ -42,7 +38,6 @@ from .dynamics import (
     evolve_exact,
     fourier_solution,
     gamma_transform,
-    linear_response,
     mean_bath_spacing,
     solve_volterra,
     total_energy,

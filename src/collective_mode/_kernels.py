@@ -9,9 +9,7 @@ carried forward in one complex accumulator per line,
 
 seeded with the trapezoid's half-weight v_0 term.  The endpoint term of
 the trapezoid makes the velocity update implicit; the implicit equation
-is linear and solved exactly each step.  External forces are treated as
-constant over each step (left node), so a single-bin rectangle delivers
-its impulse exactly.
+is linear and solved exactly each step.
 
 The one-step map is linear and time-invariant, so the time axis is cut
 into blocks of BLOCK = B steps, each advanced by two products:
@@ -20,12 +18,11 @@ into blocks of BLOCK = B steps, each advanced by two products:
    weight_n rot_n^(j-1) C_n for j = 1..B, is a (B x N) linear map of
    the accumulators;
 2. x and v over the block, and the acceleration at its end, are linear
-   in the start state (x, v, a), e_1..e_B and the forces f_0..f_(B-1).
-   That transfer matrix is built once by running the scalar recurrence
-   on unit inputs (inside a block the history uses the kernel samples
-   gamma(m h)), and the map of step 1 is folded into it, so one product
-   with (C, x, v, a) gives the block; the forces' share of every block
-   is one product computed up front;
+   in the start state (x, v, a) and e_1..e_B.  That transfer matrix is
+   built once by running the scalar recurrence on unit inputs (inside a
+   block the history uses the kernel samples gamma(m h)), and the map of
+   step 1 is folded into it, so one product with (C, x, v, a) gives the
+   block;
 3. the accumulators advance in closed form,
    C <- rot^B C + sum_k rot^(B-k+1) v_k, a (B x N) product.
 
@@ -47,38 +44,36 @@ BLOCK = 64
 def _block_transfer(omega0_sq, gamma, h):
     """Linear map of one block of len(gamma) steps.
 
-    Columns: the start state (x, v, a), the carried-in history e_1..e_B
-    and the forces f_0..f_(B-1).  Rows: x_1..x_B, v_1..v_B and the
-    acceleration without force at the block's end.  gamma[m] = gamma(m h).
+    Columns: the start state (x, v, a) and the carried-in history
+    e_1..e_B.  Rows: x_1..x_B, v_1..v_B and the acceleration at the
+    block's end.  gamma[m] = gamma(m h).
     """
     b = gamma.size
-    unit = np.eye(2 * b + 3)
+    unit = np.eye(b + 3)
     x, v, a = unit[0], unit[1], unit[2]
-    hist, force = unit[3:3 + b], unit[3 + b:]
+    hist = unit[3:]
     xs = np.empty((b, unit.shape[1]))
     vs = np.empty_like(xs)
     g0 = gamma[0]
     denom = 1.0 + 0.25 * h * h * g0
     for j in range(b):
-        x = x + h * v + 0.5 * h * h * (a + force[j])
+        x = x + h * v + 0.5 * h * h * a
         # trapezoidal memory at step j+1, endpoint excluded
         mem = hist[j] + h * (gamma[j:0:-1] @ vs[:j])
         atil = -omega0_sq * x - mem
-        v = (v + 0.5 * h * (a + atil) + h * force[j]) / denom
+        v = (v + 0.5 * h * (a + atil)) / denom
         a = atil - 0.5 * h * g0 * v
         xs[j] = x
         vs[j] = v
     return np.vstack([xs, vs, a])
 
 
-def volterra_path(omega0_sq, freqs, weights, h, n_points, f_over_m=None,
-                  v0=0.0):
-    """Integrate xdd + omega0_sq x + int_0^t gamma(t-s) xd(s) ds = F/m
+def volterra_path(omega0_sq, freqs, weights, h, n_points, v0):
+    """Integrate xdd + omega0_sq x + int_0^t gamma(t-s) xd(s) ds = 0
     from x(0) = 0, xd(0) = v0.
 
     The kernel is gamma(t) = sum_k weights[k] cos(freqs[k] t).
     n_points : grid length T, the initial point included
-    f_over_m : optional (T,) force/mass samples, constant over each step
 
     Returns (x, v), both (T,).
     """
@@ -91,12 +86,8 @@ def volterra_path(omega0_sq, freqs, weights, h, n_points, f_over_m=None,
     transfer = _block_transfer(omega0_sq, rot[:b].real @ weights, h)
     # history e_1..e_B from the (Re C, Im C) pairs, folded into the map
     carry = (h * weights * rot[:b]).conj().view(float)
-    block_map = np.hstack([transfer[:, 3:3 + b] @ carry, transfer[:, :3]])
+    block_map = np.hstack([transfer[:, 3:] @ carry, transfer[:, :3]])
     feed = np.ascontiguousarray(rot[b:0:-1]).view(float)  # rot^B..rot^1
-    if f_over_m is not None:
-        forces = np.zeros(blocks * b)
-        forces[:n - 1] = np.asarray(f_over_m, dtype=float)[:n - 1]
-        forced = forces.reshape(blocks, b) @ transfer[:, 3 + b:].T
 
     x = np.empty(blocks * b + 1)
     v = np.empty(blocks * b + 1)
@@ -108,8 +99,6 @@ def volterra_path(omega0_sq, freqs, weights, h, n_points, f_over_m=None,
     z[-2] = v0
     for k in range(blocks):
         out = block_map @ z
-        if f_over_m is not None:
-            out += forced[k]
         x[k * b + 1:(k + 1) * b + 1] = out[:b]
         v[k * b + 1:(k + 1) * b + 1] = out[b:2 * b]
         acc *= rot[b]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mapping import CollectiveForm, QuantumModes, collective_sector_modes
+from .mapping import CollectiveForm, QuantumModes
 from .model import NumericalError, SystemModel, antisymmetric_block
 from ._kernels import BLOCK, volterra_path
 
@@ -20,7 +20,7 @@ __all__ = [
     "damping_kernel", "gamma_transform", "omega0_squared",
     "mean_bath_spacing", "default_epsilon", "collective_frequency",
     "evolve_exact", "solve_volterra", "fourier_solution",
-    "underdamped_closed_form", "linear_response", "total_energy",
+    "underdamped_closed_form", "total_energy",
     "StepSizeError",
 ]
 
@@ -307,10 +307,14 @@ def evolve_exact(modes: QuantumModes, p0, times) -> TrajectoryTable:
     return TrajectoryTable(times=t, positions=x, momenta=modes.mass * v)
 
 
-def _integrate(form, times, v0, f_over_m=None) -> TrajectoryTable:
-    """Memory-kernel stepper from X = 0 with velocity v0 and optional
-    force/mass samples on the grid, behind solve_volterra and
-    linear_response: grid check, step guard, kernel weights."""
+def solve_volterra(form: CollectiveForm, p0, times) -> TrajectoryTable:
+    """Integrate the memory-kernel equation of motion after a kick.
+
+    Second-order stepping with a trapezoidal history sum, carried in one
+    accumulator per bath line: O(T N) cost for T steps and N lines.
+    Refuses steps larger than 0.1 / max(bath frequency, collective
+    frequency), for which the scheme is no longer trustworthy.
+    """
     t, h = _check_uniform_grid(times, "time")
     params_scale = max(
         form.bath_freqs.max(initial=0.0),
@@ -321,19 +325,8 @@ def _integrate(form, times, v0, f_over_m=None) -> TrajectoryTable:
             f"time step {h:.6g} too large; need h <= {0.1 / params_scale:.6g}"
         )
     x, v = volterra_path(omega0_squared(form), form.bath_freqs,
-                         _line_weights(form), h, t.size, f_over_m, v0=v0)
+                         _line_weights(form), h, t.size, p0 / form.mass)
     return TrajectoryTable(times=t, positions=x, momenta=form.mass * v)
-
-
-def solve_volterra(form: CollectiveForm, p0, times) -> TrajectoryTable:
-    """Integrate the memory-kernel equation of motion after a kick.
-
-    Second-order stepping with a trapezoidal history sum, carried in one
-    accumulator per bath line: O(T N) cost for T steps and N lines.
-    Refuses steps larger than 0.1 / max(bath frequency, collective
-    frequency), for which the scheme is no longer trustworthy.
-    """
-    return _integrate(form, times, p0 / form.mass)
 
 
 def fourier_solution(form: CollectiveForm, p0, omegas, epsilon):
@@ -360,33 +353,7 @@ def underdamped_closed_form(params: OscillatorParams, p0, times, mass) -> Trajec
     envelope = np.exp(-gb * t)
     sinc = np.sinc(wb * t / np.pi)
     x = (p0 / mass) * envelope * t * sinc
-    v = (p0 / mass) * envelope * (np.cos(wb * t) - gb * t * sinc)
-    return TrajectoryTable(times=t, positions=x, momenta=mass * v)
-
-
-def linear_response(form: CollectiveForm, force_samples, times):
-    """Drive the collective coordinate with an external force, two ways.
-
-    Integrates the forced memory-kernel equation from rest, and
-    independently predicts the displacement as the convolution of the
-    response function (the unit-momentum kick trajectory) with the
-    force.  Forces are treated as constant over each step (left node).
-    The stepper refuses the same steps as in solve_volterra.  Returns
-    (forced, predicted) trajectory tables.
-    """
-    force = np.asarray(force_samples, dtype=float)
-    if force.shape != np.shape(times):
-        raise ValueError(
-            f"force samples shape {force.shape} does not match grid {np.shape(times)}"
-        )
-    forced = _integrate(form, times, 0.0, force / form.mass)
-    t = forced.times
-    h = t[1] - t[0]
-
-    modes = collective_sector_modes(form)
-    chi, _ = _mode_trajectory(modes, 1.0, h, t.size)  # response to a unit kick
-    predicted = h * np.convolve(chi, force)[: t.size]
-    return forced, TrajectoryTable(times=t, positions=predicted)
+    return TrajectoryTable(times=t, positions=x)
 
 
 def total_energy(model: SystemModel, sector, basis, p0, times):

@@ -17,7 +17,7 @@ the same data follows in O(N); the dense route serves general models
 and stays the oracle of the structured one.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -143,15 +143,6 @@ def decoupling_indicator(model: SystemModel):
     khat_scale = np.abs(khat).max()
     decoupled = np.abs(k_site).max() < 1e-12 * max(khat_scale, 1e-300)
     return k_site, bool(decoupled)
-
-
-def shift_collective_potential(form: CollectiveForm, k0: float) -> CollectiveForm:
-    """Add a direct X^2 stiffness without touching the bath.
-
-    Shifts only the collective stiffness; the bath frequencies and the
-    couplings are unchanged, so the spectral density is unchanged.
-    """
-    return replace(form, k_tilde_11=form.k_tilde_11 + float(k0))
 
 
 def _bracketed_newton(residual, e, lo, hi):

@@ -1,4 +1,4 @@
-"""Two coupled oscillator chains: construction, validation, phonons.
+"""Two coupled oscillator chains: construction, validation, eigensolves.
 
 The system is a pair of identical chains of N particles with intra-chain
 potential (x, W x) per chain (the quadratic form carries no extra 1/2;
@@ -111,22 +111,6 @@ class SystemModel:
         return self.k_matrix.sum(axis=1)
 
 
-@dataclass(frozen=True)
-class PhononSpectrum:
-    """Normal modes of a single free chain.
-
-    frequencies : (N,) nondecreasing, frequencies[0] == 0 (uniform mode)
-    basis       : (N, N) orthogonal, rows are modes:
-                  basis @ W @ basis.T == (m/2) diag(frequencies**2)
-    """
-
-    frequencies: np.ndarray
-    basis: np.ndarray
-
-    def __post_init__(self):
-        _freeze(self, "frequencies", "basis")
-
-
 def _sector_blocks(w, k):
     """The two sector blocks of the full quadratic form, stacked (2, N, N).
 
@@ -157,22 +141,17 @@ def sector_eigenvalues(model: SystemModel):
     return model._sector_eigs
 
 
-def validate_model(w_matrix, k_matrix, mass, hbar=1.0):
-    """Check all structural invariants; return [(name, message), ...].
-
-    An empty list means the model is valid.  Checks are reported
-    individually so callers can tell a symmetry problem from a row-sum
-    or positivity problem.  W need not be circulant: the mapping only
-    needs W symmetric with vanishing row sums (the uniform vector must
-    be a zero mode), which the free-ended next-neighbor chain satisfies.
-    """
-    return _validate(w_matrix, k_matrix, mass, hbar)[0]
-
-
 def _validate(w_matrix, k_matrix, mass, hbar):
-    """validate_model's checks: (violations, eigs), eigs being the
-    positivity check's sector eigenvalues as sector_eigenvalues returns
-    them, or None when the checks stop before that eigensolve."""
+    """The structural checks of build_general_model: (violations, eigs).
+
+    violations holds one (name, message) pair per violated invariant,
+    so a symmetry problem reads apart from a row-sum or positivity one;
+    eigs are the positivity check's sector eigenvalues as
+    sector_eigenvalues returns them, or None when the checks stop before
+    that eigensolve.  W need not be circulant: the mapping only needs W
+    symmetric with vanishing row sums (the uniform vector must be a zero
+    mode), which the free-ended next-neighbor chain satisfies.
+    """
     violations = []
     w = np.asarray(w_matrix, dtype=float)
     k = np.asarray(k_matrix, dtype=float)
@@ -363,13 +342,3 @@ def _deflate(block, what):
     lift[0, 0] = -1.0
     lift[1:, 1:] = modes
     return reflected[0, 0], evals, _fix_signs(_reflect(lift))
-
-
-def phonon_spectrum(model: SystemModel) -> PhononSpectrum:
-    """Diagonalize the chain: frequencies, ascending with the uniform
-    zero mode first, and the orthogonal basis of sign-fixed modes.  W
-    has vanishing row sums, so the uniform vector is an exact null
-    vector, and _deflate solves the rest on its complement."""
-    _, evals, basis = _deflate(model.w_matrix, "chain potential W")
-    return PhononSpectrum(frequencies=np.sqrt(2.0 * np.append(0.0, evals) / model.mass),
-                          basis=basis.T)

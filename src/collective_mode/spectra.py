@@ -19,7 +19,7 @@ from .dynamics import (
 from .mapping import (
     CollectiveForm, QuantumModes, _bath_pole_sum, decoupling_indicator,
 )
-from .model import SystemModel, phonon_spectrum
+from .model import SystemModel, _deflate
 
 __all__ = [
     "DeltaComb", "SpectrumTable",
@@ -97,12 +97,12 @@ def sigma_phonon_approximation(model: SystemModel) -> DeltaComb:
     when the fluctuations are small against the level spacing.
     """
     kappa = float(model.k_matrix.mean())
-    phonons = phonon_spectrum(model)
+    _, evals, basis = _deflate(model.w_matrix, "chain potential W")
     n = model.n_particles
     m = model.mass
-    shifted = np.sqrt(phonons.frequencies[1:] ** 2 + 2.0 * n * kappa / m)
+    shifted = np.sqrt(2.0 * evals / m + 2.0 * n * kappa / m)
     # equations-of-motion coupling, rotated into the phonon basis
-    k_vec = 2.0 * (phonons.basis[1:] @ decoupling_indicator(model)[0])
+    k_vec = 2.0 * (decoupling_indicator(model)[0] @ basis[:, 1:])
     return DeltaComb(frequencies=shifted, weights=k_vec**2 / (2.0 * m * shifted))
 
 

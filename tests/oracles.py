@@ -6,15 +6,21 @@ the package built it before (the eager chain arrays, the grid x lines
 kernels in one product instead of row chunks, the mode sum from
 freshly allocated arrays, the energy check from direct phases, the CSV
 table from one '%' format, a chain's resolvent as a pole sum in long
-double), so it stays independent of the code under test.  disordered_model is the seeded general model these references
-are checked on.
+double), so it stays independent of the code under test.
+phonon_spectrum is the exception: it returns the chain's phonon modes
+from model._deflate of W, the call sigma_phonon_approximation makes, so
+the tests that hold it against the standing waves check that call.
+disordered_model is the seeded general model these references are
+checked on.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
-from collective_mode import (SystemModel, antisymmetric_block, build_general_model,
-                             phonon_spectrum)
+from collective_mode import SystemModel, antisymmetric_block, build_general_model
 from collective_mode._kernels import BLOCK
+from collective_mode.model import _deflate
 
 
 def eager_chain_matrices(n, mass, omega0, alpha):
@@ -70,6 +76,16 @@ def standing_wave_basis(n_particles):
     for k in range(1, n):
         basis[k] = np.sqrt(2.0 / n) * np.cos(np.pi * k * (j + 0.5) / n)
     return basis
+
+
+def phonon_spectrum(model: SystemModel):
+    """Normal modes of a single free chain: frequencies, ascending with
+    the uniform zero mode first, and basis, whose rows are the sign-fixed
+    modes, so basis @ W @ basis.T == (m/2) diag(frequencies**2).  W has
+    vanishing row sums, and _deflate solves the rest on u's complement."""
+    _, evals, basis = _deflate(model.w_matrix, "chain potential W")
+    return SimpleNamespace(frequencies=np.sqrt(2.0 * np.append(0.0, evals) / model.mass),
+                           basis=basis.T)
 
 
 def phonon_basis_blocks(model: SystemModel):

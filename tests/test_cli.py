@@ -284,26 +284,34 @@ def test_percent_sign_and_inline_comments_are_literal_text(tmp_path):
     assert "s_power_2" in (out / "spectrum.csv").read_text().splitlines()[0]
 
 
-def readme_config():
-    """README's example config, verbatim."""
+def readme_block(language):
+    """README's first ```language block, verbatim."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    return readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    return readme.split(f"```{language}\n", 1)[1].split("```", 1)[0]
 
 
 def test_readme_config_runs(tmp_path):
     # README's example config, verbatim, through both config commands
     cfg = tmp_path / "scenario.ini"
-    cfg.write_text(readme_config())
+    cfg.write_text(readme_block("ini"))
     for command in ("run", "verify"):
         assert main([command, str(cfg), "--quiet", "--output",
                      str(tmp_path / command)]) == 0
+
+
+def test_readme_library_example_runs():
+    # README's library section names what stays public: its example,
+    # verbatim, imports those names from the package and runs
+    namespace = {}
+    exec(readme_block("python"), namespace)
+    assert namespace["volt"].positions.shape == namespace["t"].shape
 
 
 @pytest.mark.parametrize("n, in_window", [(4, False), (32, True)])
 def test_readme_config_reports_the_smoothing_window(tmp_path, n, in_window):
     # at N = 4 the default width, 2.29, is above half the top line (0.94)
     cfg = tmp_path / "scenario.ini"
-    cfg.write_text(readme_config().replace("n = 32", f"n = {n}"))
+    cfg.write_text(readme_block("ini").replace("n = 32", f"n = {n}"))
     assert main(["run", str(cfg), "--quiet", "--output", str(tmp_path / "out")]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["smoothing_in_window"] is in_window
@@ -315,7 +323,7 @@ def test_narrow_grid_skips_only_the_powers(tmp_path):
     # resolvent and constant-friction columns hold on any grid; only the
     # convolution powers need the grid to carry the spectral mass
     cfg = tmp_path / "scenario.ini"
-    cfg.write_text(readme_config().replace("omega_max = 4.0", "omega_max = 0.04"))
+    cfg.write_text(readme_block("ini").replace("omega_max = 4.0", "omega_max = 0.04"))
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--quiet", "--output", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
@@ -331,7 +339,7 @@ def test_narrow_grid_skips_only_the_powers(tmp_path):
     # the refusal names a grid that is wide enough, and not far wider
     hint = float(summary["powers_skipped"].rsplit("omega_max = ", 1)[1])
     assert 0.04 < hint <= 1.0
-    cfg.write_text(readme_config().replace("omega_max = 4.0", f"omega_max = {hint!r}"))
+    cfg.write_text(readme_block("ini").replace("omega_max = 4.0", f"omega_max = {hint!r}"))
     assert main(["run", str(cfg), "--quiet", "--output", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert "powers_skipped" not in summary
@@ -405,7 +413,7 @@ def record_shapes(monkeypatch, names=("eigvalsh", "eigh")):
 
 def decomposition_counts(tmp_path, monkeypatch, command, write=write_config):
     counts = count_calls(monkeypatch, [
-        ("model", "phonon_spectrum"), ("mapping", "caldeira_leggett_form"),
+        ("mapping", "caldeira_leggett_form"),
         ("mapping", "collective_sector_eigensystem")])
     cfg = tmp_path / "demo.ini"
     write(cfg, n=16, alpha=0.5, t_max=16.0, steps=1600)
@@ -415,7 +423,7 @@ def decomposition_counts(tmp_path, monkeypatch, command, write=write_config):
 
 @pytest.mark.parametrize("command, expected, write, shapes", [
     # a point-coupled chain maps by the secular route: no dense eigensolve
-    pytest.param("run", {"phonon_spectrum": 0, "caldeira_leggett_form": 0,
+    pytest.param("run", {"caldeira_leggett_form": 0,
                          "collective_sector_eigensystem": 0},
                  write_config, {"eigvalsh": [], "eigh": []},
                  id="run-expected0"),
@@ -425,14 +433,14 @@ def decomposition_counts(tmp_path, monkeypatch, command, write=write_config):
     # eigensystem, shared by its sector modes and the energy
     # reconstruction; the factory skips validation, so verify solves
     # the sector eigenvalues itself
-    pytest.param("verify", {"phonon_spectrum": 0, "caldeira_leggett_form": 1,
+    pytest.param("verify", {"caldeira_leggett_form": 1,
                             "collective_sector_eigensystem": 1},
                  write_config,
                  {"eigvalsh": [(2, 16, 16)], "eigh": [(15, 15), (16, 16)]},
                  id="verify-expected1"),
     # a general model maps without its phonons, and verify takes the
     # sector eigenvalues that validation computed
-    pytest.param("verify", {"phonon_spectrum": 0, "caldeira_leggett_form": 1,
+    pytest.param("verify", {"caldeira_leggett_form": 1,
                             "collective_sector_eigensystem": 1},
                  write_general_config,
                  {"eigvalsh": [(2, 16, 16)], "eigh": [(15, 15), (16, 16)]},
@@ -453,7 +461,7 @@ def test_general_model_run_maps_once_by_dense_route(tmp_path, monkeypatch):
     shapes = record_shapes(monkeypatch, ["eigh"])
     counts = decomposition_counts(tmp_path, monkeypatch, "run",
                                   write_general_config)
-    assert counts == {"phonon_spectrum": 0, "caldeira_leggett_form": 1,
+    assert counts == {"caldeira_leggett_form": 1,
                       "collective_sector_eigensystem": 1}
     assert shapes["eigh"] == [(15, 15), (16, 16)]
 

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,6 @@ from collective_mode import (
     evolve_exact,
     fourier_solution,
     gamma_transform,
-    linear_response,
     solve_volterra,
     total_energy,
     underdamped_closed_form,
@@ -414,7 +414,12 @@ def test_closed_form_basics():
     t = np.linspace(0.0, 30.0, 3001)
     traj = underdamped_closed_form(params, 1.5, t, 1.0)
     assert traj.positions[0] == 0.0
-    assert traj.momenta[0] == pytest.approx(1.5, rel=1e-12)
+    # X(h) / h = (P0/m) e^(-gbar h) sinc(Wbar h): the kick's velocity P0/m,
+    # less at most gbar h + (Wbar h)^2 / 6
+    h = t[1]
+    slope = traj.positions[1] / h
+    lag = params.gamma_bar * h + (params.omega_bar * h) ** 2 / 6.0
+    assert 1.5 * (1.0 - lag) <= slope <= 1.5
     envelope = 1.5 / params.omega_bar * np.exp(-params.gamma_bar * t)
     assert (np.abs(traj.positions) <= envelope * (1 + 1e-12)).all()
 
@@ -440,68 +445,14 @@ def test_closed_form_matches_exact_before_recurrence():
     assert np.abs(closed.positions - exact.positions).max() < 0.05 * scale
 
 
-def test_linear_response_zero_force():
-    form = point_form(6, 1.0)
-    t = np.arange(0.0, 5.0, 0.01)
-    forced, predicted = linear_response(form, np.zeros_like(t), t)
-    assert np.abs(forced.positions).max() == 0.0
-    assert np.abs(predicted.positions).max() == 0.0
-
-
-def test_linear_response_impulse_reproduces_kick():
-    form = point_form(8, 1.0)
-    h = 1e-3
-    t = np.arange(0.0, 12.0, h)
-    kick = solve_volterra(form, 1.0, t)
-    force = np.zeros_like(t)
-    force[0] = 1.0 / h          # unit impulse as a first-bin rectangle
-    forced, predicted = linear_response(form, force, t)
-    scale = np.abs(kick.positions).max()
-    assert np.abs(forced.positions - kick.positions).max() < 1e-3 * scale
-    assert np.abs(predicted.positions - kick.positions).max() < 1e-3 * scale
-
-
-def test_linear_response_resonant_enhancement():
-    form = point_form(8, 1.0)
-    params = collective_frequency(form)
-    wb, gb = params.omega_bar, params.gamma_bar
-    h = 0.01
-    t = np.arange(0.0, 10.0 / gb, h)  # several decay times
-    amps = []
-    for wdrive in (wb, 2 * wb):
-        forced, _ = linear_response(form, 0.01 * np.sin(wdrive * t), t)
-        tail = forced.positions[int(0.7 * t.size):]
-        amps.append(0.5 * (tail.max() - tail.min()))
-    assert amps[0] / amps[1] > 5.0
-
-
-def test_linear_response_refuses_large_step():
-    # the forced stepper shares the kick's step guard
-    form = point_form(16, 0.5)
-    t = np.arange(0.0, 10.0, 0.5)
-    with pytest.raises(ValueError, match="too large"):
-        solve_volterra(form, 1.0, t)
-    with pytest.raises(ValueError, match="too large"):
-        linear_response(form, np.zeros_like(t), t)
-
-
-def test_linear_response_grid_mismatch():
-    form = point_form(4, 1.0)
-    t = np.arange(0.0, 1.0, 0.01)
-    with pytest.raises(ValueError):
-        linear_response(form, np.zeros(t.size - 1), t)
-
-
 def test_finite_size_recurrence():
     # energy returns to the collective mode: with the resonance placed
     # inside the band (direct stiffness shift, bath untouched) the
     # envelope decays and then regrows by more than a factor two
-    from collective_mode import shift_collective_potential
-
     model = build_next_neighbor_model(16, 1.0, 1.0, 1.0)
     form0 = caldeira_leggett_form(model)[0]
     gz = damping_kernel(form0, 0.0)
-    form = shift_collective_potential(form0, (1.0 + gz) / 2.0 - form0.k_tilde_11)
+    form = replace(form0, k_tilde_11=(1.0 + gz) / 2.0)
     params = collective_frequency(form)
     h = 0.05 / form.bath_freqs.max()
     t = np.arange(int(round(120.0 / h)) + 1) * h
@@ -513,7 +464,7 @@ def test_finite_size_recurrence():
     assert env[imin:].max() > 2.0 * env[imin]  # clear regrowth
 
 
-def trapezoid_oracle(omega0_sq, gamma, h, f_over_m, v0):
+def trapezoid_oracle(omega0_sq, gamma, h, v0):
     """The stepper's scheme with the history sum taken directly, O(T^2).
 
     gamma holds the kernel sampled on the grid, gamma[j] = gamma(j h).
@@ -525,35 +476,31 @@ def trapezoid_oracle(omega0_sq, gamma, h, f_over_m, v0):
     g0 = gamma[0]
     anf = 0.0
     for i in range(n - 1):
-        fi = f_over_m[i]
-        x[i + 1] = x[i] + h * v[i] + 0.5 * h * h * (anf + fi)
+        x[i + 1] = x[i] + h * v[i] + 0.5 * h * h * anf
         mem = h * (0.5 * gamma[i + 1] * v[0] + gamma[i:0:-1] @ v[1:i + 1])
         atil = -omega0_sq * x[i + 1] - mem
-        v[i + 1] = (v[i] + 0.5 * h * (anf + atil) + h * fi) / (1.0 + 0.25 * h * h * g0)
+        v[i + 1] = (v[i] + 0.5 * h * (anf + atil)) / (1.0 + 0.25 * h * h * g0)
         anf = atil - 0.5 * h * g0 * v[i + 1]
     return x, v
 
 
-def accumulator_loop(omega0_sq, freqs, weights, h, n_points, f_over_m=None,
-                     v0=0.0):
+def accumulator_loop(omega0_sq, freqs, weights, h, n_points, v0):
     """The stepper's scheme advanced one step per Python iteration, with
     the history sum carried in one complex accumulator per line: O(T N)."""
     n = int(n_points)
     x = np.zeros(n)
     v = np.zeros(n)
     v[0] = v0
-    forces = np.zeros(n) if f_over_m is None else np.asarray(f_over_m, dtype=float)
     g0 = float(np.sum(weights))
     denom = 1.0 + 0.25 * h * h * g0
     rot = np.exp(1j * h * np.asarray(freqs, dtype=float))
     acc = 0.5 * v0 * rot  # trapezoid half-weight of the v_0 node
     anf = 0.0
     for i in range(n - 1):
-        fi = forces[i]
-        x[i + 1] = x[i] + h * v[i] + 0.5 * h * h * (anf + fi)
+        x[i + 1] = x[i] + h * v[i] + 0.5 * h * h * anf
         mem = h * float(np.dot(weights, acc.real))
         atil = -omega0_sq * x[i + 1] - mem
-        v[i + 1] = (v[i] + 0.5 * h * (anf + atil) + h * fi) / denom
+        v[i + 1] = (v[i] + 0.5 * h * (anf + atil)) / denom
         anf = atil - 0.5 * h * g0 * v[i + 1]
         acc = (acc + v[i + 1]) * rot
     return x, v
@@ -565,30 +512,27 @@ def assert_matches_trapezoid(path, n_points):
     t = np.arange(n_points) * h
     omega0_sq = collective_frequency(form).omega0_sq
     weights = _line_weights(form)
-    force = 0.3 * np.sin(0.9 * t) if path == "forced" else np.zeros_like(t)
-    v0 = 0.0 if path == "forced" else 1.0
-    x, v = volterra_path(omega0_sq, form.bath_freqs, weights, h, t.size,
-                         force if path == "forced" else None, v0=v0)
+    x, v = volterra_path(omega0_sq, form.bath_freqs, weights, h, t.size, 1.0)
     gamma = np.cos(np.multiply.outer(t, form.bath_freqs)) @ weights
-    x_ref, v_ref = trapezoid_oracle(omega0_sq, gamma, h, force, v0)
+    x_ref, v_ref = trapezoid_oracle(omega0_sq, gamma, h, 1.0)
     assert x.shape == v.shape == (n_points,)
     assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
     assert np.abs(v - v_ref).max() <= 1e-12 * np.abs(v_ref).max()
 
 
-@pytest.mark.parametrize("path", ["kick", "forced", "decoupled"])
+@pytest.mark.parametrize("path", ["kick", "decoupled"])
 def test_recursive_history_matches_direct_trapezoid(path):
     assert_matches_trapezoid(path, 2000)
 
 
 @pytest.mark.parametrize("n_points", [1, 2, 64, 65, 131])
-@pytest.mark.parametrize("path", ["kick", "forced", "decoupled"])
+@pytest.mark.parametrize("path", ["kick", "decoupled"])
 def test_recursive_history_matches_direct_trapezoid_at_block_edges(path, n_points):
     # grids shorter than, equal to and one past a block of steps
     assert_matches_trapezoid(path, n_points)
 
 
-@pytest.mark.parametrize("path", ["kick", "forced"])
+@pytest.mark.parametrize("path", ["kick"])
 def test_blocked_stepper_matches_accumulator_loop_over_long_run(path):
     # the memory-long shape: N=64 chain, 5e4 steps of h = 0.01
     form = point_form(64, 0.5)
@@ -596,17 +540,14 @@ def test_blocked_stepper_matches_accumulator_loop_over_long_run(path):
     t = np.arange(50001) * h
     omega0_sq = collective_frequency(form).omega0_sq
     weights = _line_weights(form)
-    force = 0.3 * np.sin(0.9 * t) if path == "forced" else None
-    v0 = 0.0 if path == "forced" else 1.0
-    x, v = volterra_path(omega0_sq, form.bath_freqs, weights, h, t.size,
-                         force, v0=v0)
+    x, v = volterra_path(omega0_sq, form.bath_freqs, weights, h, t.size, 1.0)
     x_ref, v_ref = accumulator_loop(omega0_sq, form.bath_freqs, weights, h,
-                                    t.size, force, v0=v0)
+                                    t.size, 1.0)
     assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
     assert np.abs(v - v_ref).max() <= 1e-12 * np.abs(v_ref).max()
 
 
-@pytest.mark.parametrize("path", ["kick", "forced"])
+@pytest.mark.parametrize("path", ["kick"])
 def test_round_off_weights_match_zero_weights(path):
     # a coupling that is zero up to round-off leaves line weights of
     # order 1e-30; the history sum over them must leave the path of the
@@ -616,12 +557,10 @@ def test_round_off_weights_match_zero_weights(path):
     t = np.arange(2000) * h
     omega0_sq = collective_frequency(form).omega0_sq
     weights = _line_weights(form)
-    force = 0.3 * np.sin(0.9 * t) if path == "forced" else None
-    v0 = 0.0 if path == "forced" else 1.0
     x, v = volterra_path(omega0_sq, form.bath_freqs, 1e-30 * weights, h,
-                         t.size, force, v0=v0)
+                         t.size, 1.0)
     x_ref, v_ref = volterra_path(omega0_sq, form.bath_freqs, 0.0 * weights,
-                                 h, t.size, force, v0=v0)
+                                 h, t.size, 1.0)
     assert np.abs(x - x_ref).max() <= 1e-14 * np.abs(x_ref).max()
     assert np.abs(v - v_ref).max() <= 1e-14 * np.abs(v_ref).max()
 

@@ -12,14 +12,20 @@ from collective_mode import (
     build_general_model,
     build_next_neighbor_model,
     next_neighbor_frequencies,
-    phonon_spectrum,
     sector_eigenvalues,
-    validate_model,
 )
 from collective_mode.model import _fix_signs, _sector_blocks, _validate
 from oracles import (disordered_model, eager_chain_matrices,
-                     full_potential_matrix, potential_energy,
+                     full_potential_matrix, phonon_spectrum, potential_energy,
                      standing_wave_basis)
+
+
+def violation_names(w, k, mass=1.0, hbar=1.0):
+    """Names of the invariants build_general_model reports violated, in
+    its order."""
+    with pytest.raises(ModelValidationError) as exc:
+        build_general_model(w, k, mass, hbar)
+    return [name for name, _ in exc.value.violations]
 
 
 def test_next_neighbor_n2_matrices():
@@ -41,11 +47,11 @@ def test_next_neighbor_scaling():
 
 
 def test_zero_coupling_is_valid():
-    # the factory skips validate_model: its output must pass it untouched
+    # the factory skips validation: its output must pass it untouched
     for n, mass, alpha in [(2, 1.0, 0.0), (4, 1.0, 0.0), (5, 2.0, 0.7),
                            (33, 1.0, 0.5), (64, 0.5, 3.0)]:
         model = build_next_neighbor_model(n, mass, 1.3, alpha)
-        assert validate_model(model.w_matrix, model.k_matrix, model.mass) == []
+        build_general_model(model.w_matrix, model.k_matrix, model.mass)
 
 
 def test_degenerate_inputs_rejected():
@@ -88,13 +94,11 @@ def test_general_model_negative_coupling_violation():
 def test_general_model_asymmetry_violations():
     w = build_next_neighbor_model(3, 1.0, 1.0, 0.0).w_matrix.copy()
     w[0, 1] += 1e-9
-    violations = validate_model(w, np.zeros((3, 3)), mass=1.0)
-    assert any(name == "w_symmetry" for name, _ in violations)
+    assert "w_symmetry" in violation_names(w, np.zeros((3, 3)))
     k = np.zeros((3, 3))
     k[0, 1] = 0.2
-    violations = validate_model(
-        build_next_neighbor_model(3, 1.0, 1.0, 0.0).w_matrix, k, mass=1.0)
-    assert any(name == "k_symmetry" for name, _ in violations)
+    assert "k_symmetry" in violation_names(
+        build_next_neighbor_model(3, 1.0, 1.0, 0.0).w_matrix, k)
 
 
 @pytest.mark.parametrize("k_entries", [
@@ -109,9 +113,8 @@ def test_general_model_indefinite_potential_violation(k_entries):
     k = np.array([[diag, off], [off, diag]])
     q = full_potential_matrix(SystemModel(2, 1.0, w, k))
     assert scipy.linalg.eigvalsh(q)[0] < -0.1
-    violations = validate_model(w, k, mass=1.0)
-    assert [name for name, _ in violations] == ["full_potential_indefinite"]
-    assert validate_model(-w, k, mass=1.0) == []
+    assert violation_names(w, k) == ["full_potential_indefinite"]
+    build_general_model(-w, k, mass=1.0)
 
 
 def _with_entry(matrix, i, j, value):
@@ -133,10 +136,7 @@ _K = np.diag([0.25, 0.0, 0.0, 0.0])
 def test_non_finite_model_violation(w, k):
     # LAPACK does not reject non-finite input: it returns NaN or wrong
     # eigenvalues, so the check must come before any eigensolve
-    violations = validate_model(w, k, mass=1.0)
-    assert [name for name, _ in violations] == ["non_finite"]
-    with pytest.raises(ModelValidationError):
-        build_general_model(w, k, mass=1.0)
+    assert violation_names(w, k) == ["non_finite"]
 
 
 @pytest.mark.parametrize("name", ["mass", "hbar"])
@@ -144,8 +144,7 @@ def test_non_finite_model_violation(w, k):
 def test_bad_scalar_violation(name, value):
     # an infinite mass would put inf * 0 = NaN into the phonon eigensolve
     scalars = {"mass": 1.0, "hbar": 1.0, name: value}
-    violations = validate_model(_CHAIN, _K, **scalars)
-    assert [n for n, _ in violations] == [name]
+    assert violation_names(_CHAIN, _K, **scalars) == [name]
 
 
 def test_phonon_frequencies_match_closed_form():

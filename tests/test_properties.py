@@ -19,12 +19,11 @@ from collective_mode import (
     decoupling_indicator,
     evolve_exact,
     is_point_coupling,
-    phonon_spectrum,
     sector_eigenvalues,
     solve_volterra,
     strength_comb,
 )
-from oracles import full_potential_matrix, phonon_coupling_row
+from oracles import full_potential_matrix, phonon_coupling_row, phonon_spectrum
 
 
 def random_models(count, seed=20240809):

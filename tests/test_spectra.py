@@ -29,7 +29,6 @@ from collective_mode import (
     next_neighbor_frequencies,
     observable_spectrum,
     ohmic_spectrum,
-    shift_collective_potential,
     sigma_comb,
     sigma_phonon_approximation,
     smoothed_spectrum,
@@ -60,7 +59,7 @@ def shifted_form(model, target_omega0=1.0):
     form = caldeira_leggett_form(model)[0]
     gz = damping_kernel(form, 0.0)
     k0 = (target_omega0**2 + gz) / 2.0 * form.mass - form.k_tilde_11
-    return shift_collective_potential(form, k0)
+    return replace(form, k_tilde_11=form.k_tilde_11 + k0)
 
 
 def nonuniform(x):
@@ -707,7 +706,7 @@ def test_copied_chain_form_keeps_the_line_sum(monkeypatch):
     form, _ = collective_mapping(build_next_neighbor_model(64, 1.3, 0.8, 0.5))
     w = np.linspace(0.0, 3.0, 777)
     eps = 5.0 * mean_bath_spacing(form)
-    for copy in (replace(form), shift_collective_potential(form, 0.3)):
+    for copy in (replace(form), replace(form, k_tilde_11=form.k_tilde_11 + 0.3)):
         assert copy._chain is None
         assert np.array_equal(fdt_spectrum(copy, w, eps).values,
                               line_sum_fdt(copy, w, eps))
