@@ -12,17 +12,15 @@ the trapezoid makes the velocity update implicit; the implicit equation
 is linear and solved exactly each step.
 
 The one-step map is linear and time-invariant, so the time axis is cut
-into blocks of BLOCK = B steps, each advanced by two products:
+into blocks of BLOCK = B steps, each advanced by three products:
 
 1. the history carried in from earlier blocks, e_j = h Re sum_n
    weight_n rot_n^(j-1) C_n for j = 1..B, is a (B x N) linear map of
    the accumulators;
 2. x and v over the block, and the acceleration at its end, are linear
-   in the start state (x, v, a) and e_1..e_B.  That transfer matrix is
-   built once by running the scalar recurrence on unit inputs (inside a
-   block the history uses the kernel samples gamma(m h)), and the map of
-   step 1 is folded into it, so one product with (C, x, v, a) gives the
-   block;
+   in the start state (x, v, a) and e_1..e_B.  That small transfer
+   matrix is built once by running the scalar recurrence on unit inputs
+   (inside a block the history uses the kernel samples gamma(m h));
 3. the accumulators advance in closed form,
    C <- rot^B C + sum_k rot^(B-k+1) v_k, a (B x N) product.
 
@@ -81,27 +79,28 @@ def volterra_path(omega0_sq, freqs, weights, h, n_points, v0):
     b = BLOCK
     blocks = -(-(n - 1) // b)
     weights = np.asarray(weights, dtype=float)
-    hw = h * np.asarray(freqs, dtype=float)
-    rot = np.exp(1j * np.multiply.outer(np.arange(b + 1), hw))  # rot^0..rot^B
-    transfer = _block_transfer(omega0_sq, rot[:b].real @ weights, h)
-    # history e_1..e_B from the (Re C, Im C) pairs, folded into the map
-    carry = (h * weights * rot[:b]).conj().view(float)
-    block_map = np.hstack([transfer[:, 3:] @ carry, transfer[:, :3]])
-    feed = np.ascontiguousarray(rot[b:0:-1]).view(float)  # rot^B..rot^1
+    # rot^B..rot^0 (the feed is its first B rows): phases, then cos, sin
+    rot = np.empty((b + 1, np.size(freqs)), dtype=complex)
+    np.multiply.outer(np.arange(b, -1, -1), h * np.asarray(freqs, dtype=float),
+                      out=rot.imag)
+    np.cos(rot.imag, out=rot.real)
+    np.sin(rot.imag, out=rot.imag)
+    transfer = _block_transfer(omega0_sq, rot[b:0:-1].real @ weights, h)
+    # history e_1..e_B from (Re C, Im C); conjugated in place: no third table
+    carry = h * weights * rot[b:0:-1]
+    carry = np.conjugate(carry, out=carry).view(float)
+    feed = rot[:b].view(float)
 
-    x = np.empty(blocks * b + 1)
-    v = np.empty(blocks * b + 1)
-    x[0] = 0.0
-    v[0] = v0
-    z = np.zeros(2 * hw.size + 3)  # (Re C, Im C) per line, then x, v, a
-    acc = z[:-3].view(complex)
-    acc[:] = 0.5 * v0 * rot[1]  # trapezoid half-weight of the v_0 node
-    z[-2] = v0
+    acc = 0.5 * v0 * rot[b - 1]  # trapezoid half-weight of the v_0 node
+    pairs = acc.view(float)
+    state = np.zeros(b + 3)  # x, v, a at the block's start, then e_1..e_B
+    state[1] = v0
+    path = np.empty((blocks, 2 * b + 1))  # x_1..x_B, v_1..v_B, a_B per block
     for k in range(blocks):
-        out = block_map @ z
-        x[k * b + 1:(k + 1) * b + 1] = out[:b]
-        v[k * b + 1:(k + 1) * b + 1] = out[b:2 * b]
-        acc *= rot[b]
-        z[:-3] += out[b:2 * b] @ feed
-        z[-3], z[-2], z[-1] = out[b - 1], out[2 * b - 1], out[2 * b]
-    return x[:n], v[:n]
+        np.matmul(carry, pairs, out=state[3:])
+        out = np.matmul(transfer, state, out=path[k])
+        acc *= rot[0]
+        pairs += out[b:2 * b] @ feed
+        state[0], state[1], state[2] = out[b - 1], out[2 * b - 1], out[2 * b]
+    return (np.concatenate(([0.0], path[:, :b].ravel()))[:n],
+            np.concatenate(([v0], path[:, b:2 * b].ravel()))[:n])

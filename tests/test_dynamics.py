@@ -26,7 +26,7 @@ from collective_mode import (
     total_energy,
     underdamped_closed_form,
 )
-from collective_mode._kernels import volterra_path
+from collective_mode._kernels import BLOCK, volterra_path
 from collective_mode.dynamics import _check_uniform_grid, _line_weights
 from oracles import one_shot_total_energy, potential_energy
 
@@ -532,12 +532,15 @@ def test_recursive_history_matches_direct_trapezoid_at_block_edges(path, n_point
     assert_matches_trapezoid(path, n_points)
 
 
-@pytest.mark.parametrize("path", ["kick"])
-def test_blocked_stepper_matches_accumulator_loop_over_long_run(path):
-    # the memory-long shape: N=64 chain, 5e4 steps of h = 0.01
-    form = point_form(64, 0.5)
+@pytest.mark.parametrize("n, n_points", [(64, 50001), (1024, 3201)],
+                         ids=["kick", "chain-large"])
+def test_blocked_stepper_matches_accumulator_loop_over_long_run(n, n_points):
+    # the memory-long shape (N = 64 chain, 5e4 steps of h = 0.01) and the
+    # chain-large one (N = 1024, 3200 steps), whose (B x N) tables
+    # outgrow the cache
+    form = point_form(n, 0.5)
     h = 0.01
-    t = np.arange(50001) * h
+    t = np.arange(n_points) * h
     omega0_sq = collective_frequency(form).omega0_sq
     weights = _line_weights(form)
     x, v = volterra_path(omega0_sq, form.bath_freqs, weights, h, t.size, 1.0)
@@ -545,6 +548,26 @@ def test_blocked_stepper_matches_accumulator_loop_over_long_run(path):
                                     t.size, 1.0)
     assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
     assert np.abs(v - v_ref).max() <= 1e-12 * np.abs(v_ref).max()
+
+
+def test_stepper_memory_is_a_few_rotation_tables():
+    # the stepper holds its rotation powers rot^B..rot^0 and the history
+    # map built from them, each about (B + 1) N complex numbers; three such
+    # tables bound the peak (a folded map, or a feed copied out of the
+    # powers, needs more)
+    n = 16384
+    form = collective_mapping(build_next_neighbor_model(n, 1.0, 1.0, 0.5))[0]
+    omega0_sq = collective_frequency(form).omega0_sq
+    weights = _line_weights(form)
+    tracemalloc.start()
+    try:
+        x, _ = volterra_path(omega0_sq, form.bath_freqs, weights, 0.01, 3201,
+                             1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (BLOCK + 1) * n * 16
+    assert np.isfinite(x).all()
 
 
 @pytest.mark.parametrize("path", ["kick"])
