@@ -59,14 +59,10 @@ def _grid_rows(row_values, grid, n_lines, dtype=float):
 
 @dataclass(frozen=True)
 class TrajectoryTable:
-    """Uniformly sampled trajectory of the collective coordinate.
-
-    positions holds X(t); momenta, when present, holds m * Xdot(t).
-    """
+    """Uniformly sampled trajectory X(t) of the collective coordinate."""
 
     times: np.ndarray
     positions: np.ndarray
-    momenta: np.ndarray | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -79,11 +75,6 @@ class TrajectoryTable:
             raise ValueError("trajectory contains non-finite values")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "positions", x)
-        if self.momenta is not None:
-            p = np.asarray(self.momenta, dtype=float)
-            if p.shape != t.shape:
-                raise ValueError("momenta shape does not match times")
-            object.__setattr__(self, "momenta", p)
 
 
 _REGIME_TOL = 1e-12
@@ -218,47 +209,37 @@ def _split_trig(w, h, n_points):
     With k = a BLOCK + b, each phase splits into a coarse part a BLOCK h w
     and a fine part b h w, so trig runs on (n_points / BLOCK + BLOCK) N
     phases only.  Returns left = (S_a | C_a), the (ceil(n_points / BLOCK),
-    2N) sines and cosines of the coarse phases, and the (N, BLOCK) cosines
-    c_b and sines s_b of the fine ones:
+    2N) sines and cosines of the coarse phases, and fine = [c_b; s_b], the
+    (2N, BLOCK) cosines and sines of the fine ones:
     sin(w t) = S_a c_b + C_a s_b and cos(w t) = C_a c_b - S_a s_b.
+    Each table takes its phases in its second half, then cos and sin in
+    place, so no separate phase array is held.
     """
     n = w.size
-    fine = np.multiply.outer(w, np.arange(BLOCK) * h)
-    phase = np.multiply.outer(np.arange(-(-n_points // BLOCK)) * (BLOCK * h), w)
-    left = np.empty((phase.shape[0], 2 * n))
-    np.sin(phase, out=left[:, :n])
-    np.cos(phase, out=left[:, n:])
-    return left, np.cos(fine), np.sin(fine)
-
-
-def _split_sums(w, h, n_points, sin_weights, cos_weights):
-    """(sum_n sin_weights_n sin(w_n t), sum_n cos_weights_n cos(w_n t)) on
-    the grid t = k h, k < n_points, as one product of (S_a | C_a) with the
-    weights folded into the fine factor (see _split_trig)."""
-    left, c_b, s_b = _split_trig(w, h, n_points)
-    g, c = sin_weights[:, None], cos_weights[:, None]
-    n = w.size
-    right = np.empty((2 * n, 2 * BLOCK))
-    np.multiply(g, c_b, out=right[:n, :BLOCK])
-    np.multiply(-c, s_b, out=right[:n, BLOCK:])
-    np.multiply(g, s_b, out=right[n:, :BLOCK])
-    np.multiply(c, c_b, out=right[n:, BLOCK:])
-    sc = left @ right
-    return sc[:, :BLOCK].ravel()[:n_points], sc[:, BLOCK:].ravel()[:n_points]
+    fine = np.empty((2 * n, BLOCK))
+    np.multiply.outer(w, np.arange(BLOCK) * h, out=fine[n:])
+    np.cos(fine[n:], out=fine[:n])
+    np.sin(fine[n:], out=fine[n:])
+    left = np.empty((-(-n_points // BLOCK), 2 * n))
+    np.multiply.outer(np.arange(left.shape[0]) * (BLOCK * h), w, out=left[:, n:])
+    np.sin(left[:, n:], out=left[:, :n])
+    np.cos(left[:, n:], out=left[:, n:])
+    return left, fine
 
 
 def _mode_trajectory(modes, p0, h, n_points):
     """X(t) = (P0/m) sum_n c_n^2 sin(w_n t)/w_n, with the w -> 0 limit t,
-    and its velocity V(t) = (P0/m) sum_n c_n^2 cos(w_n t), on the grid
-    t = k h, k < n_points, from the blocked split of _split_sums.
+    on the grid t = k h, k < n_points: one product of (S_a | C_a) with
+    the fine table of _split_trig scaled in place by the weights.
     """
     w = modes.frequencies
     c_sq = modes.x_coefficients**2
     free = w == 0.0
     scale = p0 / modes.mass
-    x, v = _split_sums(w, h, n_points, scale * c_sq / np.where(free, 1.0, w),
-                       scale * c_sq)
-    return x + (scale * c_sq[free].sum() * h) * np.arange(n_points), v
+    left, fine = _split_trig(w, h, n_points)
+    fine *= np.tile(scale * c_sq / np.where(free, 1.0, w), 2)[:, None]
+    x = (left @ fine).ravel()[:n_points]
+    return x + (scale * c_sq[free].sum() * h) * np.arange(n_points)
 
 
 def _grid_step(x):
@@ -296,15 +277,14 @@ def _check_uniform_grid(grid, name):
 
 
 def evolve_exact(modes: QuantumModes, p0, times) -> TrajectoryTable:
-    """Exact collective trajectory after a momentum kick P0 at t = 0.
+    """Exact collective trajectory X(t) after a momentum kick P0 at t = 0.
 
     Sums the collective-sector modes (from collective_sector_modes) in
     closed form on a uniform grid from 0; no time stepping, exact to
     machine precision.
     """
     t, h = _check_uniform_grid(times, "time")
-    x, v = _mode_trajectory(modes, p0, h, t.size)
-    return TrajectoryTable(times=t, positions=x, momenta=modes.mass * v)
+    return TrajectoryTable(times=t, positions=_mode_trajectory(modes, p0, h, t.size))
 
 
 def solve_volterra(form: CollectiveForm, p0, times) -> TrajectoryTable:
@@ -312,6 +292,7 @@ def solve_volterra(form: CollectiveForm, p0, times) -> TrajectoryTable:
 
     Second-order stepping with a trapezoidal history sum, carried in one
     accumulator per bath line: O(T N) cost for T steps and N lines.
+    Returns X(t); the stepper's velocity is its internal state only.
     Refuses steps larger than 0.1 / max(bath frequency, collective
     frequency), for which the scheme is no longer trustworthy.
     """
@@ -324,9 +305,9 @@ def solve_volterra(form: CollectiveForm, p0, times) -> TrajectoryTable:
         raise StepSizeError(
             f"time step {h:.6g} too large; need h <= {0.1 / params_scale:.6g}"
         )
-    x, v = volterra_path(omega0_squared(form), form.bath_freqs,
+    x, _ = volterra_path(omega0_squared(form), form.bath_freqs,
                          _line_weights(form), h, t.size, p0 / form.mass)
-    return TrajectoryTable(times=t, positions=x, momenta=form.mass * v)
+    return TrajectoryTable(times=t, positions=x)
 
 
 def fourier_solution(form: CollectiveForm, p0, omegas, epsilon):
@@ -380,10 +361,11 @@ def total_energy(model: SystemModel, sector, basis, p0, times):
     w, v_modes = sector
     amp = p0 / m * v_modes[0, :]
     free = w == 0.0
-    left, c_b, s_b = _split_trig(w, h, t.size)
+    left, fine = _split_trig(w, h, t.size)
     n = w.size
     # (BLOCK, N) fine factors with the amplitudes folded in
-    c_b, s_b = np.ascontiguousarray(c_b.T), np.ascontiguousarray(s_b.T)
+    fine = np.ascontiguousarray(fine.T)
+    c_b, s_b = fine[:, :n], fine[:, n:]
     g = amp / np.where(free, 1.0, w)
     q_c, q_s = g * c_b, g * s_b
     v_c, v_s = amp * c_b, amp * s_b

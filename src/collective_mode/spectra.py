@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    OscillatorParams, _check_uniform_grid, _grid_rows, _grid_step, _split_sums,
+    OscillatorParams, _check_uniform_grid, _grid_rows, _grid_step, _split_trig,
     gamma_transform, omega0_squared,
 )
+from ._kernels import BLOCK
 from .mapping import (
     CollectiveForm, QuantumModes, _bath_pole_sum, decoupling_indicator,
 )
@@ -135,7 +136,16 @@ def correlator_S(modes: QuantumModes, t):
     x = np.asarray(t, dtype=float)
     h = _grid_step(x)
     if h is not None:
-        sin_sum, cos_sum = _split_sums(w, h, x.size, coeff, coeff)
+        left, fine = _split_trig(w, h, x.size)
+        fine *= np.tile(coeff, 2)[:, None]
+        n = w.size
+        # columns sin(w t) = S_a c_b + C_a s_b, then cos(w t) = C_a c_b - S_a s_b
+        right = np.empty((2 * n, 2 * BLOCK))
+        right[:, :BLOCK] = fine
+        np.negative(fine[n:], out=right[:n, BLOCK:])
+        right[n:, BLOCK:] = fine[:n]
+        sc = left @ right
+        sin_sum, cos_sum = sc[:, :BLOCK].ravel()[:x.size], sc[:, BLOCK:].ravel()[:x.size]
         return cos_sum - 1j * sin_sum
 
     def row_values(t, work):

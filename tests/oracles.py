@@ -160,23 +160,35 @@ def one_shot_smoothed_values(comb, epsilon, omegas):
     return lorentz @ comb.weights
 
 
+def _one_shot_split(w, h, n_points):
+    """dynamics._split_trig's (S_a | C_a), c_b and s_b from fresh arrays."""
+    fine = np.multiply.outer(w, np.arange(BLOCK) * h)
+    phase = np.multiply.outer(np.arange(-(-n_points // BLOCK)) * (BLOCK * h), w)
+    return np.hstack([np.sin(phase), np.cos(phase)]), np.cos(fine), np.sin(fine)
+
+
 def one_shot_mode_trajectory(modes, p0, h, n_points):
-    """dynamics._mode_trajectory with its factors assembled by np.block
-    and np.hstack from fresh arrays."""
+    """dynamics._mode_trajectory with its right factor assembled by
+    np.block from fresh arrays."""
     w = modes.frequencies
     c_sq = modes.x_coefficients**2
     free = w == 0.0
     scale = p0 / modes.mass
     g = (scale * c_sq / np.where(free, 1.0, w))[:, None]
-    c = (scale * c_sq)[:, None]
-    fine = np.multiply.outer(w, np.arange(BLOCK) * h)
-    c_b, s_b = np.cos(fine), np.sin(fine)
-    right = np.block([[g * c_b, -c * s_b], [g * s_b, c * c_b]])
-    phase = np.multiply.outer(np.arange(-(-n_points // BLOCK)) * (BLOCK * h), w)
-    xv = np.hstack([np.sin(phase), np.cos(phase)]) @ right
-    x = xv[:, :BLOCK].ravel()[:n_points]
-    v = xv[:, BLOCK:].ravel()[:n_points]
-    return x + (scale * c_sq[free].sum() * h) * np.arange(n_points), v
+    left, c_b, s_b = _one_shot_split(w, h, n_points)
+    x = (left @ np.block([[g * c_b], [g * s_b]])).ravel()[:n_points]
+    return x + (scale * c_sq[free].sum() * h) * np.arange(n_points)
+
+
+def one_shot_split_correlator_S(modes, h, n_points):
+    """correlator_S on the grid t = k h, k < n_points, from the blocked
+    angle-addition split, with its (2N x 2 BLOCK) right factor of sine
+    and cosine columns assembled by np.block from fresh arrays."""
+    w = modes.frequencies
+    coeff = (modes.hbar / (2.0 * modes.mass) * modes.x_coefficients**2 / w)[:, None]
+    left, c_b, s_b = _one_shot_split(w, h, n_points)
+    sc = left @ np.block([[coeff * c_b, -coeff * s_b], [coeff * s_b, coeff * c_b]])
+    return sc[:, BLOCK:].ravel()[:n_points] - 1j * sc[:, :BLOCK].ravel()[:n_points]
 
 
 def one_shot_total_energy(model, sector, basis, p0, times):

@@ -167,9 +167,15 @@ def test_collective_frequency_free_coordinate_is_critical():
 def test_evolve_exact_initial_conditions():
     model = build_next_neighbor_model(8, 1.3, 1.0, 0.7)
     t = np.linspace(0.0, 10.0, 1001)
-    traj = evolve_exact(collective_sector_modes(caldeira_leggett_form(model)[0]), 2.0, t)
+    modes = collective_sector_modes(caldeira_leggett_form(model)[0])
+    traj = evolve_exact(modes, 2.0, t)
     assert traj.positions[0] == 0.0
-    assert traj.momenta[0] == pytest.approx(2.0, rel=1e-12)
+    # X(h) / h = (P0/m) sum_n c_n^2 sinc(w_n h) with sum_n c_n^2 = 1: the
+    # kick's velocity P0/m, less at most (w_max h)^2 / 6
+    h = t[1]
+    slope = traj.positions[1] / h
+    v0 = 2.0 / modes.mass
+    assert v0 * (1.0 - (modes.frequencies.max() * h) ** 2 / 6.0) <= slope <= v0 * (1 + 1e-12)
 
 
 def test_evolve_exact_decoupled_is_harmonic():
@@ -282,18 +288,19 @@ def test_total_energy_holds_no_grid_by_modes_array():
 
 
 def test_mode_sum_and_energy_match_one_shot_bitwise():
-    # with one BLAS thread, as the benchmark runs, the mode sum written
-    # into reused buffers is bit for bit the body that took a fresh array
-    # for every factor and product; the energy check sums from the same
-    # split instead of direct phases, so it matches its direct-phase
-    # reference to round-off
+    # with one BLAS thread, as the benchmark runs, the mode sum and the
+    # correlator's uniform-grid route, written into reused buffers, are
+    # bit for bit the bodies that took a fresh array for every factor and
+    # product; the energy check sums from the same split instead of
+    # direct phases, so it matches its direct-phase reference to round-off
     code = """
 import numpy as np
 from collective_mode import (build_next_neighbor_model, caldeira_leggett_form,
                              collective_sector_eigensystem, collective_sector_modes,
-                             total_energy)
+                             correlator_S, total_energy)
 from collective_mode.dynamics import _mode_trajectory
-from oracles import disordered_model, one_shot_mode_trajectory, one_shot_total_energy
+from oracles import (disordered_model, one_shot_mode_trajectory,
+                     one_shot_split_correlator_S, one_shot_total_energy)
 t = np.linspace(0.0, 32.0, 3201)
 h = t[1] - t[0]
 for model in (build_next_neighbor_model(256, 1.3, 1.0, 0.5), disordered_model(200, 3, 1.3)):
@@ -302,7 +309,11 @@ for model in (build_next_neighbor_model(256, 1.3, 1.0, 0.5), disordered_model(20
     for n_points in (3201, 64, 1):
         got = _mode_trajectory(modes, 0.7, h, n_points)
         ref = one_shot_mode_trajectory(modes, 0.7, h, n_points)
-        assert [a.tobytes() for a in got] == [b.tobytes() for b in ref]
+        assert got.tobytes() == ref.tobytes()
+    for n_points in (3201, 64, 2):
+        got = correlator_S(modes, t[:n_points])
+        ref = one_shot_split_correlator_S(modes, h, n_points)
+        assert got.tobytes() == ref.tobytes()
     sector = collective_sector_eigensystem(form)
     got = total_energy(model, sector, basis, 0.7, t[:2001])
     ref = one_shot_total_energy(model, sector, basis, 0.7, t[:2001])
@@ -570,6 +581,24 @@ def test_stepper_memory_is_a_few_rotation_tables():
     assert np.isfinite(x).all()
 
 
+def test_mode_sum_memory_is_its_two_trig_tables():
+    # the mode sum holds the coarse table (S_a | C_a) and the fine table
+    # [c_b; s_b] scaled in place; a (2N x 2 BLOCK) right factor beside
+    # them needs more
+    n, n_points = 16384, 3201
+    modes = collective_mapping(build_next_neighbor_model(n, 1.0, 1.0, 0.5))[1]
+    t = np.arange(n_points) * 0.01
+    tracemalloc.start()
+    try:
+        x = evolve_exact(modes, 1.0, t).positions
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    coarse_rows = -(-n_points // BLOCK)
+    assert peak <= 1.5 * (coarse_rows * 2 * n + 2 * n * BLOCK) * 8
+    assert np.isfinite(x).all()
+
+
 @pytest.mark.parametrize("path", ["kick"])
 def test_round_off_weights_match_zero_weights(path):
     # a coupling that is zero up to round-off leaves line weights of
@@ -589,14 +618,13 @@ def test_round_off_weights_match_zero_weights(path):
 
 
 def direct_mode_sum(modes, p0, t):
-    """X(t) and Xdot(t) as one sin/cos per (time, mode) pair."""
+    """X(t) as one sin per (time, mode) pair."""
     w = modes.frequencies
     c_sq = modes.x_coefficients**2
     phase = np.multiply.outer(t, w)
     free = w == 0.0
     x = np.sin(phase) @ (c_sq / np.where(free, 1.0, w)) + t * c_sq[free].sum()
-    v = np.cos(phase) @ c_sq
-    return p0 / modes.mass * x, p0 / modes.mass * v
+    return p0 / modes.mass * x
 
 
 @pytest.mark.parametrize("n, t_max, steps", [(64, 500.0, 50000),
@@ -605,10 +633,8 @@ def test_factorised_mode_sum_matches_direct_sum(n, t_max, steps):
     _, modes = collective_mapping(build_next_neighbor_model(n, 1.0, 1.0, 0.5))
     t = np.linspace(0.0, t_max, steps + 1)
     traj = evolve_exact(modes, 1.5, t)
-    x_ref, v_ref = direct_mode_sum(modes, 1.5, t)
+    x_ref = direct_mode_sum(modes, 1.5, t)
     assert np.abs(traj.positions - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
-    v = traj.momenta / modes.mass
-    assert np.abs(v - v_ref).max() <= 1e-12 * np.abs(v_ref).max()
 
 
 def test_grid_check_refuses_a_drifting_grid():
