@@ -8,13 +8,18 @@ sector holds N-1 bath coordinates; their block B is diagonalized,
 leaving X coupled linearly to N-1 harmonic modes.  The bath does not
 depend on which orthonormal basis of the complement is used, so the
 dense route takes the one of the phonon deflation's reflector instead
-of the phonons themselves.  For the single-point next-neighbor
-coupling the bath block and the whole collective sector are a diagonal
-matrix plus one rank-one term; with lam = 4 sin^2(theta/2) (units of
-omega0^2) their secular equations sum over the chain's poles in closed
-form, G(lam) = cos((N - 1/2) theta) / (2 sin(N theta) sin(theta/2)), so
-the same data follows in O(N); the dense route serves general models
-and stays the oracle of the structured one.
+of the phonons themselves.  With the bath diagonal, the collective
+sector of every model is an arrowhead matrix, X's stiffness in the
+corner, the bath lines on the diagonal and the couplings in the first
+row; its modes are the roots of one secular equation, solved by
+explicit sums over the lines in O(N^2) with no dense eigensolve.  For
+the single-point next-neighbor coupling the bath block itself is also
+a diagonal matrix plus one rank-one term; with lam = 4 sin^2(theta/2)
+(units of omega0^2) the secular equations of both sum over the chain's
+poles in closed form, G(lam) = cos((N - 1/2) theta) / (2 sin(N theta)
+sin(theta/2)), so the same data follows in O(N); the general route (a
+dense bath eigensolve, then the sector's explicit sums) serves every
+other model and stays the oracle of the structured one.
 """
 
 from dataclasses import dataclass, field
@@ -27,12 +32,14 @@ from .model import (
     SystemModel,
     UnstableModelError,
     _deflate,
+    _fix_signs,
     _freeze,
-    _psd_eigh,
+    _psd_clip,
     antisymmetric_block,
 )
 
 _SECULAR_MAX_ITER = 100
+_CHUNK = 256   # rows of the O(N^2) secular sums held at a time
 
 
 class ConvergenceError(NumericalError, RuntimeError):
@@ -99,7 +106,7 @@ class QuantumModes:
 
 def caldeira_leggett_form(model: SystemModel):
     """Map a validated model onto the collective + internal-bath form by
-    dense eigensolves: (form, basis).
+    one dense eigensolve, of the bath block: (form, basis).
 
     _deflate splits the uniform mode u off the antisymmetric block anti:
     Ktilde_11 = u^T anti u, the bath block's eigenvalues, and the site
@@ -247,27 +254,174 @@ def is_point_coupling(model: SystemModel) -> bool:
     return model._chain is not None and model._chain.alpha > 0
 
 
+def _pole_sums(p, z2, o, tau):
+    """sum_{j != o_i} z2_j / (p_j - p_{o_i} - tau_i)^q for q = 1, 2: the
+    secular sums at p_{o_i} + tau_i without the pole o_i, over 256 rows
+    at a time."""
+    r1, r2 = np.empty(o.size), np.empty(o.size)
+    for start in range(0, o.size, _CHUNK):
+        blk = slice(start, start + _CHUNK)
+        inv = p - p[o[blk], None]
+        inv -= tau[blk, None]
+        inv[np.arange(inv.shape[0]), o[blk]] = np.inf
+        np.reciprocal(inv, out=inv)
+        r1[blk] = inv @ z2
+        np.square(inv, out=inv)
+        r2[blk] = inv @ z2
+    return r1, r2
+
+
+def _arrowhead_roots(a, p, z2):
+    """Roots of f(lam) = lam - a + sum_j z2_j / (p_j - lam), with poles p
+    ascending and apart and every z2 > 0: (o, tau), root i being
+    p[o_i] + tau_i.  There is one root below p_0, one in each gap and one
+    above p_{k-1}; each is an offset tau from the nearer pole p of its
+    bracket, the zero of tau f_(!=p)(p + tau) - z2_p (f without pole p).
+    The outer brackets reach 2 ||z|| beyond min(a, p_0) and max(a,
+    p_{k-1}), twice Weyl's bound on the roots."""
+    k = p.size
+    o = np.append(0, np.arange(k))
+
+    def residual(tau, idx):
+        r1, r2 = _pole_sums(p, z2, o[idx], tau)
+        g = (p[o[idx]] - a) + tau + r1
+        return tau * g - z2[o[idx]], g + tau * (1.0 + r2)
+
+    half = np.diff(p) / 2.0
+    span = 2.0 * np.sqrt(z2.sum())
+    lo = np.concatenate(([min(a - p[0], 0.0) - span], np.zeros(k)))
+    hi = np.concatenate(([0.0], half, [max(a - p[-1], 0.0) + span]))
+    # tau f at a gap's midpoint, from its lower pole: negative puts the
+    # root nearer the upper pole
+    gaps = slice(1, k)
+    upper = residual(half, gaps)[0] < 0
+    o[gaps] += upper
+    lo[gaps], hi[gaps] = np.where(upper, -half, 0.0), np.where(upper, 0.0, half)
+    # one Newton step from tau = 0 starts each root, inside its bracket
+    r, dr = residual(np.zeros(k + 1), np.arange(k + 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = -r / dr
+    tau = np.where((lo < tau) & (tau < hi), tau, (lo + hi) / 2.0)
+    return o, _bracketed_newton(residual, tau, lo, hi)
+
+
+def _lowner_couplings(p, o, tau):
+    """|zhat|: the couplings for which the roots p[o] + tau are exact,
+    by Loewner's formula zhat_j^2 = prod_i |lam_i - p_j| / prod_{i != j}
+    |p_i - p_j|, taken as a product of ratios that interlacing keeps at
+    most 1 (lam_{i+1} over p_i below j, lam_i over p_i above j) and the
+    two outer roots' factors, 256 poles at a time."""
+    k = p.size
+    below = np.arange(k)[:, None]
+
+    def chunk(cols):
+        diag = (cols, np.arange(cols.size))
+        dist = np.subtract.outer(p[o], p[cols])
+        dist += tau[:, None]
+        np.abs(dist, out=dist)
+        ratio = np.where(below < cols, dist[1:], dist[:-1])
+        ratio[diag] = dist[0] * dist[-1]
+        den = np.abs(np.subtract.outer(p, p[cols], out=dist[1:]), out=dist[1:])
+        den[diag] = 1.0
+        ratio /= den
+        return np.sqrt(ratio.prod(axis=0))
+    return np.concatenate([chunk(np.arange(start, min(start + _CHUNK, k)))
+                           for start in range(0, k, _CHUNK)])
+
+
+def _secular_modes(modes, rows, cols, p, z, o, tau):
+    """Write the modes of the roots p[o] + tau into modes[:, cols]:
+    (1, zhat_j / (lam - p_j)) normalized, with zhat from Loewner's
+    formula and z's signs, the pole entries in ``rows``; 256 roots at a
+    time."""
+    zhat = np.copysign(_lowner_couplings(p, o, tau), z)
+    for start in range(0, o.size, _CHUNK):
+        blk = slice(start, start + _CHUNK)
+        v = np.subtract.outer(p[o[blk]], p)     # lam_i - p_j
+        v += tau[blk, None]
+        np.divide(zhat, v, out=v)
+        norm = np.sqrt(1.0 + (v * v).sum(axis=1))
+        v /= norm[:, None]
+        modes[0, cols[blk]] = 1.0 / norm
+        modes[np.ix_(rows, cols[blk])] = v.T
+
+
 def collective_sector_eigensystem(form: CollectiveForm):
     """Eigensolve of the coupled (X, bath) sector: (frequencies, mode_matrix).
 
-    The frequency-squared matrix holds 2*Ktilde_11/m in the corner and
-    the bath frequencies squared on the rest of the diagonal.  The
-    off-diagonal coupling row is 2 l/m: expanding the quadratic form
+    The frequency-squared matrix holds a = 2*Ktilde_11/m in the corner
+    and the bath frequencies squared d on the rest of the diagonal.  The
+    off-diagonal coupling row is z = 2 l/m: expanding the quadratic form
     (d, Ktilde d) produces the cross terms 2 X sum_n Ktilde_1n d_n, so
     the force of the bath on X (and vice versa) carries twice the stored
     coupling vector.  This is what makes the mapped sector reproduce the
     full-system spectrum exactly.
 
-    mode_matrix is orthogonal with columns as modes; frequencies are
-    ascending.  Raises when the sector has a genuinely negative mode;
-    a zero mode (free collective coordinate, no direct stiffness) is
-    kept as frequency 0.
+    The matrix is an arrowhead, solved in O(N^2) time and O(N) memory
+    beside the mode matrix, with no dense eigensolve (Dongarra and
+    Sorensen, SIAM J. Sci. Stat. Comput. 8 (1987) s139; Gu and
+    Eisenstat, SIAM J. Matrix Anal. Appl. 16 (1995) 172):
+
+    - a line with |z_j| <= 8 eps max(|a|, max d, max |z|) is an
+      eigenpair (d_j, e_j); of two kept lines with equal d, a Givens
+      rotation moves the coupling onto the upper one and leaves the
+      lower one as an eigenpair at that d;
+    - the remaining k poles give k + 1 roots of the secular equation
+      lam - a + sum_j z_j^2 / (d_j - lam) = 0 (_arrowhead_roots), each
+      held as an offset from its nearer pole, so every lam - d_j is
+      formed without cancellation, however close two poles lie;
+    - Loewner's formula recomputes couplings zhat for which these roots
+      are exact, and the modes are (1, zhat_j / (lam - d_j)) normalized,
+      orthogonal to round-off however close the roots lie.
+
+    mode_matrix is orthogonal with columns as modes, each column's
+    first nonzero entry positive; frequencies are ascending.  Raises
+    ValueError for bath frequencies out of order and UnstableModelError
+    when the sector has a genuinely negative mode; a zero mode (free
+    collective coordinate, no direct stiffness) is kept as frequency 0.
     """
-    m = form.mass
-    mat = np.diag(np.append(form.bare_omega_sq, form.bath_freqs**2))
-    mat[0, 1:] = mat[1:, 0] = 2.0 * form.couplings_l / m
-    evals, modes = _psd_eigh(mat, "collective sector")
-    return np.sqrt(evals), modes
+    a = form.bare_omega_sq
+    d = form.bath_freqs**2
+    if (np.diff(d) < 0).any():
+        raise ValueError("bath frequencies must be sorted ascending")
+    z = 2.0 * form.couplings_l / form.mass
+    n = d.size + 1
+    tol = 8.0 * np.finfo(float).eps * max(abs(a), d[-1], np.abs(z).max())
+    pole = np.abs(z) > tol
+    rotations = []
+    kept = np.flatnonzero(pole)
+    equal = np.flatnonzero(np.diff(d[kept]) == 0.0)
+    for i, j in zip(kept[equal], kept[equal + 1]):
+        r = float(np.hypot(z[i], z[j]))
+        rotations.append((i + 1, j + 1, z[j] / r, z[i] / r))
+        z[i], z[j] = 0.0, r
+        pole[i] = False
+    p, zp = d[pole], z[pole]
+    if p.size:
+        o, tau = _arrowhead_roots(a, p, zp * zp)
+        lam = p[o] + tau
+    else:
+        lam = np.array([a])
+    # both value lists ascend: merge them, secular roots first on ties
+    defl = d[~pole]
+    col = np.arange(lam.size) + np.searchsorted(defl, lam)
+    defl_col = np.arange(defl.size) + np.searchsorted(lam, defl, side="right")
+    evals = np.empty(n)
+    evals[col], evals[defl_col] = lam, defl
+    evals = _psd_clip(evals, "collective sector")
+
+    modes = np.zeros((n, n))
+    modes[1 + np.flatnonzero(~pole), defl_col] = 1.0
+    if p.size:
+        _secular_modes(modes, 1 + np.flatnonzero(pole), col, p, zp, o, tau)
+    else:
+        modes[0, col] = 1.0
+    # back from the rotated lines, last rotation first
+    for i, j, c, s in reversed(rotations):
+        vi, vj = modes[i].copy(), modes[j]
+        modes[i] = c * vi + s * vj
+        modes[j] = c * vj - s * vi
+    return np.sqrt(evals), _fix_signs(modes)
 
 
 def collective_sector_modes(form: CollectiveForm) -> QuantumModes:
@@ -320,7 +474,9 @@ def collective_mapping(model: SystemModel):
     """Collective form and sector modes of a model: (form, modes).
 
     A point-coupled next-neighbor chain pair takes the O(N) secular
-    route; every other model takes the dense eigensolves.
+    route; every other model takes the bath block's dense eigensolve
+    (caldeira_leggett_form) and the sector's O(N^2) arrowhead solve
+    (collective_sector_modes).
     """
     if is_point_coupling(model):
         return _point_coupled_mapping(model)

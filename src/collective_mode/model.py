@@ -295,25 +295,32 @@ def _fix_signs(modes):
     return modes
 
 
-def _psd_eigh(mat, what):
-    """Eigenpairs of a block that must be positive semidefinite.
-
-    Symmetrizes ``mat`` and solves it; returns (eigenvalues ascending
-    and clipped at 0, modes as sign-fixed columns).  A failed solve or a
-    mode below -_TOL_PSD times the spectral scale raises
-    UnstableModelError naming the block ``what``.
-    """
-    try:
-        evals, evecs = np.linalg.eigh((mat + mat.T) / 2.0)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise UnstableModelError(f"{what} eigensolve failed: {exc}") from exc
+def _psd_clip(evals, what):
+    """Ascending eigenvalues of a block that must be positive
+    semidefinite, clipped at 0.  A mode below -_TOL_PSD times the
+    spectral scale raises UnstableModelError naming the block ``what``."""
     scale = max(abs(evals[-1]), abs(evals[0]), 1e-300)
     if evals[0] < -_TOL_PSD * scale:
         raise UnstableModelError(
             f"{what} has a negative mode ({evals[0]:.6e}); "
             "the potential is not positive semidefinite"
         )
-    return np.clip(evals, 0.0, None), _fix_signs(evecs)
+    return np.clip(evals, 0.0, None)
+
+
+def _psd_eigh(mat, what):
+    """Eigenpairs of a block that must be positive semidefinite.
+
+    Symmetrizes ``mat`` and solves it; returns (eigenvalues ascending
+    and clipped at 0, modes as sign-fixed columns).  A failed solve or a
+    negative mode (_psd_clip) raises UnstableModelError naming the block
+    ``what``.
+    """
+    try:
+        evals, evecs = np.linalg.eigh((mat + mat.T) / 2.0)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise UnstableModelError(f"{what} eigensolve failed: {exc}") from exc
+    return _psd_clip(evals, what), _fix_signs(evecs)
 
 
 def _reflect(x):

@@ -118,8 +118,8 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
             np.abs(s_modes.x_coefficients**2 - modes.x_coefficients**2).max(),
         )
         _record(checks, "mapping.secular_cross_check", err, 1e-8,
-                "analytic rank-one route (bath and sector modes) vs "
-                "dense eigensolves")
+                "closed-form chain route (bath and sector modes) vs the "
+                "dense bath eigensolve and the explicit-sum sector solve")
         upper = np.append(chain[2:], np.inf)
         _record(checks, "mapping.interlacing",
                 detail="bath frequencies interlace the chain frequencies",

@@ -2,8 +2,9 @@
 
 None of these is on the package's runtime path: each builds a quantity
 from its definition, from a basis the package no longer uses, or as
-the package built it before (the eager chain arrays, the grid x lines
-kernels in one product instead of row chunks, the mode sum from
+the package built it before (the eager chain arrays, the collective
+sector by a dense eigensolve instead of its secular equation, the grid
+x lines kernels in one product instead of row chunks, the mode sum from
 freshly allocated arrays, the energy check from direct phases, the CSV
 table from one '%' format, a chain's resolvent as a pole sum in long
 double), so it stays independent of the code under test.
@@ -20,7 +21,7 @@ import numpy as np
 
 from collective_mode import SystemModel, antisymmetric_block, build_general_model
 from collective_mode._kernels import BLOCK
-from collective_mode.model import _deflate
+from collective_mode.model import _deflate, _psd_eigh
 
 
 def eager_chain_matrices(n, mass, omega0, alpha):
@@ -86,6 +87,23 @@ def phonon_spectrum(model: SystemModel):
     _, evals, basis = _deflate(model.w_matrix, "chain potential W")
     return SimpleNamespace(frequencies=np.sqrt(2.0 * np.append(0.0, evals) / model.mass),
                            basis=basis.T)
+
+
+def sector_matrix(form):
+    """The collective sector's frequency-squared matrix: 2 Ktilde_11/m
+    in the corner, the bath frequencies squared on the rest of the
+    diagonal and the coupling row 2 l/m in its first row and column."""
+    mat = np.diag(np.append(form.bare_omega_sq, form.bath_freqs**2))
+    mat[0, 1:] = mat[1:, 0] = 2.0 * form.couplings_l / form.mass
+    return mat
+
+
+def dense_sector_eigensystem(form):
+    """collective_sector_eigensystem as one dense eigensolve of
+    sector_matrix(form), with the package's positivity check and sign
+    convention: (frequencies, mode_matrix)."""
+    evals, modes = _psd_eigh(sector_matrix(form), "collective sector")
+    return np.sqrt(evals), modes
 
 
 def phonon_basis_blocks(model: SystemModel):

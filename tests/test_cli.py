@@ -429,21 +429,22 @@ def decomposition_counts(tmp_path, monkeypatch, command, write=write_config):
                  id="run-expected0"),
     # verify checks the chain against its closed form through the
     # symmetric sector's eigenvalues, so it makes no phonon eigensolve;
-    # its dense form (which also returns the site basis) and one sector
-    # eigensystem, shared by its sector modes and the energy
-    # reconstruction; the factory skips validation, so verify solves
-    # the sector eigenvalues itself
+    # its dense form (which also returns the site basis, from the one
+    # eigh of the bath block) and one sector eigensystem, an arrowhead
+    # solve shared by its sector modes and the energy reconstruction;
+    # the factory skips validation, so verify solves the sector
+    # eigenvalues itself
     pytest.param("verify", {"caldeira_leggett_form": 1,
                             "collective_sector_eigensystem": 1},
                  write_config,
-                 {"eigvalsh": [(2, 16, 16)], "eigh": [(15, 15), (16, 16)]},
+                 {"eigvalsh": [(2, 16, 16)], "eigh": [(15, 15)]},
                  id="verify-expected1"),
     # a general model maps without its phonons, and verify takes the
     # sector eigenvalues that validation computed
     pytest.param("verify", {"caldeira_leggett_form": 1,
                             "collective_sector_eigensystem": 1},
                  write_general_config,
-                 {"eigvalsh": [(2, 16, 16)], "eigh": [(15, 15), (16, 16)]},
+                 {"eigvalsh": [(2, 16, 16)], "eigh": [(15, 15)]},
                  id="verify-general"),
 ])
 def test_each_decomposition_is_computed_once(tmp_path, monkeypatch, command,
@@ -455,15 +456,15 @@ def test_each_decomposition_is_computed_once(tmp_path, monkeypatch, command,
 
 def test_general_model_run_maps_once_by_dense_route(tmp_path, monkeypatch):
     # the same chain as a general model takes the dense route, once: it
-    # deflates the uniform mode without the phonons, so its eigenvectors
-    # are the bath block's (N - 1) and the collective sector's (N);
-    # validation takes eigenvalues only
+    # deflates the uniform mode without the phonons, so its one eigh is
+    # the bath block's (N - 1); the collective sector is an arrowhead
+    # solve, and validation takes eigenvalues only
     shapes = record_shapes(monkeypatch, ["eigh"])
     counts = decomposition_counts(tmp_path, monkeypatch, "run",
                                   write_general_config)
     assert counts == {"caldeira_leggett_form": 1,
                       "collective_sector_eigensystem": 1}
-    assert shapes["eigh"] == [(15, 15), (16, 16)]
+    assert shapes["eigh"] == [(15, 15)]
 
 
 @pytest.mark.parametrize("write", [write_config, write_general_config])

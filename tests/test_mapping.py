@@ -1,10 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from collective_mode import (
+    CollectiveForm,
     SystemModel,
     UnstableModelError,
     build_general_model,
@@ -18,8 +20,9 @@ from collective_mode import (
     next_neighbor_frequencies,
     sector_eigenvalues,
 )
-from oracles import (disordered_model, full_potential_matrix,
-                     phonon_basis_blocks, phonon_coupling_row, phonon_spectrum)
+from oracles import (dense_sector_eigensystem, disordered_model,
+                     full_potential_matrix, phonon_basis_blocks,
+                     phonon_coupling_row, phonon_spectrum, sector_matrix)
 
 
 def point_model(n, alpha, mass=1.0, omega0=1.0):
@@ -291,23 +294,23 @@ def test_secular_matches_generic_pipeline():
 @pytest.mark.parametrize("n", [2, 8, 32, 64, 128, 512, 1024])
 def test_structured_mapping_matches_dense(n, mass, omega0):
     # the O(N) secular route that `run` takes for point-coupled chains,
-    # against the dense eigensolves; sector frequencies squared are
-    # compared at the scale of the largest one, which is the dense
-    # route's accuracy
+    # against the dense eigensolves of the bath block and the sector;
+    # sector frequencies squared are compared at the scale of the
+    # largest one, which is the dense route's accuracy
     for alpha in (0.1, 0.5, 1.0, 10.0):
         model = point_model(n, alpha, mass, omega0)
         assert is_point_coupling(model)
         form, modes = collective_mapping(model)
         dense = caldeira_leggett_form(model)[0]
-        dense_modes = collective_sector_modes(dense)
+        dense_freqs, dense_modes = dense_sector_eigensystem(dense)
         assert abs(form.k_tilde_11 - dense.k_tilde_11) < 1e-12
         assert np.abs(form.bath_freqs - dense.bath_freqs).max() < 1e-12
         assert np.abs(np.abs(form.couplings_l)
                       - np.abs(dense.couplings_l)).max() < 1e-12
-        lam, lam_dense = modes.frequencies**2, dense_modes.frequencies**2
+        lam, lam_dense = modes.frequencies**2, dense_freqs**2
         assert np.abs(lam - lam_dense).max() < 1e-12 * lam_dense[-1]
         c_sq = modes.x_coefficients**2
-        assert np.abs(c_sq - dense_modes.x_coefficients**2).max() < 1e-9
+        assert np.abs(c_sq - dense_modes[0] ** 2).max() < 1e-9
         assert abs(c_sq.sum() - 1.0) < 1e-14
 
 
@@ -370,7 +373,8 @@ def test_secular_top_root_at_band_edge(sector, scale, n, mass, omega0):
 
 def test_dense_route_for_other_models():
     # no coupling, a second coupling entry, or no closed-form chain: the
-    # mapping falls back to the dense eigensolves
+    # mapping falls back to the general route, the bath block's dense
+    # eigensolve and the sector's arrowhead solve
     model = point_model(6, 0.5)
     k = model.k_matrix.copy()
     k[1, 1] = 0.1
@@ -542,6 +546,125 @@ def test_unstable_sector_rejected():
     with pytest.raises(UnstableModelError, match="collective sector"):
         collective_sector_modes(
             dataclasses.replace(form, k_tilde_11=form.k_tilde_11 - 10.0))
+
+
+def sector_form(bare_omega_sq, bath_freqs, couplings_l, mass=1.3):
+    """A collective form given by its arrowhead: corner, bath lines, couplings."""
+    return CollectiveForm(k_tilde_11=mass * bare_omega_sq / 2.0,
+                          bath_freqs=bath_freqs, couplings_l=couplings_l,
+                          mass=mass, hbar=1.0)
+
+
+def sector_case(name):
+    rng = np.random.default_rng(11)
+    if name.startswith("disordered"):
+        n = int(name.split("-")[1])
+        return caldeira_leggett_form(disordered_model(n, 7))[0]
+    if name == "repeated":
+        # runs of two and four equal bath lines, one of them uncoupled,
+        # and two lines one ulp apart
+        freqs = np.sqrt([0.3, 0.7, 0.7, 1.1, 1.6, 1.6, 1.6, 1.6, 2.4, 2.4, 3.0])
+        freqs[9] = np.nextafter(freqs[9], 2.0)
+        l = rng.uniform(0.05, 0.4, freqs.size) * rng.choice([-1.0, 1.0], freqs.size)
+        l[6] = 0.0
+        return sector_form(1.9, freqs, l)
+    if name == "tiny":
+        freqs = np.sqrt(np.linspace(0.2, 3.8, 40))
+        l = rng.uniform(0.02, 0.1, freqs.size)
+        l[::3] = 1e-20
+        return sector_form(2.1, freqs, l)
+    if name == "uncoupled":
+        return sector_form(1.7, np.sqrt(np.linspace(0.2, 3.8, 12)), np.zeros(12))
+    if name == "n2":
+        return sector_form(0.9, np.array([1.2]), np.array([0.31]))
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize("case", ["disordered-16", "disordered-64", "disordered-512",
+                                  "repeated", "tiny", "uncoupled", "n2"])
+def test_sector_solve_matches_dense_oracle(case):
+    # the arrowhead solve against one dense eigh of the same matrix:
+    # eigenvalues to 1e-12 of the top one, X weights to 1e-9, and an
+    # orthogonal mode matrix that diagonalizes the matrix to round-off
+    form = sector_case(case)
+    freqs, modes = collective_sector_eigensystem(form)
+    ref_freqs, ref_modes = dense_sector_eigensystem(form)
+    mat = sector_matrix(form)
+    lam, lam_ref = freqs**2, ref_freqs**2
+    n = lam.size
+    assert np.all(np.diff(freqs) >= 0.0)
+    assert np.abs(lam - lam_ref).max() <= 1e-12 * lam_ref[-1]
+    assert np.abs(modes[0] ** 2 - ref_modes[0] ** 2).max() <= 1e-9
+    assert abs((modes[0] ** 2).sum() - 1.0) <= 1e-14
+    assert np.linalg.norm(modes.T @ modes - np.eye(n), 2) <= 1e-13
+    residual = np.linalg.norm(mat @ modes - modes * lam, 2)
+    assert residual <= 1e-13 * np.linalg.norm(mat, 2)
+    # each mode's first nonzero entry is positive, as the dense route's
+    first = modes[np.argmax(np.abs(modes) > 1e-12, axis=0), np.arange(n)]
+    assert (first > 0.0).all()
+
+
+def test_uncoupled_sector_is_the_sorted_diagonal():
+    # with no coupling every line deflates: the eigenvalues are the
+    # sorted corner and bath lines, exactly, and the modes a permutation
+    form = sector_case("uncoupled")
+    freqs, modes = collective_sector_eigensystem(form)
+    diag = np.append(form.bare_omega_sq, form.bath_freqs**2)
+    assert np.array_equal(freqs, np.sqrt(np.sort(diag)))
+    assert np.array_equal(modes[:, np.argsort(np.argsort(diag))], np.eye(diag.size))
+
+
+def test_free_coordinate_has_frequency_exactly_zero():
+    # no stiffness and no coupling: X is a free mode at frequency 0
+    form = sector_form(0.0, np.sqrt(np.linspace(0.2, 3.8, 12)), np.zeros(12))
+    freqs, modes = collective_sector_eigensystem(form)
+    assert freqs[0] == 0.0 and (freqs[1:] > 0.0).all()
+    assert modes[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("solve", [collective_sector_eigensystem,
+                                   dense_sector_eigensystem])
+def test_sector_solve_rejects_a_negative_mode(solve):
+    form = caldeira_leggett_form(disordered_model(64, 7))[0]
+    shifted = dataclasses.replace(form, k_tilde_11=form.k_tilde_11 - 1.0)
+    with pytest.raises(UnstableModelError, match="collective sector"):
+        solve(shifted)
+
+
+def test_sector_solve_refuses_unsorted_bath():
+    # the secular roots are bracketed between consecutive bath lines,
+    # which a CollectiveForm holds ascending
+    form = sector_form(1.9, np.sqrt([0.3, 1.1, 0.7]), np.full(3, 0.1))
+    with pytest.raises(ValueError, match="ascending"):
+        collective_sector_eigensystem(form)
+
+
+def test_sector_solve_makes_no_linalg_call(monkeypatch):
+    form = sector_case("disordered-64")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+    for name in dir(np.linalg):
+        if not name.startswith("_") and callable(getattr(np.linalg, name)) \
+                and not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    freqs, _ = collective_sector_eigensystem(form)
+    assert freqs.size == 64
+
+
+def test_sector_solve_memory_within_dense_oracle():
+    # the secular sums take 256 rows at a time, so the solve holds no more
+    # than the dense eigensolve it replaced (disorder-verify's N = 512)
+    form = sector_case("disordered-512")
+    peaks = []
+    for solve in (collective_sector_eigensystem, dense_sector_eigensystem):
+        tracemalloc.start()
+        try:
+            solve(form)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
 
 
 def test_coupling_invariant_under_constant_offset():
