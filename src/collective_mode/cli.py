@@ -17,6 +17,7 @@ character, and an unknown section or key is a config error (exit 2).
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -273,18 +274,6 @@ def run_scenario(scenario, quiet=False):
     t = np.linspace(0.0, scenario.t_max, scenario.steps + 1)
     exact = dyn.evolve_exact(modes, scenario.p0, t)
     volt = dyn.solve_volterra(form, scenario.p0, t)
-    if params.regime != "overdamped":
-        closed = dyn.underdamped_closed_form(params, scenario.p0, t, form.mass)
-        closed_vals = closed.positions
-    else:
-        closed_vals = np.full_like(t, np.nan)
-
-    tables = {}
-    tables["trajectory"] = (
-        ["t", "x_exact", "x_volterra", "x_closed_form"],
-        [t, exact.positions, volt.positions, closed_vals],
-    )
-
     summary = {
         "k_tilde_11": float(form.k_tilde_11),
         "omega0_sq": float(params.omega0_sq),
@@ -301,8 +290,14 @@ def run_scenario(scenario, quiet=False):
         },
     }
     if params.regime != "overdamped":
+        closed_vals = dyn.underdamped_closed_form(params, scenario.p0, t,
+                                                  form.mass).positions
         summary["cross_route_error"]["closed_form_vs_exact_linf"] = float(
             np.abs(closed_vals - exact.positions).max())
+    else:
+        closed_vals = np.full_like(t, np.nan)
+    tables = {"trajectory": (["t", "x_exact", "x_volterra", "x_closed_form"],
+                             [t, exact.positions, volt.positions, closed_vals])}
 
     sigma = spectra.sigma_comb(form)
     tables["sigma"] = (["omega", "weight"], [sigma.frequencies, sigma.weights])
@@ -330,7 +325,7 @@ def run_verify(scenario, quiet=False):
     checks = run_checks(model, p0=scenario.p0, t_max=scenario.t_max,
                         steps=scenario.steps, epsilon=scenario.epsilon)
     report = {
-        "checks": [c.to_json() for c in checks],
+        "checks": [dataclasses.asdict(c) for c in checks],
         "all_passed": all(c.passed for c in checks),
     }
     write_json(out / "verification.json", report)
@@ -372,14 +367,11 @@ def main(argv=None):
                         help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", parents=[common], help="run a scenario config")
-    p_run.add_argument("config")
-    p_run.add_argument("--output", help="override the output directory")
-
-    p_ver = sub.add_parser("verify", parents=[common],
-                           help="run the invariant suite for a config")
-    p_ver.add_argument("config")
-    p_ver.add_argument("--output", help="override the output directory")
+    for name, what in (("run", "run a scenario config"),
+                       ("verify", "run the invariant suite for a config")):
+        p_cmd = sub.add_parser(name, parents=[common], help=what)
+        p_cmd.add_argument("config")
+        p_cmd.add_argument("--output", help="override the output directory")
 
     p_fig = sub.add_parser("figure1", parents=[common],
                            help="emit the dimensionless spectrum curves")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mapping import CollectiveForm, QuantumModes
-from .model import NumericalError, SystemModel, antisymmetric_block
+from .model import NumericalError, SystemModel, _float_pair, antisymmetric_block
 from ._kernels import BLOCK, volterra_path
 
 __all__ = [
@@ -65,16 +65,11 @@ class TrajectoryTable:
     positions: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        x = np.asarray(self.positions, dtype=float)
-        if t.ndim != 1 or x.shape != t.shape:
-            raise ValueError("times and positions must be matching 1-d arrays")
+        t, x = _float_pair(self, "times", "positions")
         if t.size >= 2 and not (np.diff(t) > 0).all():
             raise ValueError("time grid must be strictly increasing")
         if not np.isfinite(x).all():
             raise ValueError("trajectory contains non-finite values")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "positions", x)
 
 
 _REGIME_TOL = 1e-12

@@ -31,6 +31,7 @@ from .model import (
     NumericalError,
     SystemModel,
     UnstableModelError,
+    _TOL_PSD,
     _deflate,
     _fix_signs,
     _freeze,
@@ -113,12 +114,14 @@ def caldeira_leggett_form(model: SystemModel):
     basis [u | C U] from (X, bath modes) onto the antisymmetric
     coordinates, which the energy reconstruction needs.  The couplings
     are (C U)^T anti u; none of this depends on the basis C chosen for
-    the complement of u.
+    the complement of u.  A bath eigenvalue at most _TOL_PSD times the
+    largest, the bound below which _psd_clip takes a negative one for
+    round-off, is a zero mode and raises UnstableModelError.
     """
     m = model.mass
     anti = antisymmetric_block(model)
     k_tilde_11, evals, basis = _deflate(anti, "bath block")
-    if (evals == 0.0).any():
+    if evals[0] <= _TOL_PSD * evals[-1]:
         raise UnstableModelError(
             "bath block has a zero mode; bath frequencies must be positive"
         )
@@ -305,36 +308,32 @@ def _arrowhead_roots(a, p, z2):
     return o, _bracketed_newton(residual, tau, lo, hi)
 
 
-def _lowner_couplings(p, o, tau):
-    """|zhat|: the couplings for which the roots p[o] + tau are exact,
-    by Loewner's formula zhat_j^2 = prod_i |lam_i - p_j| / prod_{i != j}
-    |p_i - p_j|, taken as a product of ratios that interlacing keeps at
-    most 1 (lam_{i+1} over p_i below j, lam_i over p_i above j) and the
-    two outer roots' factors, 256 poles at a time."""
+def _secular_modes(modes, rows, cols, p, z, o, tau):
+    """Write the modes of the roots lam = p[o] + tau into modes[:, cols]:
+    (1, zhat_j / (lam - p_j)) normalized, the pole entries in ``rows``.
+
+    zhat carries z's signs and the couplings for which the roots are
+    exact, by Loewner's formula zhat_j^2 = prod_i |lam_i - p_j| /
+    prod_{i != j} |p_i - p_j|, taken as a product of ratios that
+    interlacing keeps at most 1 (lam_{i+1} over p_i below j, lam_i over
+    p_i above j) and the two outer roots' factors.  Both passes take 256
+    poles or roots at a time."""
     k = p.size
     below = np.arange(k)[:, None]
-
-    def chunk(cols):
-        diag = (cols, np.arange(cols.size))
-        dist = np.subtract.outer(p[o], p[cols])
+    zhat = np.empty(k)
+    for start in range(0, k, _CHUNK):
+        poles = np.arange(start, min(start + _CHUNK, k))
+        diag = (poles, np.arange(poles.size))
+        dist = np.subtract.outer(p[o], p[poles])
         dist += tau[:, None]
         np.abs(dist, out=dist)
-        ratio = np.where(below < cols, dist[1:], dist[:-1])
+        ratio = np.where(below < poles, dist[1:], dist[:-1])
         ratio[diag] = dist[0] * dist[-1]
-        den = np.abs(np.subtract.outer(p, p[cols], out=dist[1:]), out=dist[1:])
+        den = np.abs(np.subtract.outer(p, p[poles], out=dist[1:]), out=dist[1:])
         den[diag] = 1.0
         ratio /= den
-        return np.sqrt(ratio.prod(axis=0))
-    return np.concatenate([chunk(np.arange(start, min(start + _CHUNK, k)))
-                           for start in range(0, k, _CHUNK)])
-
-
-def _secular_modes(modes, rows, cols, p, z, o, tau):
-    """Write the modes of the roots p[o] + tau into modes[:, cols]:
-    (1, zhat_j / (lam - p_j)) normalized, with zhat from Loewner's
-    formula and z's signs, the pole entries in ``rows``; 256 roots at a
-    time."""
-    zhat = np.copysign(_lowner_couplings(p, o, tau), z)
+        zhat[poles] = np.sqrt(ratio.prod(axis=0))
+    np.copysign(zhat, z, out=zhat)
     for start in range(0, o.size, _CHUNK):
         blk = slice(start, start + _CHUNK)
         v = np.subtract.outer(p[o[blk]], p)     # lam_i - p_j
@@ -430,13 +429,15 @@ def collective_sector_modes(form: CollectiveForm) -> QuantumModes:
     The X components of the eigenvectors are the mode coefficients of X
     (their squares sum to 1 by orthogonality).
     """
-    freqs, modes = collective_sector_eigensystem(form)
-    return QuantumModes(
-        frequencies=freqs,
-        x_coefficients=modes[0, :],
-        mass=form.mass,
-        hbar=form.hbar,
-    )
+    return _sector_modes(form, collective_sector_eigensystem(form))
+
+
+def _sector_modes(form: CollectiveForm, sector) -> QuantumModes:
+    """QuantumModes of a collective_sector_eigensystem result ``sector``
+    of ``form``: its frequencies and its modes' X row."""
+    freqs, modes = sector
+    return QuantumModes(frequencies=freqs, x_coefficients=modes[0, :],
+                        mass=form.mass, hbar=form.hbar)
 
 
 def _point_coupled_mapping(model: SystemModel):

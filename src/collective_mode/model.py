@@ -50,6 +50,18 @@ def _freeze(obj, *names):
         object.__setattr__(obj, name, arr)
 
 
+def _float_pair(obj, first, second):
+    """Store the two named fields of a frozen dataclass as float arrays,
+    without a copy where they already are, and return them; ValueError
+    unless they are matching 1-d arrays."""
+    a, b = (np.asarray(getattr(obj, name), dtype=float) for name in (first, second))
+    if a.ndim != 1 or b.shape != a.shape:
+        raise ValueError(f"{first} and {second} must be matching 1-d arrays")
+    object.__setattr__(obj, first, a)
+    object.__setattr__(obj, second, b)
+    return a, b
+
+
 class _Chain(NamedTuple):
     """Recipe of a next-neighbor chain pair: its W and K follow from
     these and the model's N and m."""
@@ -308,21 +320,6 @@ def _psd_clip(evals, what):
     return np.clip(evals, 0.0, None)
 
 
-def _psd_eigh(mat, what):
-    """Eigenpairs of a block that must be positive semidefinite.
-
-    Symmetrizes ``mat`` and solves it; returns (eigenvalues ascending
-    and clipped at 0, modes as sign-fixed columns).  A failed solve or a
-    negative mode (_psd_clip) raises UnstableModelError naming the block
-    ``what``.
-    """
-    try:
-        evals, evecs = np.linalg.eigh((mat + mat.T) / 2.0)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise UnstableModelError(f"{what} eigensolve failed: {exc}") from exc
-    return _psd_clip(evals, what), _fix_signs(evecs)
-
-
 def _reflect(x):
     """H x for the Householder reflector H = I - v v^T / v_0, v = u + e_0,
     which swaps e_0 and -u (u the uniform unit vector), so columns 1..N-1
@@ -338,13 +335,21 @@ def _deflate(block, what):
     eigenvalues of C^T block C, the orthogonal site basis [u | C U]).
 
     H = _reflect sends e_0 to -u and C is its last N-1 columns, so these
-    are the corner and the lower block of H block H; _psd_eigh solves
-    the latter (naming it ``what``), and its modes U are lifted back
-    with each column's first nonzero entry positive.
+    are the corner and the lower block of H block H.  The lower block,
+    which must be positive semidefinite, is symmetrized and solved; its
+    eigenvalues come back ascending and clipped at 0, and its modes U
+    are lifted back with each column's first nonzero entry positive.  A
+    failed solve or a negative mode (_psd_clip) raises
+    UnstableModelError naming the block ``what``.
     """
     n = block.shape[0]
     reflected = _reflect(_reflect(block).T)
-    evals, modes = _psd_eigh(reflected[1:, 1:], what)
+    lower = reflected[1:, 1:]
+    try:
+        evals, modes = np.linalg.eigh((lower + lower.T) / 2.0)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise UnstableModelError(f"{what} eigensolve failed: {exc}") from exc
+    evals = _psd_clip(evals, what)
     lift = np.zeros((n, n))
     lift[0, 0] = -1.0
     lift[1:, 1:] = modes

@@ -20,7 +20,7 @@ from ._kernels import BLOCK
 from .mapping import (
     CollectiveForm, QuantumModes, _bath_pole_sum, decoupling_indicator,
 )
-from .model import SystemModel, _deflate
+from .model import SystemModel, _deflate, _float_pair
 
 __all__ = [
     "DeltaComb", "SpectrumTable",
@@ -40,16 +40,11 @@ class DeltaComb:
     weights: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.frequencies, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        if f.shape != w.shape or f.ndim != 1:
-            raise ValueError("frequencies and weights must be matching 1-d arrays")
+        f, w = _float_pair(self, "frequencies", "weights")
         if f.size >= 2 and (np.diff(f) < 0).any():
             raise ValueError("frequencies must be sorted ascending")
         if (w < 0).any():
             raise ValueError("weights must be nonnegative")
-        object.__setattr__(self, "frequencies", f)
-        object.__setattr__(self, "weights", w)
 
     @property
     def total_weight(self) -> float:
@@ -64,14 +59,9 @@ class SpectrumTable:
     values: np.ndarray
 
     def __post_init__(self):
-        o = np.asarray(self.omegas, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if o.shape != v.shape or o.ndim != 1:
-            raise ValueError("omegas and values must be matching 1-d arrays")
+        _, v = _float_pair(self, "omegas", "values")
         if not np.isfinite(v).all():
             raise ValueError("spectrum contains non-finite values")
-        object.__setattr__(self, "omegas", o)
-        object.__setattr__(self, "values", v)
 
 
 def sigma_comb(form: CollectiveForm) -> DeltaComb:

@@ -6,7 +6,7 @@ the configured model (e.g. the analytic point-coupling cross-check for
 a general coupling matrix) report as skipped and count as passed.
 """
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,12 +21,6 @@ class CheckResult:
     tolerance: float | None
     passed: bool
     detail: str = ""
-
-    def to_json(self):
-        d = asdict(self)
-        if d["measured"] is not None:
-            d["measured"] = float(d["measured"])
-        return d
 
 
 def _record(checks, name, measured=None, tolerance=None, detail="", passed=None):
@@ -105,9 +99,7 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
             "top bath eigenvalue")
 
     sector = mapping.collective_sector_eigensystem(form)
-    modes = mapping.QuantumModes(frequencies=sector[0],
-                                 x_coefficients=sector[1][0, :],
-                                 mass=m, hbar=model.hbar)
+    modes = mapping._sector_modes(form, sector)
     if mapping.is_point_coupling(model):
         s_form, s_modes = mapping.collective_mapping(model)
         freqs = s_form.bath_freqs

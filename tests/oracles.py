@@ -12,7 +12,7 @@ phonon_spectrum is the exception: it returns the chain's phonon modes
 from model._deflate of W, the call sigma_phonon_approximation makes, so
 the tests that hold it against the standing waves check that call.
 disordered_model is the seeded general model these references are
-checked on.
+checked on, and split_chain_model one whose bath has a zero mode.
 """
 
 from types import SimpleNamespace
@@ -21,7 +21,7 @@ import numpy as np
 
 from collective_mode import SystemModel, antisymmetric_block, build_general_model
 from collective_mode._kernels import BLOCK
-from collective_mode.model import _deflate, _psd_eigh
+from collective_mode.model import _deflate, _fix_signs, _psd_clip
 
 
 def eager_chain_matrices(n, mass, omega0, alpha):
@@ -102,8 +102,9 @@ def dense_sector_eigensystem(form):
     """collective_sector_eigensystem as one dense eigensolve of
     sector_matrix(form), with the package's positivity check and sign
     convention: (frequencies, mode_matrix)."""
-    evals, modes = _psd_eigh(sector_matrix(form), "collective sector")
-    return np.sqrt(evals), modes
+    mat = sector_matrix(form)
+    evals, modes = np.linalg.eigh((mat + mat.T) / 2.0)
+    return np.sqrt(_psd_clip(evals, "collective sector")), _fix_signs(modes)
 
 
 def phonon_basis_blocks(model: SystemModel):
@@ -272,6 +273,17 @@ def disordered_model(n, seed, mass=1.0):
         k[i, j] += v
         k[j, i] += v * (i != j)
     return build_general_model(w, k, mass)
+
+
+def split_chain_model(a, b):
+    """General model of two free-ended chains of a and b sites with no
+    bond between them and K = 0: the pieces' relative displacement is a
+    zero mode of the bath block, which round-off leaves at about 1e-16
+    of either sign."""
+    w = np.zeros((a + b, a + b))
+    w[:a, :a] = eager_chain_matrices(a, 1.0, 1.0, 0.0)[0]
+    w[a:, a:] = eager_chain_matrices(b, 1.0, 1.0, 0.0)[0]
+    return build_general_model(w, np.zeros_like(w), 1.0)
 
 
 def percent_table(header, columns):

@@ -12,6 +12,7 @@ from collective_mode import ConvergenceError, UnstableModelError
 from collective_mode import mapping
 from collective_mode import model as model_mod
 from collective_mode.cli import main
+from oracles import split_chain_model
 
 
 def write_config(path, n=16, alpha=0.5, t_max=16.0, steps=1600, outdir=None,
@@ -43,22 +44,27 @@ formats = {formats}
     return outdir
 
 
-def write_general_config(path, n=16, alpha=0.5, mass=1.0, omega0=1.0,
-                         **kwargs):
-    """The chain pair of write_config, as a general model whose W and K
-    are read from CSV files."""
-    from collective_mode import build_next_neighbor_model
-
-    model = build_next_neighbor_model(n, mass, omega0, alpha)
+def write_matrix_config(path, w, k, **kwargs):
+    """write_config's scenario for a general model whose W and K are read
+    from CSV files."""
     w_file, k_file = path.with_suffix(".w.csv"), path.with_suffix(".k.csv")
-    np.savetxt(w_file, model.w_matrix, delimiter=",")
-    np.savetxt(k_file, model.k_matrix, delimiter=",")
-    outdir = write_config(path, n=n, alpha=alpha, mass=mass, omega0=omega0,
-                          **kwargs)
+    np.savetxt(w_file, w, delimiter=",")
+    np.savetxt(k_file, k, delimiter=",")
+    outdir = write_config(path, **kwargs)
     path.write_text(path.read_text().replace(
         "kind = next_neighbor",
         f"kind = general\nw_file = {w_file}\nk_file = {k_file}"))
     return outdir
+
+
+def write_general_config(path, n=16, alpha=0.5, mass=1.0, omega0=1.0,
+                         **kwargs):
+    """The chain pair of write_config, as a general model."""
+    from collective_mode import build_next_neighbor_model
+
+    model = build_next_neighbor_model(n, mass, omega0, alpha)
+    return write_matrix_config(path, model.w_matrix, model.k_matrix, n=n,
+                               alpha=alpha, mass=mass, omega0=omega0, **kwargs)
 
 
 def read_csv(path):
@@ -580,6 +586,37 @@ def test_exit_code_separates_numerical_failures_from_bugs(
     assert ("Traceback" in err) == (code == 4)
 
 
+@pytest.mark.parametrize("write", [write_config, write_general_config])
+def test_unconverged_secular_solve_is_numerical_failure(tmp_path, monkeypatch,
+                                                        capsys, write):
+    # the chain's closed-form secular roots and a general model's
+    # arrowhead roots share one Newton loop and its iteration cap
+    monkeypatch.setattr(mapping, "_SECULAR_MAX_ITER", 1)
+    cfg = tmp_path / "demo.ini"
+    write(cfg)
+    assert main(["run", str(cfg), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: secular roots not converged "
+                          "after 1 iterations")
+
+
+@pytest.mark.parametrize("a, b", [(4, 4), (3, 5)])
+def test_bath_zero_mode_fails_run_and_verify(tmp_path, capsys, a, b):
+    # round-off leaves the zero mode below 0 at 4+4 and above 0 at 3+5:
+    # both are zero modes
+    cfg = tmp_path / "split.ini"
+    model = split_chain_model(a, b)
+    out = write_matrix_config(cfg, model.w_matrix, model.k_matrix, t_max=4.0,
+                              steps=400)
+    assert main(["run", str(cfg), "--quiet"]) == 3
+    assert "numerical failure: bath block has a zero mode" in capsys.readouterr().err
+    assert main(["verify", str(cfg), "--quiet"]) == 1
+    checks = json.loads((out / "verification.json").read_text())["checks"]
+    assert [c["name"] for c in checks] == VERIFY_CHECKS[:4]
+    assert [c["name"] for c in checks if not c["passed"]] == ["mapping.bath_stability"]
+    assert "zero mode" in checks[-1]["detail"]
+
+
 def test_chain_run_forms_no_dense_array(tmp_path, monkeypatch):
     # a point-coupled chain runs from the factory's recipe alone; verify
     # is a dense consumer and forms W and K
@@ -856,6 +893,40 @@ def test_figure1_outputs(tmp_path):
     # pre-scaling value at omega = 1: divide out the pi m Wbar^2/hbar factor
     s_at_1 = np.interp(1.0, w, d1[:, 1]) / np.pi
     assert abs(s_at_1 - 1.5876) < 1e-3
+
+
+def test_run_prints_its_outputs_and_regime(tmp_path, capsys):
+    cfg = tmp_path / "demo.ini"
+    out = write_config(cfg, n=8, alpha=1.0, t_max=8.0, steps=800)
+    assert main(["run", str(cfg)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote sigma, spectrum, strengths, trajectory + summary.json to {out}",
+        f"regime: {summary['regime']}, Omega0^2 = {summary['omega0_sq']:.6g}, "
+        f"gamma0 = {summary['gamma0']:.6g}"]
+
+
+def test_verify_prints_one_line_per_check(tmp_path, capsys):
+    # h = 1.6 fails the Volterra check, so both statuses show; a check
+    # with no measured value prints "-"
+    cfg = tmp_path / "coarse.ini"
+    write_config(cfg, n=16, alpha=0.5, t_max=160.0, steps=100)
+    assert main(["verify", str(cfg)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines] == VERIFY_CHECKS
+    status = {line.split()[1]: line.split()[0] for line in lines}
+    assert {name for name, s in status.items() if s == "FAIL"} == {
+        "dynamics.volterra_vs_exact"}
+    assert set(status.values()) == {"PASS", "FAIL"}
+    (volterra,) = [line for line in lines if "volterra_vs_exact" in line]
+    assert " measured=-  " in volterra
+
+
+def test_figure1_prints_its_outputs(tmp_path, capsys):
+    out = tmp_path / "fig"
+    assert main(["figure1", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        f"wrote figure1_strength.csv, figure1_double.csv to {out}\n")
 
 
 def test_byte_determinism(tmp_path):

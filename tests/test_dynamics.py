@@ -11,6 +11,7 @@ import pytest
 from collective_mode import (
     CollectiveForm,
     OscillatorParams,
+    TrajectoryTable,
     build_general_model,
     build_next_neighbor_model,
     caldeira_leggett_form,
@@ -162,6 +163,27 @@ def test_collective_frequency_free_coordinate_is_critical():
     assert (params.omega0_sq, params.gamma0) == (0.0, 0.0)
     assert params.regime == "critical"
     assert params.omega_bar == 0.0
+
+
+@pytest.mark.parametrize("times, positions, match", [
+    (np.zeros((2, 2)), np.zeros((2, 2)), "matching 1-d arrays"),
+    (np.arange(3.0), np.zeros(2), "matching 1-d arrays"),
+    (np.array([0.0, 1.0, 1.0]), np.zeros(3), "strictly increasing"),
+    (np.arange(3.0), np.array([0.0, np.nan, 0.0]), "non-finite"),
+], ids=["two_d", "unequal", "repeated_time", "nan"])
+def test_trajectory_table_refuses_bad_records(times, positions, match):
+    with pytest.raises(ValueError, match=match):
+        TrajectoryTable(times, positions)
+
+
+def test_trajectory_table_keeps_float_arrays_without_a_copy():
+    # a memory-long run's 50001-point columns are stored, not copied
+    t = np.linspace(0.0, 1.0, 5)
+    x = np.sin(t)
+    table = TrajectoryTable(t, x)
+    assert table.times is t and table.positions is x
+    converted = TrajectoryTable([0, 1, 2], [0, 1, 0])
+    assert converted.times.dtype == float and converted.positions.dtype == float
 
 
 def test_evolve_exact_initial_conditions():

@@ -20,9 +20,11 @@ from collective_mode import (
     next_neighbor_frequencies,
     sector_eigenvalues,
 )
+from collective_mode import model as model_mod
 from oracles import (dense_sector_eigensystem, disordered_model,
                      full_potential_matrix, phonon_basis_blocks,
-                     phonon_coupling_row, phonon_spectrum, sector_matrix)
+                     phonon_coupling_row, phonon_spectrum, sector_matrix,
+                     split_chain_model)
 
 
 def point_model(n, alpha, mass=1.0, omega0=1.0):
@@ -537,6 +539,22 @@ def test_unstable_bath_rejected():
     bad = SystemModel(2, 1.0, w, k)
     with pytest.raises(UnstableModelError, match="bath block"):
         caldeira_leggett_form(bad)[0]
+
+
+@pytest.mark.parametrize("a, b", [(4, 4), (3, 5), (7, 9), (50, 14)])
+def test_bath_zero_mode_rejected_whatever_its_rounding_sign(a, b):
+    # 4+4 rounds the zero mode below 0, which _psd_clip sets to 0.0; the
+    # others round it above 0, to a bath line near 3e-8
+    with pytest.raises(UnstableModelError, match="bath block has a zero mode"):
+        caldeira_leggett_form(split_chain_model(a, b))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_disordered_bath_clears_the_zero_mode_bound(seed):
+    # disorder-verify's model: its lowest bath line sits some five orders
+    # above the relative bound that counts a line as a zero mode
+    evals = caldeira_leggett_form(disordered_model(512, seed))[0].bath_freqs ** 2
+    assert evals[0] > 1e3 * model_mod._TOL_PSD * evals[-1]
 
 
 def test_unstable_sector_rejected():

@@ -147,6 +147,14 @@ def test_bad_scalar_violation(name, value):
     assert violation_names(_CHAIN, _K, **scalars) == [name]
 
 
+@pytest.mark.parametrize("w, k, name", [
+    (np.zeros((3, 3)), np.zeros((2, 2)), "shape"),   # K's shape differs from W's
+    (np.zeros((1, 1)), np.zeros((1, 1)), "size"),    # one particle per chain
+], ids=["k_shape", "one_particle"])
+def test_array_shape_violation(w, k, name):
+    assert violation_names(w, k) == [name]
+
+
 def test_phonon_frequencies_match_closed_form():
     # dense eigensolve must reproduce 2 w0 |sin(pi (k-1)/2N)| essentially exactly
     for n in (2, 3, 4, 8, 16, 33, 64):

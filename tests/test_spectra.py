@@ -464,6 +464,13 @@ def test_convolution_power_identity():
     assert np.array_equal(out.values, base.values)
 
 
+def test_convolution_power_refuses_a_power_below_one():
+    w = np.linspace(0.0, 4.0, 1000)
+    base = SpectrumTable(omegas=w, values=np.exp(-w))
+    with pytest.raises(ValueError, match="power must be >= 1, got 0"):
+        convolution_power_spectrum(base, 0)
+
+
 def test_convolution_power_double_frequency_peak():
     params = ohmic_params()
     w = np.linspace(0.0, 4.0, 2000)
@@ -600,6 +607,10 @@ def test_observable_spectrum_combines_powers():
     out = observable_spectrum(base, {1: 0.3, 2: 2.0})
     ref = 0.3 * base.values + 2.0 * conv2
     assert np.abs(out.values - ref).max() < 1e-12 * ref.max()
+    # a zero coefficient is skipped, the power it names included
+    for coefficients in ({1: 0.0, 2: 2.0}, {2: 2.0, 3: 0.0}):
+        assert np.array_equal(observable_spectrum(base, coefficients).values,
+                              observable_spectrum(base, {2: 2.0}).values)
     with pytest.raises(ValueError):
         observable_spectrum(base, {0: 1.0})
 
@@ -749,14 +760,14 @@ def test_delta_comb_validation():
         DeltaComb(frequencies=np.array([2.0, 1.0]), weights=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         DeltaComb(frequencies=np.array([1.0, 2.0]), weights=np.array([1.0, -1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="frequencies and weights must be matching 1-d"):
         DeltaComb(frequencies=np.array([1.0]), weights=np.array([1.0, 2.0]))
 
 
 def test_spectrum_table_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-finite"):
         SpectrumTable(omegas=np.array([0.0, 1.0]), values=np.array([1.0, np.inf]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="omegas and values must be matching 1-d"):
         SpectrumTable(omegas=np.array([0.0, 1.0]), values=np.array([1.0]))
 
 
