@@ -17,13 +17,13 @@ the single-point next-neighbor coupling the bath block itself is also
 a diagonal matrix plus one rank-one term; with lam = 4 sin^2(theta/2)
 (units of omega0^2) the secular equations of both sum over the chain's
 poles in closed form, G(lam) = cos((N - 1/2) theta) / (2 sin(N theta)
-sin(theta/2)), so the same data follows in O(N); the general route (a
-dense bath eigensolve, then the sector's explicit sums) serves every
-other model and stays the oracle of the structured one.
+sin(theta/2)), so the same data follows in O(N), and an uncoupled
+chain is the free chain in closed form; the general route (a dense
+bath eigensolve, then the sector's explicit sums) serves every model
+built from arrays and stays the oracle of the structured one.
 """
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,12 +31,14 @@ from .model import (
     NumericalError,
     SystemModel,
     UnstableModelError,
+    _Chain,
     _TOL_PSD,
     _deflate,
     _fix_signs,
     _freeze,
     _psd_clip,
     antisymmetric_block,
+    next_neighbor_frequencies,
 )
 
 _SECULAR_MAX_ITER = 100
@@ -47,16 +49,6 @@ class ConvergenceError(NumericalError, RuntimeError):
     """Raised when the secular root solve does not converge."""
 
 
-class _PointChain(NamedTuple):
-    """Recipe of a point-coupled chain's collective sector: N, rho =
-    2 alpha / (m omega0^2) and omega0^2, the units of its secular
-    equations."""
-
-    n: int
-    rho: float
-    w0_sq: float
-
-
 @dataclass(frozen=True)
 class CollectiveForm:
     """Collective coordinate + internal bath data.
@@ -65,10 +57,10 @@ class CollectiveForm:
     bath_freqs     : (N-1,) bath frequencies, ascending, > 0
     couplings_l    : (N-1,) couplings of X to the diagonal bath modes
 
-    The form of a point-coupled chain also keeps its chain's recipe,
-    from which the spectra take the resolvent of X in closed form.  A
-    form built from arrays, dataclasses.replace included, has none and
-    is read through its lines.
+    The form of a chain model also keeps the model's recipe, from
+    which the spectra take the resolvent of X in closed form.  A form
+    built from arrays, dataclasses.replace included, has none and is
+    read through its lines.
     """
 
     k_tilde_11: float
@@ -76,7 +68,7 @@ class CollectiveForm:
     couplings_l: np.ndarray
     mass: float
     hbar: float
-    _chain: _PointChain | None = field(default=None, init=False)
+    _chain: _Chain | None = field(default=None, init=False)
 
     def __post_init__(self):
         _freeze(self, "bath_freqs", "couplings_l")
@@ -110,26 +102,28 @@ def caldeira_leggett_form(model: SystemModel):
     one dense eigensolve, of the bath block: (form, basis).
 
     _deflate splits the uniform mode u off the antisymmetric block anti:
-    Ktilde_11 = u^T anti u, the bath block's eigenvalues, and the site
-    basis [u | C U] from (X, bath modes) onto the antisymmetric
-    coordinates, which the energy reconstruction needs.  The couplings
-    are (C U)^T anti u; none of this depends on the basis C chosen for
-    the complement of u.  A bath eigenvalue at most _TOL_PSD times the
-    largest, the bound below which _psd_clip takes a negative one for
-    round-off, is a zero mode and raises UnstableModelError.
+    the bath block's eigenvalues and the site basis [u | C U] from (X,
+    bath modes) onto the antisymmetric coordinates, which the energy
+    reconstruction needs.  Ktilde_11 = u^T f and the couplings (C U)^T f
+    take f = anti u from anti's row sums, so both are exactly 0 where
+    those are; none of this depends on the basis C of u's complement.
+    A bath eigenvalue at most _TOL_PSD times the largest, the bound
+    below which _psd_clip takes a negative one for round-off, is a zero
+    mode and raises UnstableModelError.
     """
-    m = model.mass
+    m, root_n = model.mass, np.sqrt(model.n_particles)
     anti = antisymmetric_block(model)
-    k_tilde_11, evals, basis = _deflate(anti, "bath block")
+    evals, basis = _deflate(anti, "bath block")
     if evals[0] <= _TOL_PSD * evals[-1]:
         raise UnstableModelError(
             "bath block has a zero mode; bath frequencies must be positive"
         )
 
+    force = anti.sum(axis=1) / root_n
     form = CollectiveForm(
-        k_tilde_11=float(k_tilde_11),
+        k_tilde_11=float(force.sum() / root_n),
         bath_freqs=np.sqrt(2.0 * evals / m),
-        couplings_l=basis[:, 1:].T @ (anti @ basis[:, 0]),
+        couplings_l=basis[:, 1:].T @ force,
         mass=m,
         hbar=model.hbar,
     )
@@ -253,7 +247,8 @@ def _bath_pole_sum(n, half):
 def is_point_coupling(model: SystemModel) -> bool:
     """True for a next-neighbor chain pair coupled only by K_11 > 0,
     read from the recipe build_next_neighbor_model keeps: no array is
-    formed, and a model built from arrays never qualifies."""
+    formed, and a model built from arrays never qualifies.  Only such a
+    chain's bath strictly interlaces the free chain's lines."""
     return model._chain is not None and model._chain.alpha > 0
 
 
@@ -440,8 +435,15 @@ def _sector_modes(form: CollectiveForm, sector) -> QuantumModes:
                         mass=form.mass, hbar=form.hbar)
 
 
+def _chain_units(obj):
+    """(rho = 2 alpha / (m omega0^2), omega0^2) of the chain recipe a
+    model or its form keeps: its secular equations' units."""
+    omega0, alpha = obj._chain
+    return 2.0 * alpha / (obj.mass * omega0**2), omega0**2
+
+
 def _point_coupled_mapping(model: SystemModel):
-    """(form, modes) of a point-coupled chain pair in O(N).
+    """(form, modes) of a next-neighbor chain pair in O(N).
 
     In the phonon basis the antisymmetric sector's frequency-squared
     matrix is diag(d) + rho a a^T with a_0^2 = 1/N, so Ktilde_11 =
@@ -451,35 +453,40 @@ def _point_coupled_mapping(model: SystemModel):
     (a_0 / lam)^2 / sum_k a_k^2 / (lam - d_k)^2 = rho a_0^2 / (lam^2 s2).
     The bath block drops mode 0: (m/2)(diag(d) + rho a a^T) over the
     nonuniform modes, whose eigenvalues (m/2) lam solve the same
-    equation over the poles k >= 1.
+    equation over the poles k >= 1.  With alpha = 0 nothing couples:
+    the bath is the free chain's nonuniform modes and X its zero mode.
     """
     n, m = model.n_particles, model.mass
-    omega0, alpha = model._chain
-    w0_sq = omega0**2
-    rho = 2.0 * alpha / (m * w0_sq)   # lam, s2 and rho in units of omega0^2
-    lam, s2 = _secular_roots(n, rho, rho / n)
-    # At a root, where sum_k a_k^2 / (lam - d_k) = 1 / rho, the coupling
-    # alpha a_0 sum / sqrt(s2 / rho) is m omega0^2 / (2 sqrt(N s2 / rho)).
-    form = CollectiveForm(k_tilde_11=alpha / n, bath_freqs=np.sqrt(w0_sq * lam),
-                          couplings_l=m * w0_sq / (2.0 * np.sqrt(n * s2 / rho)),
-                          mass=m, hbar=model.hbar)
-    object.__setattr__(form, "_chain", _PointChain(n, rho, w0_sq))
-    lam, s2 = _secular_roots(n, rho, 0.0)
-    modes = QuantumModes(frequencies=np.sqrt(w0_sq * lam),
-                         x_coefficients=np.sqrt(rho / (n * lam**2 * s2)),
-                         mass=m, hbar=model.hbar)
+    alpha = model._chain.alpha
+    if alpha == 0:
+        freqs = next_neighbor_frequencies(n, model.omega0)
+        form = CollectiveForm(0.0, freqs[1:], np.zeros(n - 1), m, model.hbar)
+        modes = QuantumModes(freqs, np.eye(1, n)[0], m, model.hbar)
+    else:
+        rho, w0_sq = _chain_units(model)   # lam, s2 and rho in units of omega0^2
+        lam, s2 = _secular_roots(n, rho, rho / n)
+        # At a root, where sum_k a_k^2 / (lam - d_k) = 1 / rho, the coupling
+        # alpha a_0 sum / sqrt(s2 / rho) is m omega0^2 / (2 sqrt(N s2 / rho)).
+        form = CollectiveForm(k_tilde_11=alpha / n, bath_freqs=np.sqrt(w0_sq * lam),
+                              couplings_l=m * w0_sq / (2.0 * np.sqrt(n * s2 / rho)),
+                              mass=m, hbar=model.hbar)
+        lam, s2 = _secular_roots(n, rho, 0.0)
+        modes = QuantumModes(frequencies=np.sqrt(w0_sq * lam),
+                             x_coefficients=np.sqrt(rho / (n * lam**2 * s2)),
+                             mass=m, hbar=model.hbar)
+    object.__setattr__(form, "_chain", model._chain)
     return form, modes
 
 
 def collective_mapping(model: SystemModel):
     """Collective form and sector modes of a model: (form, modes).
 
-    A point-coupled next-neighbor chain pair takes the O(N) secular
-    route; every other model takes the bath block's dense eigensolve
+    A next-neighbor chain pair takes its O(N) closed forms; every model
+    built from arrays takes the bath block's dense eigensolve
     (caldeira_leggett_form) and the sector's O(N^2) arrowhead solve
     (collective_sector_modes).
     """
-    if is_point_coupling(model):
+    if model._chain is not None:
         return _point_coupled_mapping(model)
     form, _ = caldeira_leggett_form(model)
     return form, collective_sector_modes(form)

@@ -331,20 +331,19 @@ def _reflect(x):
 
 
 def _deflate(block, what):
-    """Split the uniform mode u off a symmetric block: (u^T block u, the
-    eigenvalues of C^T block C, the orthogonal site basis [u | C U]).
+    """Split the uniform mode u off a symmetric block: (the eigenvalues
+    of C^T block C, the orthogonal site basis [u | C U]).
 
-    H = _reflect sends e_0 to -u and C is its last N-1 columns, so these
-    are the corner and the lower block of H block H.  The lower block,
-    which must be positive semidefinite, is symmetrized and solved; its
-    eigenvalues come back ascending and clipped at 0, and its modes U
-    are lifted back with each column's first nonzero entry positive.  A
-    failed solve or a negative mode (_psd_clip) raises
-    UnstableModelError naming the block ``what``.
+    H = _reflect sends e_0 to -u and C is its last N-1 columns, so
+    C^T block C is the lower block of H block H, which must be positive
+    semidefinite.  It is symmetrized and solved; its eigenvalues come
+    back ascending and clipped at 0, and its modes U are lifted back
+    with each column's first nonzero entry positive.  A failed solve or
+    a negative mode (_psd_clip) raises UnstableModelError naming the
+    block ``what``.
     """
     n = block.shape[0]
-    reflected = _reflect(_reflect(block).T)
-    lower = reflected[1:, 1:]
+    lower = _reflect(_reflect(block).T)[1:, 1:]
     try:
         evals, modes = np.linalg.eigh((lower + lower.T) / 2.0)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -353,4 +352,4 @@ def _deflate(block, what):
     lift = np.zeros((n, n))
     lift[0, 0] = -1.0
     lift[1:, 1:] = modes
-    return reflected[0, 0], evals, _fix_signs(_reflect(lift))
+    return evals, _fix_signs(_reflect(lift))

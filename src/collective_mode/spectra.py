@@ -18,7 +18,7 @@ from .dynamics import (
 )
 from ._kernels import BLOCK
 from .mapping import (
-    CollectiveForm, QuantumModes, _bath_pole_sum, decoupling_indicator,
+    CollectiveForm, QuantumModes, _bath_pole_sum, _chain_units, decoupling_indicator,
 )
 from .model import SystemModel, _deflate, _float_pair
 
@@ -88,7 +88,7 @@ def sigma_phonon_approximation(model: SystemModel) -> DeltaComb:
     when the fluctuations are small against the level spacing.
     """
     kappa = float(model.k_matrix.mean())
-    _, evals, basis = _deflate(model.w_matrix, "chain potential W")
+    evals, basis = _deflate(model.w_matrix, "chain potential W")
     n = model.n_particles
     m = model.mass
     shifted = np.sqrt(2.0 * evals / m + 2.0 * n * kappa / m)
@@ -226,14 +226,10 @@ def observable_spectrum(base: SpectrumTable, coefficients) -> SpectrumTable:
     items = sorted(coefficients.items())
     if any(n < 1 for n, _ in items):
         raise ValueError("powers must be >= 1 (n = 0 carries no transitions)")
-    conv = None
-    power = 0
+    conv, power = base.values, 1
     for n, beta in items:
         if beta == 0:
             continue
-        if conv is None:
-            conv = base.values.copy()
-            power = 1
         while power < n:
             conv = np.convolve(conv, base.values)[: w.size] * h
             power += 1
@@ -248,9 +244,9 @@ def fdt_spectrum(form: CollectiveForm, omegas, epsilon) -> SpectrumTable:
     continuation consistent with the e^{+i w t} transform of the causal
     kernel (this is what makes the result a positive Lorentzian
     broadening).  R = 1 / (W0^2 - z^2 - i z g_eps(w)) sums the kernel
-    over the bath lines.  A point-coupled chain's form keeps its recipe,
-    and there R is X's entry of the resolvent of diag(d) + rho a a^T,
-    the Schur complement over the bath in closed form:
+    over the bath lines.  A chain's form keeps its recipe, and there R
+    is X's entry of the resolvent of diag(d) + rho a a^T over N = bath
+    lines + 1 sites, the Schur complement over the bath in closed form:
     (1 - rho G1) / (rho/N - zeta (1 - rho G1)) / omega0^2 at zeta =
     z^2 / omega0^2, with G1 = mapping._bath_pole_sum, O(1) per point
     instead of O(N).
@@ -264,7 +260,8 @@ def fdt_spectrum(form: CollectiveForm, omegas, epsilon) -> SpectrumTable:
         denom = omega0_squared(form) - z**2 - 1j * z * gamma_transform(form, w, epsilon)
         resolvent = 1.0 / denom
     else:
-        n, rho, w0_sq = form._chain
+        rho, w0_sq = _chain_units(form)
+        n = form.bath_freqs.size + 1
         half = z / (2.0 * np.sqrt(w0_sq))
         one = 1.0 - rho * _bath_pole_sum(n, half)
         resolvent = one / (rho / n - 4.0 * half**2 * one) / w0_sq

@@ -83,8 +83,9 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
     except model_mod.UnstableModelError as exc:
         _record(checks, "mapping.bath_stability", detail=str(exc), passed=False)
         return checks
-    _record(checks, "mapping.bath_stability", form.bath_freqs.min(), 0.0,
-            "smallest bath frequency", passed=form.bath_freqs.min() > 0)
+    margin, tol = (form.bath_freqs[0] / form.bath_freqs[-1]) ** 2, model_mod._TOL_PSD
+    _record(checks, "mapping.bath_stability", margin, tol,
+            "smallest over largest bath eigenvalue", passed=margin > tol)
 
     # the bath eigenpairs, couplings and site basis that total_energy reads:
     # anti B = B diag((m/2) w^2) + u l^T column by column, B = C U

@@ -84,7 +84,7 @@ def phonon_spectrum(model: SystemModel):
     the uniform zero mode first, and basis, whose rows are the sign-fixed
     modes, so basis @ W @ basis.T == (m/2) diag(frequencies**2).  W has
     vanishing row sums, and _deflate solves the rest on u's complement."""
-    _, evals, basis = _deflate(model.w_matrix, "chain potential W")
+    evals, basis = _deflate(model.w_matrix, "chain potential W")
     return SimpleNamespace(frequencies=np.sqrt(2.0 * np.append(0.0, evals) / model.mass),
                            basis=basis.T)
 

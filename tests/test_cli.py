@@ -680,6 +680,13 @@ def test_verify_check_names_are_pinned(tmp_path, write, skipped):
     (bath,) = [c for c in checks if c["name"] == "mapping.bath_residual"]
     assert bath["passed"] and bath["tolerance"] == 1e-10
     assert bath["measured"] <= 1e-10
+    # the bath's smallest over largest eigenvalue, against the relative
+    # bound below which a bath line counts as a zero mode
+    lines = mapping.collective_mapping(
+        model_mod.build_next_neighbor_model(16, 1.0, 1.0, 0.5))[0].bath_freqs
+    (stable,) = [c for c in checks if c["name"] == "mapping.bath_stability"]
+    assert stable["passed"] and stable["tolerance"] == model_mod._TOL_PSD
+    assert stable["measured"] == pytest.approx((lines[0] / lines[-1]) ** 2, rel=1e-12)
 
 
 @pytest.mark.parametrize("n, alpha", [(2, 0.5), (16, 0.0), (16, 0.37), (33, 1000.0),
@@ -848,6 +855,27 @@ def test_verify_unbound_chain_names_the_scales_it_uses(tmp_path):
     harmonic = by_name["dynamics.decoupled_harmonic"]
     assert harmonic["detail"] == "X moves freely as P0 t/m"
     assert harmonic["passed"] and harmonic["measured"] <= 1e-8
+
+
+@pytest.mark.parametrize("n", [10, 14])
+def test_chain_without_alpha_runs_and_verifies_as_a_free_coordinate(tmp_path, n):
+    # no alpha key: the uncoupled chain, whose X is exactly free, neither
+    # bound nor damped by round-off in its stiffness or couplings
+    cfg = tmp_path / "free.ini"
+    out = write_config(cfg, n=n, t_max=16.0, steps=1600)
+    cfg.write_text(cfg.read_text().replace("alpha = 0.5\n", ""))
+    assert "alpha =" not in cfg.read_text()
+    assert main(["run", str(cfg), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["regime"] == "critical"
+    assert summary["omega0_sq"] == 0.0 and summary["k_tilde_11"] == 0.0
+    assert "spectra_skipped" in summary
+    header, data = read_csv(out / "trajectory.csv")
+    assert np.isfinite(data[:, header.index("x_closed_form")]).all()
+    assert main(["verify", str(cfg), "--quiet"]) == 0
+    checks = json.loads((out / "verification.json").read_text())["checks"]
+    (kernel,) = [c for c in checks if c["name"] == "dynamics.decoupled_kernel"]
+    assert kernel["passed"] and kernel["measured"] == 0.0
 
 
 def test_verify_reports_every_check_when_the_step_is_too_large(tmp_path):

@@ -9,6 +9,7 @@ from collective_mode import (
     CollectiveForm,
     SystemModel,
     UnstableModelError,
+    antisymmetric_block,
     build_general_model,
     build_next_neighbor_model,
     caldeira_leggett_form,
@@ -21,6 +22,7 @@ from collective_mode import (
     sector_eigenvalues,
 )
 from collective_mode import model as model_mod
+from collective_mode.verify import run_checks
 from oracles import (dense_sector_eigensystem, disordered_model,
                      full_potential_matrix, phonon_basis_blocks,
                      phonon_coupling_row, phonon_spectrum, sector_matrix,
@@ -374,14 +376,13 @@ def test_secular_top_root_at_band_edge(sector, scale, n, mass, omega0):
 
 
 def test_dense_route_for_other_models():
-    # no coupling, a second coupling entry, or no closed-form chain: the
-    # mapping falls back to the general route, the bath block's dense
-    # eigensolve and the sector's arrowhead solve
+    # a second coupling entry, or no closed-form chain: the mapping falls
+    # back to the general route, the bath block's dense eigensolve and
+    # the sector's arrowhead solve
     model = point_model(6, 0.5)
     k = model.k_matrix.copy()
     k[1, 1] = 0.1
-    others = [point_model(6, 0.0),
-              dataclasses.replace(model, k_matrix=k),
+    others = [dataclasses.replace(model, k_matrix=k),
               build_general_model(model.w_matrix, model.k_matrix, 1.0)]
     for other in others:
         assert not is_point_coupling(other)
@@ -390,6 +391,72 @@ def test_dense_route_for_other_models():
         assert np.array_equal(form.bath_freqs, dense.bath_freqs)
         assert np.array_equal(modes.frequencies,
                               collective_sector_modes(dense).frequencies)
+
+
+def test_uncoupled_chain_maps_in_closed_form_with_no_array(monkeypatch):
+    # alpha = 0 takes the free chain's closed form: at N = 10^5 a dense
+    # W or K would take 80 GB, so forming one fails the test at once
+    def refuse(model, name):
+        raise AssertionError(f"formed {name}")
+    monkeypatch.setattr(model_mod, "_chain_matrix", refuse)
+    model = point_model(10**5, 0.0)
+    form, modes = collective_mapping(model)
+    assert "w_matrix" not in model.__dict__ and "k_matrix" not in model.__dict__
+    assert form.k_tilde_11 == 0.0 and not form.couplings_l.any()
+    assert modes.frequencies[0] == 0.0 and modes.x_coefficients[0] == 1.0
+
+
+@pytest.mark.parametrize("n", [14, 257])
+def test_uncoupled_chain_closed_form_matches_dense_route(n):
+    # the standing waves against the bath block's eigensolve, to 1e-13 of
+    # the top line 2 omega0 (measured: 1.7e-14 of it at N = 257); X's row
+    # is exactly 0 on both routes
+    model = point_model(n, 0.0, 1.3, 0.8)
+    form, modes = collective_mapping(model)
+    dense = caldeira_leggett_form(build_general_model(model.w_matrix, model.k_matrix,
+                                                      1.3))[0]
+    dense_modes = collective_sector_modes(dense)
+    top = 2.0 * 0.8
+    assert np.abs(form.bath_freqs - dense.bath_freqs).max() <= 1e-13 * top
+    assert np.abs(modes.frequencies - dense_modes.frequencies).max() <= 1e-13 * top
+    assert form.k_tilde_11 == dense.k_tilde_11 == 0.0
+    assert np.array_equal(form.couplings_l, dense.couplings_l)
+    assert np.array_equal(modes.x_coefficients, dense_modes.x_coefficients)
+
+
+@pytest.mark.parametrize("n", [10, 14])
+def test_dense_route_maps_an_uncoupled_chain_to_a_free_coordinate(n):
+    # W's row sums are exactly 0, so X's row read off them is exactly 0
+    # at every N, not round-off of either sign
+    w = point_model(n, 0.0).w_matrix
+    form, _ = caldeira_leggett_form(build_general_model(w, np.zeros_like(w), 1.0))
+    assert form.k_tilde_11 == 0.0
+    assert (form.couplings_l == 0.0).all()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dense_x_row_matches_the_products_with_u(seed):
+    # X's row from the antisymmetric block's row sums against u^T A u and
+    # B^T (A u), u the basis' first column and B the rest
+    model = disordered_model(512, seed)
+    form, basis = caldeira_leggett_form(model)
+    force = antisymmetric_block(model) @ basis[:, 0]
+    k11, couplings = basis[:, 0] @ force, basis[:, 1:].T @ force
+    assert abs(form.k_tilde_11 - k11) <= 1e-12 * abs(k11)
+    assert np.abs(form.couplings_l - couplings).max() <= 1e-12 * np.abs(couplings).max()
+
+
+def test_near_zero_row_sums_pass_every_check():
+    # W + 5e-13 max|W| I keeps its row sums inside the 1e-12 validation
+    # bound; X's row must still come from the block's own row sums, not
+    # from khat alone, or the energy check drifts by about 1e-9
+    base = disordered_model(512, 1)
+    w = base.w_matrix + 5e-13 * np.abs(base.w_matrix).max() * np.eye(512)
+    model = build_general_model(w, base.k_matrix, 1.0)
+    checks = run_checks(model, p0=1.0, t_max=32.0, steps=3200)
+    assert [c.name for c in checks if not c.passed] == []
+    (energy,) = [c for c in checks if c.name == "dynamics.energy_conservation"]
+    assert energy.measured <= 1e-12
 
 
 @pytest.mark.parametrize("change", [

@@ -36,6 +36,7 @@ from collective_mode import (
 )
 from collective_mode import dynamics, spectra
 from collective_mode.dynamics import OscillatorParams, omega0_squared
+from collective_mode.mapping import _chain_units
 from collective_mode.spectra import smoothing_in_window, tail_fraction
 from collective_mode.verify import run_checks
 from oracles import (correlator_exp, disordered_model, full_potential_matrix,
@@ -674,8 +675,8 @@ def chain_resolvent_case(n, alpha, spacings, mass, omega0):
     form, modes = collective_mapping(build_next_neighbor_model(n, mass, omega0, alpha))
     eps = spacings * mean_bath_spacing(form)
     w = np.linspace(0.0, 1.5 * modes.frequencies[-1], 401)
-    n_, rho, w0_sq = form._chain
-    return form, w, eps, long_double_chain_fdt(n_, rho, w0_sq, mass, form.hbar, w, eps)
+    rho, w0_sq = _chain_units(form)
+    return form, w, eps, long_double_chain_fdt(n, rho, w0_sq, mass, form.hbar, w, eps)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
@@ -696,12 +697,12 @@ def test_chain_resolvent_matches_long_double_pole_sum(n, alpha, spacings, mass, 
                     reason="the oracle needs an extended-precision long double")
 @pytest.mark.parametrize("n, alpha", [(3, 1000.0), (64, 0.01), (257, 0.5)])
 def test_chain_resolvent_bound_catches_a_perturbed_rho(n, alpha):
-    # rho off by a relative 1e-9 moves these spectra by 1e-11 to 1e-9 of
-    # the maximum (at N = 1024, alpha = 1000 by only 2e-13: there the
-    # resolvent barely depends on rho)
+    # alpha, and so rho, off by a relative 1e-9 moves these spectra by
+    # 1e-11 to 1e-9 of the maximum (at N = 1024, alpha = 1000 by only
+    # 2e-13: there the resolvent barely depends on rho)
     form, w, eps, ref = chain_resolvent_case(n, alpha, 0.2, 1.3, 0.8)
     bad = replace(form)
-    object.__setattr__(bad, "_chain", form._chain._replace(rho=form._chain.rho * (1 + 1e-9)))
+    object.__setattr__(bad, "_chain", form._chain._replace(alpha=alpha * (1 + 1e-9)))
     err = np.abs(fdt_spectrum(bad, w, eps).values - ref).max()
     assert err > 1e-12 * np.abs(ref).max()
 
