@@ -15,15 +15,6 @@ from .mapping import CollectiveForm, QuantumModes
 from .model import NumericalError, SystemModel, _float_pair, antisymmetric_block
 from ._kernels import BLOCK, volterra_path
 
-__all__ = [
-    "TrajectoryTable", "OscillatorParams",
-    "damping_kernel", "gamma_transform", "omega0_squared",
-    "mean_bath_spacing", "default_epsilon", "collective_frequency",
-    "evolve_exact", "solve_volterra", "fourier_solution",
-    "underdamped_closed_form", "total_energy",
-    "StepSizeError",
-]
-
 # The grid x lines sums evaluate about this many (grid point, line)
 # terms at a time, so their temporaries stay a few MB at any N.
 _CHUNK_ELEMENTS = 2**18
@@ -222,19 +213,25 @@ def _split_trig(w, h, n_points):
     return left, fine
 
 
-def _mode_trajectory(modes, p0, h, n_points):
-    """X(t) = (P0/m) sum_n c_n^2 sin(w_n t)/w_n, with the w -> 0 limit t,
-    on the grid t = k h, k < n_points: one product of (S_a | C_a) with
-    the fine table of _split_trig scaled in place by the weights.
+def _mode_sums(w, weights, h, n_points, cos=False):
+    """sum_n weights_n sin(w_n t) on the grid t = k h, k < n_points, and
+    with ``cos`` the cosine sum too: one product of the tables of
+    _split_trig, the fine one scaled in place by the weights.  The sine
+    columns take the fine table as it is, S_a c_b + C_a s_b; the cosine
+    ones C_a c_b - S_a s_b take it with its halves swapped and the sines
+    negated.
     """
-    w = modes.frequencies
-    c_sq = modes.x_coefficients**2
-    free = w == 0.0
-    scale = p0 / modes.mass
     left, fine = _split_trig(w, h, n_points)
-    fine *= np.tile(scale * c_sq / np.where(free, 1.0, w), 2)[:, None]
-    x = (left @ fine).ravel()[:n_points]
-    return x + (scale * c_sq[free].sum() * h) * np.arange(n_points)
+    fine *= np.tile(weights, 2)[:, None]
+    if not cos:
+        return (left @ fine).ravel()[:n_points]
+    n = w.size
+    right = np.empty((2 * n, 2 * BLOCK))
+    right[:, :BLOCK] = fine
+    np.negative(fine[n:], out=right[:n, BLOCK:])
+    right[n:, BLOCK:] = fine[:n]
+    sc = left @ right
+    return sc[:, :BLOCK].ravel()[:n_points], sc[:, BLOCK:].ravel()[:n_points]
 
 
 def _grid_step(x):
@@ -275,11 +272,17 @@ def evolve_exact(modes: QuantumModes, p0, times) -> TrajectoryTable:
     """Exact collective trajectory X(t) after a momentum kick P0 at t = 0.
 
     Sums the collective-sector modes (from collective_sector_modes) in
-    closed form on a uniform grid from 0; no time stepping, exact to
+    closed form on a uniform grid from 0, X(t) = (P0/m) sum_n c_n^2
+    sin(w_n t)/w_n with the w -> 0 limit t; no time stepping, exact to
     machine precision.
     """
     t, h = _check_uniform_grid(times, "time")
-    return TrajectoryTable(times=t, positions=_mode_trajectory(modes, p0, h, t.size))
+    w, c_sq = modes.frequencies, modes.x_coefficients**2
+    free = w == 0.0
+    scale = p0 / modes.mass
+    x = _mode_sums(w, scale * c_sq / np.where(free, 1.0, w), h, t.size)
+    x += (scale * c_sq[free].sum() * h) * np.arange(t.size)
+    return TrajectoryTable(times=t, positions=x)
 
 
 def solve_volterra(form: CollectiveForm, p0, times) -> TrajectoryTable:

@@ -175,20 +175,20 @@ def _bracketed_newton(residual, e, lo, hi):
 
 def _secular_roots(n, rho, beta):
     """(lam, s2) of rho G(lam) - beta/lam = 1 in units of omega0^2, s2 being
-    -d/dlam of the left side; beta is 0 (sector) or rho/N (bath).  As
-    lam (rho G - beta/lam - 1) = rho sin(theta) cot(N theta) - X with
-    X = 2 (2 - rho) sin^2(theta/2) + beta, an in-band root zeroes
-    u = X sin(N e) / sin(theta) - rho cos(N e), e = theta - pi o/N the offset
-    from the nearer end o of its gap (o = N: the band edge); there
-    s2 = u'(e) / (2 lam sin(N e)).  If N X(pi) + rho < 0 the top root is
-    lam = 4 cosh^2(kappa/2) with G = (1 - e^{(1-2N) kappa}) / ((1 - e^{-2N
-    kappa}) (e^kappa + 1)); its s2 (0/0 at the edge) is the pole sum.
+    -d/dlam of the left side; beta is 0 (sector) or rho/N (bath), so the
+    equation is sum_k w_k / (lam - d_k) = 1 over the poles k it keeps,
+    w = rho v.  As lam (rho G - beta/lam - 1) = rho sin(theta) cot(N theta)
+    - X with X = 2 (2 - rho) sin^2(theta/2) + beta, the root in a gap
+    between poles zeroes u = X sin(N e) / sin(theta) - rho cos(N e),
+    e = theta - pi o/N the offset from the nearer end o of its gap; there
+    s2 = u'(e) / (2 lam sin(N e)).  The top root, in the band or above it,
+    is lam = d_t + tau past the top pole t, tau the zero of
+    tau (1 - sum_{k != t} w_k / (sep_k + tau)) - w_t with sep_k = d_t - d_k
+    in product form, and its s2 is the pole sum sum_k w_k / (sep_k + tau)^2.
     """
     k = np.arange(1 if beta else 0, n)
     gap = np.pi / n
-    cos_k = np.sin(gap * (n - k) / 2.0)   # cos(theta_k / 2), exact near pi
-    inside = n * (4.0 - 2.0 * rho + beta) + rho >= 0
-    o = k if inside else k[:-1]
+    o = k[:-1]
 
     def residual(e, idx):
         theta = gap * o[idx] + e
@@ -208,24 +208,23 @@ def _secular_roots(n, rho, beta):
                           np.where(upper, 0.0, gap / 2.0))
     lam = 4.0 * np.sin((gap * o + e) / 2.0) ** 2
     s2 = residual(e, slice(None))[1] / (2.0 * lam * np.sin(n * e))
-    if inside:
-        dist = 4.0 * (np.sin((gap * (2 * n - o[-1] - k) - e[-1]) / 2.0)
-                      * np.sin((gap * (o[-1] - k) + e[-1]) / 2.0))
-    else:
-        def residual(kappa, _):
-            a, b = -np.expm1((1 - 2 * n) * kappa), -np.expm1(-2 * n * kappa)
-            ek = np.exp(kappa) + 1.0
-            g = a / (b * ek)
-            dg = g * ((2 * n - 1) / a - 2 * n / b + 1.0 / ek)
-            lam_top = 4.0 * np.cosh(kappa / 2.0) ** 2
-            return (1.0 + beta / lam_top - rho * g,
-                    -2.0 * beta * np.sinh(kappa) / lam_top**2 - rho * dg)
-        top = np.array([2.0 * np.arcsinh(np.sqrt(rho / 4.0))])   # lam <= 4 + rho
-        kappa = _bracketed_newton(residual, top / 2.0, np.zeros(1), top)
-        lam = np.append(lam, 4.0 * np.cosh(kappa / 2.0) ** 2)
-        dist = 4.0 * (np.sinh(kappa / 2.0) ** 2 + cos_k**2)
-    v = np.where(k > 0, 2.0 * cos_k**2, 1.0) / n
-    return lam, np.append(s2[:k.size - 1], rho * np.sum(v / dist**2))
+
+    w = rho * np.where(k > 0, 2.0 * np.sin(gap * (n - k) / 2.0) ** 2, 1.0) / n
+    sep = 4.0 * np.sin(gap * (n - 1 - k) / 2.0) * np.sin(gap * (n + 1 - k) / 2.0)
+
+    def top_residual(tau, _):
+        inv = 1.0 / (sep[:-1] + tau)
+        r1 = inv @ w[:-1]
+        return tau * (1.0 - r1) - w[-1], 1.0 - r1 + tau * ((inv * inv) @ w[:-1])
+    # the one-pole start, from the other poles' sum at tau = 0, whose
+    # 1 - R(0) may be exactly 0; the bracket's midpoint when it falls out
+    hi = np.array([4.0 * np.sin(gap / 2.0) ** 2 + rho])   # lam <= 4 + rho
+    with np.errstate(divide="ignore"):
+        tau = w[-1:] / (1.0 - w[:-1] @ (1.0 / sep[:-1]))
+    tau = np.where((0.0 < tau) & (tau <= hi), tau, hi / 2.0)
+    tau = _bracketed_newton(top_residual, tau, np.zeros(1), hi)
+    return (np.append(lam, 4.0 * np.sin(gap * (n - 1) / 2.0) ** 2 + tau),
+            np.append(s2, w @ (1.0 / (sep + tau) ** 2)))
 
 
 def _bath_pole_sum(n, half):

@@ -13,23 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    OscillatorParams, _check_uniform_grid, _grid_rows, _grid_step, _split_trig,
+    OscillatorParams, _check_uniform_grid, _grid_rows, _grid_step, _mode_sums,
     gamma_transform, omega0_squared,
 )
-from ._kernels import BLOCK
 from .mapping import (
     CollectiveForm, QuantumModes, _bath_pole_sum, _chain_units, decoupling_indicator,
 )
 from .model import SystemModel, _deflate, _float_pair
-
-__all__ = [
-    "DeltaComb", "SpectrumTable",
-    "sigma_comb", "sigma_phonon_approximation",
-    "strength_comb", "correlator_S", "smoothed_spectrum",
-    "ohmic_spectrum", "convolution_power_spectrum", "observable_spectrum",
-    "fdt_spectrum", "fdt_comparison_in_window", "smoothing_in_window",
-    "tail_fraction",
-]
 
 
 @dataclass(frozen=True)
@@ -126,16 +116,7 @@ def correlator_S(modes: QuantumModes, t):
     x = np.asarray(t, dtype=float)
     h = _grid_step(x)
     if h is not None:
-        left, fine = _split_trig(w, h, x.size)
-        fine *= np.tile(coeff, 2)[:, None]
-        n = w.size
-        # columns sin(w t) = S_a c_b + C_a s_b, then cos(w t) = C_a c_b - S_a s_b
-        right = np.empty((2 * n, 2 * BLOCK))
-        right[:, :BLOCK] = fine
-        np.negative(fine[n:], out=right[:n, BLOCK:])
-        right[n:, BLOCK:] = fine[:n]
-        sc = left @ right
-        sin_sum, cos_sum = sc[:, :BLOCK].ravel()[:x.size], sc[:, BLOCK:].ravel()[:x.size]
+        sin_sum, cos_sum = _mode_sums(w, coeff, h, x.size, cos=True)
         return cos_sum - 1j * sin_sum
 
     def row_values(t, work):
@@ -194,22 +175,16 @@ def convolution_power_spectrum(base: SpectrumTable, n: int) -> SpectrumTable:
     """
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
-    w, _ = _check_uniform_grid(base.omegas, "frequency")
-    if n == 1:
-        return SpectrumTable(omegas=w, values=base.values.copy())
-
-    tail = tail_fraction(base)
-    if tail > 1e-2:
+    if n >= 2 and (tail := tail_fraction(base)) > 1e-2:
         # The share of a 1/w^2 tail in the last 1 % falls as 1/omega_max:
         # aim at 1e-3, a tenth of the refusal bound.
-        required = w[-1] * tail / 1e-3
+        required = base.omegas[-1] * tail / 1e-3
         raise ValueError(
             f"grid too narrow: tail mass fraction {tail:.2e} exceeds 1e-2; "
             f"extend the grid to about omega_max = {required:.3g}"
         )
-
     out = observable_spectrum(base, {n: 1.0})
-    return SpectrumTable(omegas=w, values=math.factorial(n) * out.values)
+    return SpectrumTable(omegas=out.omegas, values=math.factorial(n) * out.values)
 
 
 def observable_spectrum(base: SpectrumTable, coefficients) -> SpectrumTable:

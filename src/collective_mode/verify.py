@@ -45,8 +45,8 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
     epsilon is the spectral smoothing width (default five mean bath
     spacings).  On that uniform 2001-point grid the energy, S(t) and
     X(t) all sum the modes from the blocked angle-addition split of
-    dynamics._split_trig, so Im S(t) and X(t) share one rounding route;
-    S(0) sums direct phases.
+    dynamics._split_trig, and Im S(t) and X(t) are one weighted sum over
+    it (dynamics._mode_sums); S(0) sums direct phases.
     """
     checks = []
     n = model.n_particles
@@ -156,8 +156,9 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
 
     if decoupled:
         gmax = np.abs(dyn.damping_kernel(form, t)).max()
-        _record(checks, "dynamics.decoupled_kernel", gmax / khat_scale, 1e-12,
-                "max |gamma(t)| relative to max khat: the kernel vanishes")
+        _record(checks, "dynamics.decoupled_kernel", gmax / form.bath_freqs[-1] ** 2,
+                1e-12, "max |gamma(t)| relative to the top bath line squared: "
+                "the kernel vanishes")
         omega_x = np.sqrt(max(form.bare_omega_sq, 0.0))
         if omega_x > 0:
             ref = p0 / (m * omega_x) * np.sin(omega_x * t)

@@ -187,7 +187,8 @@ def _one_shot_split(w, h, n_points):
 
 
 def one_shot_mode_trajectory(modes, p0, h, n_points):
-    """dynamics._mode_trajectory with its right factor assembled by
+    """evolve_exact's X(t) on the grid t = k h, k < n_points, from the
+    blocked angle-addition split, with its right factor assembled by
     np.block from fresh arrays."""
     w = modes.frequencies
     c_sq = modes.x_coefficients**2

@@ -818,6 +818,24 @@ directory = {tmp_path / 'out'}
         assert by_name[name]["measured"] <= tolerance
 
 
+@pytest.mark.parametrize("n", [16, 64])
+def test_verify_decoupled_kernel_on_a_model_with_no_coupling(n):
+    # K = 0 leaves every row sum khat at 0, so the kernel is gauged by the
+    # top bath line squared: the free chain lifted by 5e-13 max|W| I is a
+    # valid, decoupled model and passes every check (measured: 3.5e-56 at
+    # N = 16, 1.9e-54 at N = 64 for the kernel)
+    from collective_mode import build_general_model, build_next_neighbor_model
+    from collective_mode.verify import run_checks
+
+    w = build_next_neighbor_model(n, 1.0, 1.0, 0.0).w_matrix
+    w = w + 5e-13 * np.abs(w).max() * np.eye(n)
+    checks = run_checks(build_general_model(w, np.zeros((n, n)), mass=1.0),
+                        p0=1.0, t_max=4.0, steps=400)
+    assert [c.name for c in checks if not c.passed] == []
+    (check,) = [c for c in checks if c.name == "dynamics.decoupled_kernel"]
+    assert check.measured <= 1e-12
+
+
 def test_verify_coarse_step_fails_with_error_norm(tmp_path):
     # a step at the stability boundary over a long window accumulates
     # enough phase error to break the volterra-vs-exact tolerance; the

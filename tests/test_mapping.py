@@ -21,6 +21,7 @@ from collective_mode import (
     next_neighbor_frequencies,
     sector_eigenvalues,
 )
+from collective_mode import mapping as mapping_mod
 from collective_mode import model as model_mod
 from collective_mode.verify import run_checks
 from oracles import (dense_sector_eigensystem, disordered_model,
@@ -329,6 +330,44 @@ def test_structured_mapping_matches_explicit_sums(n, mass, omega0):
         assert_matches_explicit(model, alpha)
 
 
+@pytest.mark.parametrize("mass, omega0", [(1.0, 1.0), (2.0, 3.0)])
+@pytest.mark.parametrize("n", [2, 8, 257])
+@pytest.mark.parametrize("alpha", [3.0, 1000.0])
+def test_structured_mapping_above_the_band_matches_explicit_sums(alpha, n, mass, omega0):
+    # strong couplings against the explicit pole sums at small N; with
+    # rho = 2 alpha / (m omega0^2) > 4 the top roots of the bath and of
+    # the sector both lie above the band edge 4 omega0^2
+    model = point_model(n, alpha, mass, omega0)
+    form, modes = assert_matches_explicit(model, alpha)
+    if 2.0 * alpha / (mass * omega0**2) > 4.0:
+        assert form.bath_freqs[-1] > 2.0 * omega0
+        assert modes.frequencies[-1] > 2.0 * omega0
+
+
+@pytest.mark.parametrize("n", [1024, 10**5])
+def test_secular_top_root_converges_in_few_passes(n, monkeypatch):
+    # at the benchmark's coupling the top root's one-pole start is within
+    # a Newton pass of the root: each top-root solve, the one bracket a
+    # _bracketed_newton call holds alone, evaluates its residual at most
+    # three times (measured: twice at N = 1024 and N = 10^5)
+    solve = mapping_mod._bracketed_newton
+    passes = []
+
+    def counting(residual, e, lo, hi):
+        calls = []
+
+        def counted(x, idx):
+            calls.append(x.size)
+            return residual(x, idx)
+        out = solve(counted, e, lo, hi)
+        if e.size == 1:
+            passes.append(len(calls))
+        return out
+    monkeypatch.setattr(mapping_mod, "_bracketed_newton", counting)
+    collective_mapping(point_model(n, 0.5))
+    assert len(passes) == 2 and max(passes) <= 3
+
+
 @pytest.mark.parametrize("n", [5, 64, 1000])
 def test_chain_green_function_closed_form(n):
     # G(lam) = sum_k v_k / (lam - d_k) in units of omega0^2, in the band
@@ -358,8 +397,7 @@ def test_chain_green_function_closed_form(n):
 def test_secular_top_root_at_band_edge(sector, scale, n, mass, omega0):
     # the top root reaches the band edge lam = 4 omega0^2 where
     # rho G(4) = 1: G(4) = (2N-1)/(4N) for the sector and (N-1)/(2N) for
-    # the bath, with rho = 2 alpha / (m omega0^2); there the closed form
-    # is 0/0 in the offset from the edge
+    # the bath, with rho = 2 alpha / (m omega0^2)
     crossing = 4 * n / (2 * n - 1) if sector else 2 * n / (n - 1)
     alpha = scale * crossing * mass * omega0**2 / 2.0
     model = point_model(n, alpha, mass, omega0)
@@ -373,6 +411,24 @@ def test_secular_top_root_at_band_edge(sector, scale, n, mass, omega0):
         assert roots[-1] > poles[-1]
     top = (modes.frequencies if sector else form.bath_freqs)[-1] ** 2
     assert abs(top - 4.0 * omega0**2) < 1e-10 * omega0**2
+
+
+def test_secular_top_root_start_at_a_vanishing_denominator():
+    # the top root's one-pole start w_t / (1 - R(0)) divides by an exact 0
+    # where R(0), the other poles' sum, rounds to 1: at N = 8 one rho an
+    # ulp or so from 1 / (R(0) / rho) does.  The start falls back to the
+    # bracket's midpoint with no warning, and the roots match the
+    # explicit sums.  The search repeats the solver's own expressions.
+    n = 8
+    gap = np.pi / n
+    k = np.arange(n)
+    shape = np.where(k > 0, 2.0 * np.sin(gap * (n - k) / 2.0) ** 2, 1.0)
+    sep = 4.0 * np.sin(gap * (n - 1 - k) / 2.0) * np.sin(gap * (n + 1 - k) / 2.0)
+    rho0 = 1.0 / ((shape / n)[:-1] @ (1.0 / sep[:-1]))
+    rhos = [rho0 + d * np.spacing(rho0) for d in range(-64, 65)]
+    hits = [r for r in rhos if 1.0 - (r * shape / n)[:-1] @ (1.0 / sep[:-1]) == 0.0]
+    assert hits
+    assert_matches_explicit(point_model(n, hits[0] / 2.0), hits[0] / 2.0)
 
 
 def test_dense_route_for_other_models():

@@ -465,6 +465,17 @@ def test_convolution_power_identity():
     assert np.array_equal(out.values, base.values)
 
 
+def test_convolution_power_one_returns_a_heavy_tailed_base_unchanged():
+    # the tail refusal guards powers n >= 2 only: n = 1 convolves nothing,
+    # so a base with most of its mass in the grid's last 1 % comes back as is
+    w = np.linspace(0.0, 4.0, 1000)
+    base = SpectrumTable(omegas=w, values=np.where(w > 3.97, 1.0, 1e-3))
+    assert tail_fraction(base) > 0.4
+    out = convolution_power_spectrum(base, 1)
+    assert np.array_equal(out.omegas, w)
+    assert np.array_equal(out.values, base.values)
+
+
 def test_convolution_power_refuses_a_power_below_one():
     w = np.linspace(0.0, 4.0, 1000)
     base = SpectrumTable(omegas=w, values=np.exp(-w))
