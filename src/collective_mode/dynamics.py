@@ -359,6 +359,17 @@ def total_energy(model: SystemModel, sector, basis, p0, times):
     w, v_modes = sector
     amp = p0 / m * v_modes[0, :]
     free = w == 0.0
+
+    # M: q -> (X, xi) through the sector modes, then the basis takes
+    # (X, xi) to the site coordinates a.  One product at a time, so at
+    # most three N x N arrays are alive.
+    to_anti = v_modes.T @ basis.T
+    potential_form = to_anti @ antisymmetric_block(model)
+    potential_form = potential_form @ to_anti.T
+    kinetic_form = to_anti @ to_anti.T
+    del to_anti
+    kinetic_form *= 0.5 * m
+
     left, fine = _split_trig(w, h, t.size)
     n = w.size
     # (BLOCK, N) fine factors with the amplitudes folded in
@@ -368,31 +379,27 @@ def total_energy(model: SystemModel, sector, basis, p0, times):
     q_c, q_s = g * c_b, g * s_b
     v_c, v_s = amp * c_b, amp * s_b
 
-    # M: q -> (X, xi) through the sector modes, then the basis takes
-    # (X, xi) to the site coordinates a.
-    to_anti = v_modes.T @ basis.T
-    kinetic_form = (0.5 * m) * (to_anti @ to_anti.T)
-    potential_form = to_anti @ antisymmetric_block(model) @ to_anti.T
-
-    # passes of whole coarse blocks, half the chunk budget per buffer: one
-    # product over a few hundred rows runs faster than one per block
+    # passes of whole coarse blocks, a quarter of the chunk budget per
+    # buffer: one product over a few hundred rows runs faster than one
+    # per block.  prod is the elementwise work buffer until the product
+    # overwrites it.
     blocks = left.shape[0]
-    group = max(1, _CHUNK_ELEMENTS // (2 * BLOCK * n))
+    group = max(1, _CHUNK_ELEMENTS // (4 * BLOCK * n))
     energy = np.empty(blocks * BLOCK)
-    coords, prod, work = (np.empty((group * BLOCK, n)) for _ in range(3))
+    coords, prod = (np.empty((group * BLOCK, n)) for _ in range(2))
     for lo in range(0, blocks, group):
         hi = min(lo + group, blocks)
         rows = slice(lo * BLOCK, hi * BLOCK)
         sin_a, cos_a = left[lo:hi, None, :n], left[lo:hi, None, n:]
-        c, p, wk = (x[:(hi - lo) * BLOCK] for x in (coords, prod, work))
-        c3, w3 = (x.reshape(hi - lo, BLOCK, n) for x in (c, wk))
+        c, p = (x[:(hi - lo) * BLOCK] for x in (coords, prod))
+        c3, p3 = (x.reshape(hi - lo, BLOCK, n) for x in (c, p))
         np.multiply(v_c, cos_a, out=c3)   # qdot
-        c3 -= np.multiply(v_s, sin_a, out=w3)
+        c3 -= np.multiply(v_s, sin_a, out=p3)
         np.matmul(c, kinetic_form, out=p)
         p *= c
         p.sum(axis=-1, out=energy[rows])
         np.multiply(q_c, sin_a, out=c3)   # q
-        c3 += np.multiply(q_s, cos_a, out=w3)
+        c3 += np.multiply(q_s, cos_a, out=p3)
         c[:, free] = np.multiply.outer(np.arange(rows.start, rows.stop) * h, amp[free])
         np.matmul(c, potential_form, out=p)
         p *= c

@@ -113,13 +113,14 @@ def caldeira_leggett_form(model: SystemModel):
     """
     m, root_n = model.mass, np.sqrt(model.n_particles)
     anti = antisymmetric_block(model)
+    force = anti.sum(axis=1) / root_n
+    # _deflate overwrites anti with the basis
     evals, basis = _deflate(anti, "bath block")
     if evals[0] <= _TOL_PSD * evals[-1]:
         raise UnstableModelError(
             "bath block has a zero mode; bath frequencies must be positive"
         )
 
-    force = anti.sum(axis=1) / root_n
     form = CollectiveForm(
         k_tilde_11=float(force.sum() / root_n),
         bath_freqs=np.sqrt(2.0 * evals / m),

@@ -40,6 +40,9 @@ class UnstableModelError(NumericalError, RuntimeError):
 _TOL_ROWSUM = 1e-12
 _TOL_PSD = 1e-10
 
+# Largest outer product, in elements, of one row block of _reflect.
+_REFLECT_ELEMENTS = 2**16
+
 
 def _freeze(obj, *names):
     """Replace the named fields of a frozen dataclass by read-only float
@@ -124,7 +127,7 @@ class SystemModel:
 
 
 def _sector_blocks(w, k):
-    """The two sector blocks of the full quadratic form, stacked (2, N, N).
+    """The two sector blocks of the full quadratic form, one (2, N, N) array.
 
     For symmetric K the rotation s, a = (x +- xbar)/sqrt(2) splits
     z^T Q z into s^T (W + diag(khat) - K) s + a^T (W + diag(khat) + K) a:
@@ -132,8 +135,11 @@ def _sector_blocks(w, k):
     to X, and index 1 the antisymmetric (relative) block, which holds X
     and its bath.
     """
-    block = w + np.diag(k.sum(axis=1))
-    return np.stack([block - k, block + k])
+    out = np.empty((2,) + w.shape)
+    np.add(w, np.diag(k.sum(axis=1)), out=out[1])
+    np.subtract(out[1], k, out=out[0])
+    out[1] += k
+    return out
 
 
 def antisymmetric_block(model: SystemModel):
@@ -321,35 +327,44 @@ def _psd_clip(evals, what):
 
 
 def _reflect(x):
-    """H x for the Householder reflector H = I - v v^T / v_0, v = u + e_0,
-    which swaps e_0 and -u (u the uniform unit vector), so columns 1..N-1
-    of H span the complement of u.  A rank-one update, O(N) per column of
-    x; H A H for a symmetric A is _reflect(_reflect(A).T)."""
+    """H x in place for the Householder reflector H = I - v v^T / v_0,
+    v = u + e_0, which swaps e_0 and -u (u the uniform unit vector), so
+    columns 1..N-1 of H span the complement of u; returns ``x``.  The
+    rank-one update goes a block of rows at a time, each block's outer
+    product at most _REFLECT_ELEMENTS terms, so no N x N temporary is
+    formed; H A H for a symmetric A is _reflect(_reflect(A).T)."""
     v = np.full(x.shape[0], 1.0 / np.sqrt(x.shape[0]))
     v[0] += 1.0
-    return x - np.multiply.outer(v, v @ x / v[0])
+    w = v @ x / v[0]
+    rows = max(1, _REFLECT_ELEMENTS // w.size)
+    for lo in range(0, x.shape[0], rows):
+        x[lo:lo + rows] -= np.multiply.outer(v[lo:lo + rows], w)
+    return x
 
 
 def _deflate(block, what):
     """Split the uniform mode u off a symmetric block: (the eigenvalues
     of C^T block C, the orthogonal site basis [u | C U]).
 
-    H = _reflect sends e_0 to -u and C is its last N-1 columns, so
-    C^T block C is the lower block of H block H, which must be positive
-    semidefinite.  It is symmetrized and solved; its eigenvalues come
-    back ascending and clipped at 0, and its modes U are lifted back
-    with each column's first nonzero entry positive.  A failed solve or
-    a negative mode (_psd_clip) raises UnstableModelError naming the
-    block ``what``.
+    Overwrites ``block``, whose buffer becomes the basis; a read-only
+    block raises ValueError.  H = _reflect sends e_0 to -u and C is its
+    last N-1 columns, so C^T block C is the lower block of H block H,
+    which must be positive semidefinite.  It is symmetrized and solved;
+    its eigenvalues come back ascending and clipped at 0, and its modes
+    U are lifted back with each column's first nonzero entry positive.
+    A failed solve or a negative mode (_psd_clip) raises
+    UnstableModelError naming the block ``what``.
     """
-    n = block.shape[0]
     lower = _reflect(_reflect(block).T)[1:, 1:]
+    np.add(lower, lower.T, out=lower)
+    lower /= 2.0
     try:
-        evals, modes = np.linalg.eigh((lower + lower.T) / 2.0)
+        evals, modes = np.linalg.eigh(lower)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise UnstableModelError(f"{what} eigensolve failed: {exc}") from exc
     evals = _psd_clip(evals, what)
-    lift = np.zeros((n, n))
-    lift[0, 0] = -1.0
-    lift[1:, 1:] = modes
-    return evals, _fix_signs(_reflect(lift))
+    block[0] = 0.0
+    block[1:, 0] = 0.0
+    block[0, 0] = -1.0
+    block[1:, 1:] = modes
+    return evals, _fix_signs(_reflect(block))

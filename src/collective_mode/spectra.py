@@ -78,7 +78,7 @@ def sigma_phonon_approximation(model: SystemModel) -> DeltaComb:
     when the fluctuations are small against the level spacing.
     """
     kappa = float(model.k_matrix.mean())
-    evals, basis = _deflate(model.w_matrix, "chain potential W")
+    evals, basis = _deflate(model.w_matrix.copy(), "chain potential W")
     n = model.n_particles
     m = model.mass
     shifted = np.sqrt(2.0 * evals / m + 2.0 * n * kappa / m)

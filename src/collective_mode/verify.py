@@ -91,13 +91,14 @@ def run_checks(model, p0, t_max, steps, epsilon=None):
     # anti B = B diag((m/2) w^2) + u l^T column by column, B = C U
     bath = site_basis[:, 1:]
     bath_evals = (m / 2.0) * form.bath_freqs**2
-    anti = model_mod.antisymmetric_block(model)
-    r = anti @ bath - bath * bath_evals - np.multiply.outer(site_basis[:, 0],
-                                                             form.couplings_l)
+    r = model_mod.antisymmetric_block(model) @ bath
+    r -= bath * bath_evals
+    r -= np.multiply.outer(site_basis[:, 0], form.couplings_l)
     _record(checks, "mapping.bath_residual",
             np.linalg.norm(r, axis=0).max() / max(bath_evals[-1], 1e-300), 1e-10,
             "worst bath eigenpair residual in site space, relative to the "
             "top bath eigenvalue")
+    del r
 
     sector = mapping.collective_sector_eigensystem(form)
     modes = mapping._sector_modes(form, sector)

@@ -5,7 +5,8 @@ from its definition, from a basis the package no longer uses, or as
 the package built it before (the eager chain arrays, the collective
 sector by a dense eigensolve instead of its secular equation, the grid
 x lines kernels in one product instead of row chunks, the mode sum from
-freshly allocated arrays, the energy check from direct phases, the CSV
+freshly allocated arrays, the uniform-mode deflation with a fresh array
+for every reflection, the energy check from direct phases, the CSV
 table from one '%' format, a chain's resolvent as a pole sum in long
 double), so it stays independent of the code under test.
 phonon_spectrum is the exception: it returns the chain's phonon modes
@@ -84,9 +85,32 @@ def phonon_spectrum(model: SystemModel):
     the uniform zero mode first, and basis, whose rows are the sign-fixed
     modes, so basis @ W @ basis.T == (m/2) diag(frequencies**2).  W has
     vanishing row sums, and _deflate solves the rest on u's complement."""
-    evals, basis = _deflate(model.w_matrix, "chain potential W")
+    evals, basis = _deflate(model.w_matrix.copy(), "chain potential W")
     return SimpleNamespace(frequencies=np.sqrt(2.0 * np.append(0.0, evals) / model.mass),
                            basis=basis.T)
+
+
+def out_of_place_reflect(x):
+    """model._reflect as it was before it worked in place: H x for the
+    Householder reflector H = I - v v^T / v_0, v = u + e_0, as one fresh
+    N x N outer product subtracted from x into a new array."""
+    v = np.full(x.shape[0], 1.0 / np.sqrt(x.shape[0]))
+    v[0] += 1.0
+    return x - np.multiply.outer(v, v @ x / v[0])
+
+
+def out_of_place_deflate(block, what):
+    """model._deflate as it was before it overwrote its block: every
+    reflection, the symmetrized lower block and the lift are fresh
+    arrays, and ``block`` is left as it was."""
+    n = block.shape[0]
+    lower = out_of_place_reflect(out_of_place_reflect(block).T)[1:, 1:]
+    evals, modes = np.linalg.eigh((lower + lower.T) / 2.0)
+    evals = _psd_clip(evals, what)
+    lift = np.zeros((n, n))
+    lift[0, 0] = -1.0
+    lift[1:, 1:] = modes
+    return evals, _fix_signs(out_of_place_reflect(lift))
 
 
 def sector_matrix(form):

@@ -29,7 +29,7 @@ from collective_mode import (
 )
 from collective_mode._kernels import BLOCK, volterra_path
 from collective_mode.dynamics import _check_uniform_grid, _line_weights
-from oracles import one_shot_total_energy, potential_energy
+from oracles import disordered_model, one_shot_total_energy, potential_energy
 
 
 def point_form(n, alpha):
@@ -307,6 +307,23 @@ def test_total_energy_holds_no_grid_by_modes_array():
         tracemalloc.stop()
     assert peak < t.size * 256 * 8 / 4
     assert np.abs(energy - energy[0]).max() < 1e-10 * energy[0]
+
+
+def test_total_energy_holds_three_sector_sized_arrays():
+    # the quadratic forms are built one product at a time, before the
+    # trig tables, and the grid passes take two row buffers (one N x N
+    # float64 array is 8 MB here)
+    model = disordered_model(1024, 3, 1.3)
+    form, basis = caldeira_leggett_form(model)
+    sector = collective_sector_eigensystem(form)
+    t = np.linspace(0.0, 100.0, 2001)
+    tracemalloc.start()
+    try:
+        total_energy(model, sector, basis, 1.0, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * model.w_matrix.nbytes
 
 
 def test_mode_sum_and_energy_match_one_shot_bitwise():

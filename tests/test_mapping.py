@@ -20,14 +20,16 @@ from collective_mode import (
     is_point_coupling,
     next_neighbor_frequencies,
     sector_eigenvalues,
+    sigma_phonon_approximation,
 )
 from collective_mode import mapping as mapping_mod
 from collective_mode import model as model_mod
+from collective_mode import spectra as spectra_mod
 from collective_mode.verify import run_checks
 from oracles import (dense_sector_eigensystem, disordered_model,
-                     full_potential_matrix, phonon_basis_blocks,
-                     phonon_coupling_row, phonon_spectrum, sector_matrix,
-                     split_chain_model)
+                     full_potential_matrix, out_of_place_deflate,
+                     phonon_basis_blocks, phonon_coupling_row, phonon_spectrum,
+                     sector_matrix, split_chain_model)
 
 
 def point_model(n, alpha, mass=1.0, omega0=1.0):
@@ -806,6 +808,41 @@ def test_sector_solve_memory_within_dense_oracle():
         finally:
             tracemalloc.stop()
     assert peaks[0] <= peaks[1]
+
+
+def test_caldeira_leggett_form_holds_three_and_a_quarter_arrays():
+    # the deflation overwrites the form's own antisymmetric block, so the
+    # peak is that block, the eigensolve's copy of the bath block and its
+    # modes (one N x N float64 array is 8 MB here)
+    model = disordered_model(1024, 3, 1.3)
+    tracemalloc.start()
+    try:
+        caldeira_leggett_form(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * model.w_matrix.nbytes
+
+
+@pytest.mark.parametrize("kind, n", [("disordered", 2), ("disordered", 3),
+                                     ("disordered", 257), ("disordered", 300),
+                                     ("chain", 64)])
+def test_in_place_deflation_matches_out_of_place_bitwise(monkeypatch, kind, n):
+    # _reflect updates 2**16 // N rows at a time: at N = 257 and 300 a row
+    # block ends inside the matrix and the last one is short, at N <= 256
+    # one block takes every row
+    model = disordered_model(n, 5, 1.3) if kind == "disordered" else point_model(n, 0.5)
+    form, basis = caldeira_leggett_form(model)
+    sigma = sigma_phonon_approximation(model)
+    monkeypatch.setattr(mapping_mod, "_deflate", out_of_place_deflate)
+    monkeypatch.setattr(spectra_mod, "_deflate", out_of_place_deflate)
+    ref_form, ref_basis = caldeira_leggett_form(model)
+    ref_sigma = sigma_phonon_approximation(model)
+    assert np.array_equal(basis, ref_basis)
+    for name in ("k_tilde_11", "bath_freqs", "couplings_l"):
+        assert np.array_equal(getattr(form, name), getattr(ref_form, name))
+    assert np.array_equal(sigma.frequencies, ref_sigma.frequencies)
+    assert np.array_equal(sigma.weights, ref_sigma.weights)
 
 
 def test_coupling_invariant_under_constant_offset():

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from collective_mode import (
     next_neighbor_frequencies,
     sector_eigenvalues,
 )
-from collective_mode.model import _fix_signs, _sector_blocks, _validate
+from collective_mode.model import _deflate, _fix_signs, _sector_blocks, _validate
 from oracles import (disordered_model, eager_chain_matrices,
                      full_potential_matrix, phonon_spectrum, potential_energy,
                      standing_wave_basis)
@@ -260,6 +261,33 @@ def count_eigvalsh(monkeypatch):
         return _fn(a, *args, **kwargs)
     monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
     return shapes
+
+
+def test_build_holds_three_sector_sized_arrays():
+    # validation writes both sector blocks into one (2, N, N) array and
+    # solves them one at a time; the model's own copies of W and K come
+    # after it lets them go (one N x N float64 array is 8 MB here)
+    src = disordered_model(1024, 3, 1.3)
+    tracemalloc.start()
+    try:
+        build_general_model(src.w_matrix, src.k_matrix, 1.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * src.w_matrix.nbytes
+
+
+def test_deflate_overwrites_its_block():
+    # the block's buffer becomes the basis, so a frozen model array is
+    # refused before anything is written to it
+    model = disordered_model(8, 1)
+    with pytest.raises(ValueError):
+        _deflate(model.w_matrix, "chain potential W")
+    w = model.w_matrix.copy()
+    evals, basis = _deflate(w, "chain potential W")
+    assert basis is w
+    assert np.abs(basis.T @ model.w_matrix @ basis
+                  - np.diag(np.append(0.0, evals))).max() < 1e-12
 
 
 def test_build_path_hands_over_validation_eigenvalues(monkeypatch):
