@@ -21,6 +21,7 @@ import dataclasses
 import json
 import math
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -95,30 +96,58 @@ def _load_matrix(path):
         raise ConfigError(f"cannot parse matrix file {path!r}: {exc}") from exc
 
 
-# the keys a config may set, by section; a model of either kind accepts all
-_KEYS = {"model": {"kind", "mass", "hbar", "n", "omega0", "alpha", "w_file", "k_file"},
-         "dynamics": {"p0", "t_max", "steps"},
-         "spectra": {"epsilon", "omega_max", "grid_points", "powers"},
-         "output": {"directory", "formats"}}
-_MUST_BE = {float: "a finite number", int: "an integer"}
+# One row per config key, by section: parse reads the value's text (a float
+# must be finite), default is an absent key's text (None: required), rule
+# is what the parsed value must satisfy (None: the model factories check
+# it), what says what parse and rule ask, and kind is the model kind that
+# reads the key (None: both; either kind accepts the other's keys).
+_Key = namedtuple("_Key", "parse default rule what kind", defaults=(None,))
+_KEYS = {
+    "model": {
+        "kind": _Key(str, None, lambda v: v in ("next_neighbor", "general"),
+                     "next_neighbor or general"),
+        "mass": _Key(float, "1.0", None, "a finite number"),
+        "hbar": _Key(float, "1.0", None, "a finite number"),
+        "n": _Key(int, None, None, "an integer", "next_neighbor"),
+        "omega0": _Key(float, "1.0", None, "a finite number", "next_neighbor"),
+        "alpha": _Key(float, "0.0", None, "a finite number", "next_neighbor"),
+        "w_file": _Key(str, None, None, "a CSV file", "general"),
+        "k_file": _Key(str, None, None, "a CSV file", "general")},
+    "dynamics": {
+        "p0": _Key(float, "1.0", lambda v: v != 0, "a nonzero finite number"),
+        "t_max": _Key(float, None, lambda v: v > 0, "a finite number > 0"),
+        "steps": _Key(int, None, lambda v: v >= 2, "an integer >= 2")},
+    "spectra": {
+        "epsilon": _Key(float, "0", lambda v: v >= 0, "a finite number >= 0 (0 = auto)"),
+        "omega_max": _Key(float, "4.0", lambda v: v > 0, "a finite number > 0"),
+        "grid_points": _Key(int, "2000", lambda v: v >= 2, "an integer >= 2"),
+        "powers": _Key(lambda raw: sorted({int(p) for p in raw.split(",") if p.strip()}),
+                       "2", lambda v: all(p >= 1 for p in v),
+                       "comma-separated integers >= 1")},
+    "output": {
+        "directory": _Key(str, "out", bool, "a nonempty path"),
+        "formats": _Key(lambda raw: [f.strip() for f in raw.split(",") if f.strip()],
+                        "csv", lambda v: v and set(v) <= {"csv", "json"},
+                        "csv, json or both")},
+}
 
 
-def _value(parser, section, key, parse=str, default=None):
-    """parse(value) of key in [section], or default if the key is absent.
-    A missing key without a default, or a value that parse rejects (a
-    float that is not finite included), is a ConfigError naming the key."""
-    if not parser.has_option(section, key):
-        if default is None:
-            raise ConfigError(f"missing field {key!r} in [{section}]")
-        return default
-    raw = parser.get(section, key)
+def _value(parser, section, key):
+    """key of [section] as its _KEYS row reads it: the row's default text
+    if the key is absent, through the row's parse and rule.  A missing
+    required key, or a value that parse or rule refuses, is a ConfigError
+    naming the key."""
+    row = _KEYS[section][key]
+    raw = parser.get(section, key, fallback=row.default)
+    if raw is None:
+        raise ConfigError(f"missing field {key!r} in [{section}]")
     try:
-        value = parse(raw)
-        if parse is float and not math.isfinite(value):
+        value = row.parse(raw)
+        if (row.parse is float and not math.isfinite(value)
+                or row.rule is not None and not row.rule(value)):
             raise ValueError(raw)
     except ValueError as exc:
-        raise ConfigError(
-            f"[{section}] {key} must be {_MUST_BE[parse]}, got {raw!r}") from exc
+        raise ConfigError(f"[{section}] {key} must be {row.what}, got {raw!r}") from exc
     return value
 
 
@@ -135,57 +164,12 @@ class Scenario:
                 if key not in _KEYS[section]:
                     raise ConfigError(f"[{section}] unknown key {key!r}")
 
-        kind = _value(parser, "model", "kind")
-        if kind not in ("next_neighbor", "general"):
-            raise ConfigError(
-                f"[model] kind must be next_neighbor or general, got {kind!r}")
-        self.kind = kind
-        self.mass = _value(parser, "model", "mass", float, 1.0)
-        self.hbar = _value(parser, "model", "hbar", float, 1.0)
-        if kind == "next_neighbor":
-            self.n = _value(parser, "model", "n", int)
-            self.omega0 = _value(parser, "model", "omega0", float, 1.0)
-            self.alpha = _value(parser, "model", "alpha", float, 0.0)
-        else:
-            self.w_file = _value(parser, "model", "w_file")
-            self.k_file = _value(parser, "model", "k_file")
-
-        self.p0 = _value(parser, "dynamics", "p0", float, 1.0)
-        if self.p0 == 0:
-            raise ConfigError("[dynamics] p0 must be nonzero")
-        self.t_max = _value(parser, "dynamics", "t_max", float)
-        self.steps = _value(parser, "dynamics", "steps", int)
-        if self.t_max <= 0 or self.steps < 2:
-            raise ConfigError("[dynamics] t_max must be > 0 and steps >= 2")
-
-        epsilon = _value(parser, "spectra", "epsilon", float, 0.0)
-        self.omega_max = _value(parser, "spectra", "omega_max", float, 4.0)
-        self.grid_points = _value(parser, "spectra", "grid_points", int, 2000)
-        if not epsilon >= 0:
-            raise ConfigError("[spectra] epsilon must be >= 0 (0 = auto)")
-        self.epsilon = epsilon or None  # 0 = auto: dynamics.default_epsilon
-        if not self.omega_max > 0:
-            raise ConfigError("[spectra] omega_max must be > 0")
-        if self.grid_points < 2:
-            raise ConfigError("[spectra] grid_points must be >= 2")
-        powers_raw = _value(parser, "spectra", "powers", default="2")
-        try:
-            self.powers = sorted({int(p) for p in powers_raw.split(",") if p.strip()})
-        except ValueError as exc:
-            raise ConfigError(f"[spectra] powers must be integers: {exc}") from exc
-        if any(p < 1 for p in self.powers):
-            raise ConfigError("[spectra] powers must be >= 1")
-
-        self.directory = _value(parser, "output", "directory", default="out")
-        if not self.directory:
-            raise ConfigError("[output] directory must not be empty")
-        formats = _value(parser, "output", "formats", default="csv")
-        self.formats = [f.strip() for f in formats.split(",") if f.strip()]
-        if not self.formats:
-            raise ConfigError("[output] formats must name csv, json or both")
-        for f in self.formats:
-            if f not in ("csv", "json"):
-                raise ConfigError(f"[output] formats entries must be csv or json, got {f!r}")
+        self.kind = None  # [model]'s first row sets it before any row of one kind
+        for section, rows in _KEYS.items():
+            for key, row in rows.items():
+                if row.kind in (None, self.kind):
+                    setattr(self, key, _value(parser, section, key))
+        self.epsilon = self.epsilon or None  # 0 = auto: dynamics.default_epsilon
 
     def build_model(self):
         if self.kind == "next_neighbor":

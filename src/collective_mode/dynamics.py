@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mapping import CollectiveForm, QuantumModes
+from .mapping import CollectiveForm, QuantumModes, _chain_units
 from .model import NumericalError, SystemModel, _float_pair, antisymmetric_block
 from ._kernels import BLOCK, volterra_path
 
@@ -154,8 +154,14 @@ def gamma_transform(form: CollectiveForm, omega, epsilon):
 
 def omega0_squared(form: CollectiveForm) -> float:
     """Renormalized collective stiffness Omega0^2 = 2 Ktilde_11 / m - gamma(0)
-    of the equation of motion."""
-    return form.bare_omega_sq - damping_kernel(form, 0.0)
+    of the equation of motion.  A chain's form, which keeps its recipe,
+    takes the closed form omega0^2 (rho/N) / (1 + rho (N-1)(2N-1) / 6N),
+    free of the difference's cancellation on long, strongly coupled chains."""
+    if form._chain is None:
+        return form.bare_omega_sq - damping_kernel(form, 0.0)
+    rho, w0_sq = _chain_units(form)
+    n = form.bath_freqs.size + 1
+    return w0_sq * (rho / n) / (1.0 + rho * ((n - 1) * (2 * n - 1)) / (6 * n))
 
 
 def mean_bath_spacing(form: CollectiveForm) -> float:
@@ -175,7 +181,7 @@ def default_epsilon(form: CollectiveForm) -> float:
 def collective_frequency(form: CollectiveForm) -> OscillatorParams:
     """Collective frequency and friction of the damped-oscillator picture.
 
-    omega0_sq = 2 Ktilde_11 / m - gamma(0).  The friction gamma0 is read
+    omega0_sq is omega0_squared(form).  The friction gamma0 is read
     off as Re of the regularized kernel transform at resonance, at the
     default smoothing width.  The params are returned for every
     omega0_sq; a negative one reads as the overdamped regime.

@@ -126,6 +126,14 @@ class SystemModel:
         return self.k_matrix.sum(axis=1)
 
 
+def _split_block(w, k, sign, out):
+    """W + diag(khat) + sign K formed in out: W copied, khat added on the
+    diagonal, then K added or subtracted, both sector blocks' one order."""
+    np.copyto(out, w)
+    out.reshape(-1)[:: len(w) + 1] += k.sum(axis=1)
+    return (np.add if sign > 0 else np.subtract)(out, k, out=out)
+
+
 def _sector_blocks(w, k):
     """The two sector blocks of the full quadratic form, one (2, N, N) array.
 
@@ -136,16 +144,16 @@ def _sector_blocks(w, k):
     and its bath.
     """
     out = np.empty((2,) + w.shape)
-    np.add(w, np.diag(k.sum(axis=1)), out=out[1])
-    np.subtract(out[1], k, out=out[0])
-    out[1] += k
+    for sign, block in zip((-1, 1), out):
+        _split_block(w, k, sign, block)
     return out
 
 
 def antisymmetric_block(model: SystemModel):
     """W + diag(khat) + K, the antisymmetric block of _sector_blocks
-    (bit for bit), formed without the symmetric one."""
-    return model.w_matrix + np.diag(model.row_coupling_sums) + model.k_matrix
+    (bit for bit: the same _split_block), formed without the symmetric one."""
+    w = model.w_matrix
+    return _split_block(w, model.k_matrix, 1, np.empty(w.shape))
 
 
 def sector_eigenvalues(model: SystemModel):

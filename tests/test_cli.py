@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from collective_mode import ConvergenceError, UnstableModelError
-from collective_mode import mapping
+from collective_mode import cli, mapping
 from collective_mode import model as model_mod
 from collective_mode.cli import main
 from oracles import split_chain_model
@@ -294,6 +294,24 @@ def readme_block(language):
     """README's first ```language block, verbatim."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     return readme.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_lists_every_config_key():
+    # README's CLI section has one table row per key of cli._KEYS: its
+    # section, its name, and its default, or "required" for a key with none
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    table = {tuple(cells[:2]): cells[2] for cells in (
+        [c.strip() for c in line.strip().strip("|").split("|")]
+        for line in section.splitlines() if line.startswith("| `["))}
+    for name, rows in cli._KEYS.items():
+        for key in rows:
+            default = table.get((f"`[{name}]`", f"`{key}`"))
+            assert default is not None, f"README's key table has no [{name}] {key}"
+            expected = rows[key].default
+            assert (default.startswith("required") if expected is None
+                    else default == f"`{expected}`"), (name, key, default)
+    assert len(table) == sum(len(rows) for rows in cli._KEYS.values())
 
 
 def test_readme_config_runs(tmp_path):

@@ -28,7 +28,7 @@ from collective_mode import (
     underdamped_closed_form,
 )
 from collective_mode._kernels import BLOCK, volterra_path
-from collective_mode.dynamics import _check_uniform_grid, _line_weights
+from collective_mode.dynamics import _check_uniform_grid, _line_weights, omega0_squared
 from oracles import disordered_model, one_shot_total_energy, potential_energy
 
 
@@ -163,6 +163,21 @@ def test_collective_frequency_free_coordinate_is_critical():
     assert (params.omega0_sq, params.gamma0) == (0.0, 0.0)
     assert params.regime == "critical"
     assert params.omega_bar == 0.0
+
+
+@pytest.mark.parametrize("alpha", [3.0, 1000.0])
+def test_chain_omega0_sq_has_no_cancellation(alpha):
+    # at N = 1e5 the difference 2 Ktilde_11 / m - gamma(0) cancels terms
+    # near 5e-5 down to about 2e-10; a chain's form takes the closed form,
+    # which has no difference.  The reference is that closed form in long
+    # double (80-bit on x86-64 Linux).  Two O(N) mappings, no N x N array
+    n, mass, omega0 = 10**5, 1.3, 0.8
+    form, _ = collective_mapping(build_next_neighbor_model(n, mass, omega0, alpha))
+    ld = np.longdouble
+    rho = 2 * ld(alpha) / (ld(mass) * ld(omega0) ** 2)
+    ref = ld(omega0) ** 2 * (rho / n) / (1 + rho * (n - 1) * (2 * n - 1) / (6 * n))
+    for value in (omega0_squared(form), collective_frequency(form).omega0_sq):
+        assert abs(ld(value) - ref) <= 1e-14 * ref
 
 
 @pytest.mark.parametrize("times, positions, match", [
